@@ -24,14 +24,23 @@ VERSION = "0.1.0"
 
 BUILTIN_DEFAULTS = {"window": 20, "cutoff": 200, "kmax": 6, "horizon": 8}
 
-TABLE_OPS = {"beta_table", "lambda_table", "beta_v_table", "lambda_v_table"}
-
-KNOWN_OPS = TABLE_OPS | {
-    "rho_window", "rho_n", "rho_lim", "rho_hat_rees", "rho_hat_beta", "rho_exact",
-    "waldschmidt", "validate_graded", "validate_filtration", "standard_veronese",
-    "b_equivalent", "veronese_scaling", "linearly_finer", "rees_valuations",
-    "newton_polyhedron", "integral_closure", "symbolic_power",
+# every op, with the task keys it cannot run without
+REQUIRED_KEYS = {
+    "beta_table": ("a", "b", "s_to"), "lambda_table": ("a", "b", "n_to"),
+    "beta_v_table": ("a", "b", "weights"), "lambda_v_table": ("a", "b", "weights"),
+    "rho_window": ("a", "b"), "rho_n": ("a", "b", "n"), "rho_lim": ("a", "b", "grid"),
+    "rho_hat_rees": ("a", "b"), "rho_hat_beta": ("a", "b", "n_max"), "rho_exact": ("a", "b"),
+    "waldschmidt": ("family", "weights"), "validate_graded": ("family",),
+    "validate_filtration": ("family",), "standard_veronese": ("family", "k"),
+    "b_equivalent": ("family", "ideal", "k"), "veronese_scaling": ("a", "b", "k"),
+    "linearly_finer": ("a", "b"), "rees_valuations": ("ideal",),
+    "newton_polyhedron": ("ideal",), "integral_closure": ("ideal",),
+    "symbolic_power": ("ideal",),
 }
+
+# task keys that are read as integers
+INT_KEYS = ("s_from", "s_to", "n_from", "n_to", "n", "k", "n_max", "s_max", "r_max",
+            "tail", "budget") + tuple(BUILTIN_DEFAULTS)
 
 FAMILY_KINDS = {
     "powers", "symbolic", "ceiling", "power_pattern", "closure", "closure_powers",
@@ -60,6 +69,15 @@ class JobConfig:
 # ---------------------------------------------------------------------------
 
 
+def _parse_int(value, where, errors) -> Optional[int]:
+    """int(value), or None with an error collected when it is not an integer."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        errors.append(f"{where}: expected an integer, got {value!r}")
+        return None
+
+
 def _parse_index_function(node, where, errors) -> Optional[fam.IndexFunction]:
     if not isinstance(node, dict) or "fn" not in node:
         errors.append(f"{where}: exponent rule must be an object with an 'fn' key")
@@ -74,7 +92,7 @@ def _parse_index_function(node, where, errors) -> Optional[fam.IndexFunction]:
             return fam.ceil_sqrt()
         if kind == "ceil_log2p1":
             return fam.ceil_log2p1()
-    except (ValueError, ResurgenceError) as exc:
+    except (TypeError, ValueError, ResurgenceError) as exc:
         errors.append(f"{where}: bad exponent rule: {exc}")
         return None
     errors.append(f"{where}: unknown exponent rule {kind!r}")
@@ -91,7 +109,8 @@ def _parse_expr(node, where, names, errors):
         return fam.Base(node["ideal"])
     if "family" in node:
         names["families"].add(node["family"])
-        return fam.Ref(node["family"], int(node.get("shift", 0)))
+        shift = _parse_int(node.get("shift", 0), f"{where}: shift", errors)
+        return None if shift is None else fam.Ref(node["family"], shift)
     if "product" in node:
         factors = [_parse_expr(x, where, names, errors) for x in node["product"]]
         return None if any(f is None for f in factors) else fam.Product(tuple(factors))
@@ -168,8 +187,10 @@ def parse_config(text: str) -> JobConfig:
                 errors.append(f"{where}: kind {kind!r} needs a 'family'")
             else:
                 names["families"].add(node["family"])
-            if kind == "veronese" and int(node.get("step", 0)) < 1:
-                errors.append(f"{where}: veronese needs a positive 'step'")
+            if kind == "veronese":
+                step = _parse_int(node.get("step", 0), f"{where}: step", errors)
+                if step is not None and step < 1:
+                    errors.append(f"{where}: veronese needs a positive 'step'")
         elif kind == "periodic":
             period = node.get("period")
             patterns = node.get("patterns")
@@ -220,9 +241,15 @@ def parse_config(text: str) -> JobConfig:
         if not isinstance(task, dict) or "op" not in task:
             errors.append(f"{where}: must be an object with an 'op'")
             continue
-        if task["op"] not in KNOWN_OPS:
+        if task["op"] not in REQUIRED_KEYS:
             errors.append(f"{where}: unknown op {task['op']!r}")
             continue
+        for key in REQUIRED_KEYS[task["op"]]:
+            if key not in task:
+                errors.append(f"{where}: op {task['op']!r} needs {key!r}")
+        for key in INT_KEYS:
+            if key in task:
+                _parse_int(task[key], f"{where}: {key!r}", errors)
         for key in ("a", "b", "family"):
             if key in task and task[key] not in parsed:
                 errors.append(f"{where}: references undefined family {task[key]!r}")
@@ -232,6 +259,11 @@ def parse_config(text: str) -> JobConfig:
             w = task["weights"]
             if not isinstance(w, list) or len(w) != nvars:
                 errors.append(f"{where}: 'weights' must be a list of length {nvars}")
+        if not isinstance(task.get("grid", []), list):
+            errors.append(f"{where}: 'grid' must be a list of integers")
+        for key in ("weights", "grid"):
+            for item in task[key] if isinstance(task.get(key), list) else ():
+                _parse_int(item, f"{where}: {key!r}", errors)
 
     output = raw.get("output") or {}
     out_format = output.get("format", "json")
@@ -240,7 +272,7 @@ def parse_config(text: str) -> JobConfig:
     defaults = dict(BUILTIN_DEFAULTS)
     for key in BUILTIN_DEFAULTS:
         if key in (raw.get("defaults") or {}):
-            defaults[key] = int(raw["defaults"][key])
+            defaults[key] = _parse_int(raw["defaults"][key], f"defaults: {key!r}", errors)
 
     if errors:
         raise ConfigError(errors)

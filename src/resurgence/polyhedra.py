@@ -1,26 +1,26 @@
 """Exact rational polyhedra and linear programming.
 
-H-representations are produced by an incremental double-description pass over
-the dual cone of the homogenized generators; every facet normal is stored as a
-primitive integer vector, so Newton-polyhedron facets (and hence Rees
-valuations) are canonical across runs.  The LP solver is a dense two-phase
-simplex over fractions.Fraction with Bland's anti-cycling rule; no floating
-point enters any decision.
+H-representations are produced by a fraction-free incremental
+double-description pass over the dual cone of the homogenized generators: the
+generators enter as primitive integer vectors, rays are combined by integer
+cross-multiplication and extremality is a Bareiss rank test, so the pass uses
+Python ints only.  Every facet normal is stored as a primitive integer vector,
+so Newton-polyhedron facets (and hence Rees valuations) are canonical across
+runs.  The LP solver is a dense two-phase simplex over fractions.Fraction with
+Bland's anti-cycling rule; no floating point enters any decision.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import CapabilityError, DimensionError, DomainError
 
 MAX_HULL_DIM = 8
-
-Vector = Tuple[Fraction, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -28,45 +28,47 @@ Vector = Tuple[Fraction, ...]
 # ---------------------------------------------------------------------------
 
 
-def _dot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+def _dot(a: Sequence, b: Sequence):
+    return sum(map(mul, a, b))
 
 
-def _rank(rows: Sequence[Sequence]) -> int:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by Bareiss fraction-free elimination: after
+    each step every entry is a minor of the input, so the division by the
+    previous pivot is exact and entries stay integers of bounded size."""
+    mat = [list(row) for row in rows]
     cols = len(mat[0]) if mat else 0
-    row = 0
+    rank = 0
+    prev = 1
     for col in range(cols):
-        pivot = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
         if pivot is None:
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        pv = mat[row][col]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] != 0:
-                factor = mat[r][col] / pv
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[row])]
-        row += 1
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        pv = top[col]
+        for r in range(rank + 1, len(mat)):
+            row = mat[r]
+            f = row[col]
+            mat[r] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pv
         rank += 1
-        if row == len(mat):
+        if rank == len(mat):
             break
     return rank
+
+
+def _reduced(vec: Sequence[int]) -> Tuple[int, ...]:
+    """Divide an integer vector by the gcd of its entries."""
+    g = gcd(*vec)
+    return tuple(v // g for v in vec) if g > 1 else tuple(vec)
 
 
 def _primitive(vec: Sequence) -> Tuple[int, ...]:
     """Scale a rational vector by a positive factor to coprime integers."""
     fracs = [Fraction(x) for x in vec]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in fracs)
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return tuple(v // g for v in ints)
+    denom = lcm(*(f.denominator for f in fracs))
+    return _reduced([int(f * denom) for f in fracs])
 
 
 def _primitive_signed(vec: Sequence) -> Tuple[int, ...]:
@@ -97,14 +99,7 @@ class HalfSpace:
 
     def satisfied_by(self, point: Sequence, scale: int = 1) -> bool:
         # normals/offsets are ints; integer points never touch Fraction here
-        total = 0
-        for w, x in zip(self.normal, point):
-            total += w * x
-        return total >= self.offset * scale
-
-    def is_coordinate(self) -> bool:
-        """True for a halfspace whose boundary passes through the origin."""
-        return self.offset == 0
+        return _dot(self.normal, point) >= self.offset * scale
 
 
 @dataclass(frozen=True)
@@ -127,41 +122,29 @@ class RationalPolyhedron:
         for monomial valuations; for a Newton polyhedron this is every facet)."""
         return tuple(h for h in self.halfspaces if all(w >= 0 for w in h.normal))
 
-    def scaled(self, factor: int) -> "RationalPolyhedron":
-        if factor <= 0:
-            raise DomainError("scale factor must be positive")
-        return RationalPolyhedron(
-            self.dim,
-            tuple(HalfSpace(h.normal, h.offset * factor) for h in self.halfspaces),
-            tuple(tuple(Fraction(v) * factor for v in vx) for vx in self.vertices),
-            self.recession_rays,
-        )
 
-
-def _dual_description(generators: list[Vector], dim: int):
+def _dual_description(generators: list[Tuple[int, ...]], dim: int):
     """Lineality basis and extreme rays of {z : <g, z> >= 0 for all g}.
 
-    Incremental double description: the lineality space starts as all of R^dim
-    and is cut down whenever a constraint sees it; sign-split ray pairs are
-    combined on the constraint hyperplane and non-extreme combinations are
-    discarded by an exact rank test on their tight sets.
+    Incremental double description over the integers: the lineality space
+    starts as all of Z^dim and is cut down whenever a constraint sees it;
+    sign-split ray pairs are combined on the constraint hyperplane and
+    non-extreme combinations are discarded by an exact rank test on their
+    tight sets.  Every update is a cross-multiplication `pval*x - c*pivot`,
+    a positive multiple of `x - (c/pval)*pivot`, so all vectors stay integer
+    and reduce to the same primitive representatives as over the rationals.
     """
-    lineality: list[Vector] = [
-        tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)
+    lineality: list[Tuple[int, ...]] = [
+        tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
     ]
     rays: list[Tuple[int, ...]] = []
-    processed: list[Vector] = []
-
-    def tight_rank(ray) -> int:
-        tight = [g for g in processed if _dot(g, ray) == 0]
-        if not tight:
-            return 0
-        return _rank(tight)
+    processed: list[Tuple[int, ...]] = []
 
     def is_extreme(ray) -> bool:
         if all(v == 0 for v in ray):
             return False
-        return tight_rank(ray) >= dim - len(lineality) - 1
+        tight = [g for g in processed if _dot(g, ray) == 0]
+        return _rank(tight) >= dim - len(lineality) - 1
 
     for g in generators:
         lvals = [_dot(g, l) for l in lineality]
@@ -172,29 +155,19 @@ def _dual_description(generators: list[Vector], dim: int):
             if pval < 0:
                 pivot = tuple(-x for x in pivot)
                 pval = -pval
-            new_lineality = []
-            for i, l in enumerate(lineality):
-                if i == pivot_idx:
-                    continue
-                coeff = lvals[i] / pval
-                new_lineality.append(tuple(x - coeff * p for x, p in zip(l, pivot)))
-            new_rays = []
-            for r in rays:
-                coeff = _dot(g, r) / pval
-                new_rays.append(_primitive(tuple(Fraction(x) - coeff * p for x, p in zip(r, pivot))))
-            new_rays.append(_primitive(pivot))
-            lineality = new_lineality
-            rays = new_rays
+            lineality = [
+                _reduced([pval * x - c * p for x, p in zip(l, pivot)])
+                for i, (l, c) in enumerate(zip(lineality, lvals)) if i != pivot_idx
+            ]
+            rays = [_reduced([pval * x - _dot(g, r) * p for x, p in zip(r, pivot)]) for r in rays]
+            rays.append(_reduced(pivot))
         else:
-            plus = [r for r in rays if _dot(g, r) > 0]
-            zero = [r for r in rays if _dot(g, r) == 0]
-            minus = [r for r in rays if _dot(g, r) < 0]
-            combos = []
-            for p, m in itertools.product(plus, minus):
-                vp, vm = _dot(g, p), _dot(g, m)
-                combo = tuple(vp * Fraction(x) - vm * Fraction(y) for x, y in zip(m, p))
-                combos.append(_primitive(combo))
-            rays = plus + zero + combos
+            valued = [(r, _dot(g, r)) for r in rays]
+            plus = [(r, v) for r, v in valued if v > 0]
+            minus = [(r, v) for r, v in valued if v < 0]
+            combos = [_reduced([vp * x - vm * y for x, y in zip(m, p)])
+                      for p, vp in plus for m, vm in minus]
+            rays = [r for r, _ in plus] + [r for r, v in valued if v == 0] + combos
         processed.append(g)
         seen = set()
         filtered = []
@@ -205,7 +178,7 @@ def _dual_description(generators: list[Vector], dim: int):
             if all(_dot(g2, r) >= 0 for g2 in processed) and is_extreme(r):
                 filtered.append(r)
         rays = filtered
-    return [tuple(l) for l in lineality], rays
+    return lineality, rays
 
 
 def hull_with_recession(
@@ -216,7 +189,8 @@ def hull_with_recession(
     Works in the homogenization cone: a facet <a, y> >= b corresponds to an
     extreme ray (a, -b) of the dual cone of {(p, 1)} u {(r, 0)}; a lineality
     direction of that dual cone is an affine-hull equation, emitted as an
-    opposite pair of halfspaces.
+    opposite pair of halfspaces.  Each generator enters as its primitive
+    integer multiple, which leaves the dual cone unchanged.
     """
     raw = [tuple(p) for p in points]
     if not raw:
@@ -226,25 +200,24 @@ def hull_with_recession(
         raise CapabilityError(f"hull dimension {dim} exceeds the configured maximum {MAX_HULL_DIM}")
     if any(len(p) != dim for p in raw):
         raise DimensionError("hull points have mixed dimensions")
-    rs = [tuple(Fraction(x) for x in r) for r in rays]
+    rs = [_primitive(r) for r in rays]
     if any(len(r) != dim for r in rs):
         raise DimensionError("hull rays have mixed dimensions")
-    if dim == 2 and {_primitive(r) for r in rs} == {(1, 0), (0, 1)}:
+    if dim == 2 and set(rs) == {(1, 0), (0, 1)}:
         return _staircase_hull_2d(raw)
 
     pts = [tuple(Fraction(x) for x in p) for p in raw]
-    generators = [p + (Fraction(1),) for p in pts] + [r + (Fraction(0),) for r in rs]
-    lineality, extreme = _dual_description(generators, dim + 1)
+    homogenized = [_primitive(p + (1,)) for p in pts]
+    lineality, extreme = _dual_description(homogenized + [r + (0,) for r in rs], dim + 1)
 
     halfspaces = set()
     for z in extreme:
         normal, last = z[:-1], z[-1]
         if all(v == 0 for v in normal):
             continue  # homogenization facet "1 >= 0"
-        halfspaces.add(HalfSpace(tuple(normal), -last))
+        halfspaces.add(HalfSpace(normal, -last))
     for l in lineality:
-        normal = _primitive_signed(l[:-1])
-        if all(v == 0 for v in normal):
+        if not any(l[:-1]):
             continue
         z = _primitive_signed(l)
         halfspaces.add(HalfSpace(z[:-1], -z[-1]))
@@ -252,12 +225,12 @@ def hull_with_recession(
 
     ordered = tuple(sorted(halfspaces))
     vertices = []
-    for p in pts:
-        tight = [h.normal for h in ordered if _dot(h.normal, p) == h.offset]
+    for p, q in zip(pts, homogenized):
+        # <h.normal, p> == h.offset, scaled by the homogenizing coordinate of q
+        tight = [h.normal for h in ordered if _dot(h.normal, q) == h.offset * q[-1]]
         if tight and _rank(tight) == dim and p not in vertices:
             vertices.append(p)
-    ray_set = tuple(sorted({_primitive(r) for r in rs})) if rs else ()
-    return RationalPolyhedron(dim, ordered, tuple(sorted(vertices)), ray_set)
+    return RationalPolyhedron(dim, ordered, tuple(sorted(vertices)), tuple(sorted(set(rs))))
 
 
 def _staircase_hull_2d(pts) -> RationalPolyhedron:
@@ -457,16 +430,3 @@ def _verify_dual(lp: LinearProgram, optimum: Fraction, dual: Sequence[Fraction])
     value = sum(Fraction(u) * Fraction(lp.constraints[i].offset) for i, u in enumerate(dual))
     if value != optimum:
         raise AssertionError("dual objective does not match the primal optimum")
-
-
-def halfspace_redundant(poly: RationalPolyhedron, index: int) -> bool:
-    """LP witness check: can the polyhedron do without halfspace `index`?"""
-    target = poly.halfspaces[index]
-    others = tuple(h for i, h in enumerate(poly.halfspaces) if i != index)
-    lp = LinearProgram(tuple(Fraction(v) for v in target.normal), others, nonneg=False)
-    res = lp_minimize(lp)
-    if res.status == "unbounded":
-        return False
-    if res.status == "infeasible":
-        return True
-    return res.optimum >= target.offset

@@ -3,13 +3,16 @@
 Everything here is deliberately naive and self-contained: set arithmetic on
 exponent tuples, subset enumeration, exhaustive facet checks, and basic-
 feasible-point enumeration for LPs.  None of it calls the code paths it is
-used to check.
+used to check: `halfspace_redundant` checks hulls with the library's LP, which
+is itself checked against `brute_lp_minimum`.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from resurgence import LinearProgram, lp_minimize
 
 
 def divides(a, b):
@@ -211,3 +214,16 @@ def brute_lp_minimum(objective, constraints, nonneg=True):
     if best is not None:
         return "optimal", best
     return ("unbounded-or-open", None) if any_feasible else ("infeasible", None)
+
+
+def halfspace_redundant(poly, index):
+    """LP witness check: can the polyhedron do without halfspace `index`?"""
+    target = poly.halfspaces[index]
+    others = tuple(h for i, h in enumerate(poly.halfspaces) if i != index)
+    lp = LinearProgram(tuple(Fraction(v) for v in target.normal), others, nonneg=False)
+    res = lp_minimize(lp)
+    if res.status == "unbounded":
+        return False
+    if res.status == "infeasible":
+        return True
+    return res.optimum >= target.offset

@@ -94,6 +94,45 @@ class TestParse:
             parse_config(json.dumps(cyc))
         assert any("cycle" in p for p in err.value.problems)
 
+    def test_missing_required_task_keys_are_config_errors(self):
+        job = dict(SQRT_JOB, tasks=[
+            {"op": "beta_table", "a": "a", "b": "b", "cutoff": 20},
+            {"op": "lambda_table", "a": "a", "n_to": 3},
+            {"op": "lambda_table", "b": "b"},
+        ])
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(job))
+        assert err.value.problems == [
+            "task 0: op 'beta_table' needs 's_to'",
+            "task 1: op 'lambda_table' needs 'b'",
+            "task 2: op 'lambda_table' needs 'a'",
+            "task 2: op 'lambda_table' needs 'n_to'",
+        ]
+
+    def test_non_integer_values_are_config_errors(self):
+        job = {
+            "vars": 2,
+            "ideals": {"m": [[1, 0], [0, 1]]},
+            "families": {
+                "a": {"kind": "powers", "ideal": "m"},
+                "v": {"kind": "veronese", "family": "a", "step": "two"},
+                "e": {"kind": "expression", "expr": {"family": "a", "shift": "back one"}},
+            },
+            "defaults": {"cutoff": "lots"},
+            "tasks": [
+                {"op": "beta_table", "a": "a", "b": "a", "s_to": "ten"},
+                {"op": "waldschmidt", "family": "a", "weights": ["x", 1]},
+                {"op": "rho_lim", "a": "a", "b": "a", "grid": [4, "eight"]},
+                {"op": "rho_hat_beta", "a": "a", "b": "a", "n_max": 4, "grid": "all"},
+            ],
+        }
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(job))
+        text = "\n".join(err.value.problems)
+        for fragment in ("'two'", "'back one'", "'lots'", "'ten'", "'x'", "'eight'", "'grid'"):
+            assert fragment in text
+        assert len(err.value.problems) == 7
+
     def test_round_trip(self):
         config = parse_config(json.dumps(TRIANGLE_JOB))
         again = parse_config(json.dumps(config.normalized))
@@ -218,6 +257,13 @@ class TestCLI:
         config_path.write_text("{\"vars\": 0}")
         assert main(["--config", str(config_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_missing_table_bound_exits_two(self, tmp_path, capsys):
+        job = dict(SQRT_JOB, tasks=[{"op": "beta_table", "a": "a", "b": "b"}])
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps(job))
+        assert main(["--config", str(config_path)]) == 2
+        assert "needs 's_to'" in capsys.readouterr().err
 
     def test_flag_overrides_config_default(self, tmp_path):
         job = {

@@ -11,10 +11,11 @@ from resurgence import (
     CapabilityError,
     HalfSpace,
     LinearProgram,
+    MonomialIdeal,
     hull_with_recession,
     lp_minimize,
 )
-from resurgence.polyhedra import halfspace_redundant
+from resurgence.polyhedra import _rank
 
 
 def unit_rays(n):
@@ -79,7 +80,7 @@ class TestHull:
         pts = [(1, 1, 0), (1, 0, 1), (0, 1, 1), (3, 0, 0)]
         poly = hull_with_recession(pts, unit_rays(3))
         for i in range(len(poly.halfspaces)):
-            assert not halfspace_redundant(poly, i)
+            assert not oracles.halfspace_redundant(poly, i)
 
     def test_degenerate_inputs(self):
         # all points equal: a translated orthant
@@ -99,6 +100,73 @@ class TestHull:
             y = (rng.randint(0, 8), rng.randint(0, 8))
             scaled = tuple(n * c for c in y)
             assert poly.contains(scaled, scale=n) == poly.contains(y)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_brute_facets_random_integer_and_rational(self, dim):
+        rng = random.Random(16 + dim)
+        for _ in range(12):
+            pts = [tuple(Fraction(rng.randint(0, 9), rng.choice((1, 1, 2, 3)))
+                         for _ in range(dim)) for _ in range(rng.randint(1, 6))]
+            poly = hull_with_recession(pts, unit_rays(dim))
+            assert hs_set(poly) == oracles.brute_facets(pts, unit_rays(dim))
+            assert set(poly.vertices) <= set(pts)
+
+    def test_lower_dimensional_and_partial_rays(self):
+        # exact outputs of the rational double description these inputs were
+        # first run through; brute_facets needs full-dimensional input
+        F = Fraction
+        cases = [
+            # no rays: a polytope
+            ([(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1), (1, 1, 1)], [],
+             (((-3, -2, -1), -6), ((-1, 1, -2), -2), ((0, 0, 1), 0), ((0, 1, 0), 0),
+              ((1, -1, -3), -3), ((1, 0, 0), 0)),
+             ((0, 0, 0), (0, 0, 1), (0, 3, 0), (1, 1, 1), (2, 0, 0))),
+            # one ray
+            ([(1, 0, 2), (0, 2, 1), (2, 1, 0)], [(1, 1, 0)],
+             (((-1, 1, 0), -1), ((1, -1, -3), -5), ((1, -1, 3), 1), ((1, 1, 1), 3)),
+             ((0, 2, 1), (1, 0, 2), (2, 1, 0))),
+            # a segment with rational endpoint
+            ([(1, 0, 2), (F(7, 2), 1, F(1, 3))], [],
+             (((-6, 20, 3), 0), ((-2, 5, 0), -2), ((0, 1, 0), 0), ((2, -7, 0), 0),
+              ((2, -5, 0), 2), ((6, -20, -3), 0)),
+             ((1, 0, 2), (F(7, 2), 1, F(1, 3)))),
+            # codimension 2: a plane in 4-space plus a ray inside it
+            ([(0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (2, 2, 2, 2)], [(1, 1, 1, 1)],
+             (((-1, 0, 1, 0), 0), ((-1, 1, 0, 0), -1), ((0, -1, 0, 1), 0), ((0, 1, 0, -1), 0),
+              ((0, 1, 0, 0), 0), ((1, -1, 0, 0), -1), ((1, 0, -1, 0), 0), ((1, 0, 0, 0), 0)),
+             ((0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0))),
+        ]
+        for pts, rays, halfspaces, vertices in cases:
+            poly = hull_with_recession(pts, rays)
+            assert tuple((h.normal, h.offset) for h in poly.halfspaces) == halfspaces
+            assert poly.vertices == tuple(tuple(Fraction(x) for x in v) for v in vertices)
+            assert all(isinstance(x, Fraction) for v in poly.vertices for x in v)
+            assert poly.recession_rays == tuple(sorted(rays))
+
+    def test_bareiss_rank_matches_fraction_rank(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            mat = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+            if rng.random() < 0.5 and rows > 1:
+                # a dependent row: an integer combination of two others
+                i, j = rng.randrange(rows), rng.randrange(rows)
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                mat.append([a * x + b * y for x, y in zip(mat[i], mat[j])])
+            assert _rank(mat) == oracles.rank(mat)
+        assert _rank([[0, 0], [0, 0]]) == 0
+
+    def test_power_of_four_generator_ideal(self):
+        # I^8 has 109 generators but only 7 facets and 3 vertices
+        ideal = MonomialIdeal.from_generators(3, [[3, 1, 0], [0, 2, 3], [1, 0, 4], [2, 2, 1]])
+        gens = ideal.power(8).generators
+        assert len(gens) == 109
+        poly = hull_with_recession(gens, unit_rays(3))
+        assert hs_set(poly) == {
+            ((0, 0, 1), 0), ((0, 1, 0), 0), ((1, 0, 0), 0), ((0, 4, 1), 32),
+            ((1, 0, 1), 24), ((2, 1, 0), 16), ((7, 6, 5), 216),
+        }
+        assert poly.vertices == ((0, 16, 24), (8, 0, 32), (24, 8, 0))
 
     def test_dimension_cap(self):
         with pytest.raises(CapabilityError):
