@@ -249,8 +249,6 @@ class GradedFamily:
 
     def _compute(self, n: int) -> MonomialIdeal:
         kind = self.kind
-        if kind == "powers":
-            return self.ideal.power(n)
         if kind == "power_fn":
             return self.ideal.power(self.fn(n))
         if kind == "symbolic":
@@ -287,8 +285,6 @@ class GradedFamily:
     def power_semantics(self):
         """(base ideal, exponent rule, closed?) when members are I^e(n) or
         their integral closures; None otherwise."""
-        if self.kind == "powers":
-            return (self.ideal, affine(1), False)
         if self.kind == "power_fn":
             return (self.ideal, self.fn, False)
         if self.kind == "closure_of":
@@ -299,17 +295,15 @@ class GradedFamily:
 
     @property
     def is_structural_filtration(self) -> bool:
-        if self.kind in ("powers", "symbolic"):
-            return True
-        if self.kind == "power_fn":
-            return True  # index functions are nondecreasing by construction
+        if self.kind in ("power_fn", "symbolic"):
+            return True  # index functions are nondecreasing; symbolic powers shrink
         if self.kind in ("closure_of", "veronese"):
             return self.inner.is_structural_filtration
         return False
 
     @property
     def is_structural_graded(self) -> bool:
-        if self.kind in ("powers", "symbolic"):
+        if self.kind == "symbolic":
             return True
         if self.kind == "power_fn":
             return self.fn.subadditive
@@ -319,8 +313,6 @@ class GradedFamily:
 
     def structural_veronese_k(self) -> Optional[int]:
         """A k with member(k*n) = member(k)^n for all n, exactly by construction."""
-        if self.kind == "powers":
-            return 1
         if self.kind == "power_fn" and self.fn.pure_slope:
             return self.fn.slope.denominator
         if self.kind == "veronese":
@@ -331,16 +323,11 @@ class GradedFamily:
         """(base ideal b, shift certificate) when the family is structurally
         b-equivalent: ordinary powers (k = 0) or closures of powers
         (Briancon-Skoda)."""
-        if self.kind == "powers":
-            if not self.ideal.is_proper():
-                return None
-            return (self.ideal, closures.bequiv_constant("powers", self.ideal))
-        if self.kind == "closure_of" and self.inner.kind == "powers":
-            base = self.inner.ideal
-            if not base.is_proper():
-                return None
-            return (base, closures.bequiv_constant("closure_powers", base))
-        return None
+        sem = self.power_semantics()
+        if sem is None or sem[1] != affine(1) or not sem[0].is_proper():
+            return None
+        base, _, closed = sem
+        return (base, closures.bequiv_constant("closure_powers" if closed else "powers", base))
 
     def members_integrally_closed(self) -> bool:
         """Structurally true when every member equals its integral closure."""
@@ -391,7 +378,7 @@ class GradedFamily:
 
 
 def powers(ideal: MonomialIdeal, name=None) -> GradedFamily:
-    return GradedFamily("powers", ideal.nvars, ideal=ideal, name=name)
+    return power_pattern(ideal, affine(1), name=name)
 
 
 def power_pattern(ideal: MonomialIdeal, fn: IndexFunction, name=None) -> GradedFamily:

@@ -305,15 +305,7 @@ def rho_window(a: fam.GradedFamily, b: fam.GradedFamily, s_max: int, r_max: int)
     stamped exact when a closed form applies (pure-ceiling pairs over one
     base ideal) or when the no-escape analysis of the -inf case closes.
     """
-    best = None
-    pairs = []
-    for s in range(1, s_max + 1):
-        sv = beta(a, b, s, cutoff=r_max)
-        if sv.is_finite:
-            pairs.append((s, sv.value))
-            ratio = Fraction(s, sv.value)
-            if best is None or ratio > best[0]:
-                best = (ratio, s, sv.value)
+    pairs, best = _escape_pairs(a, b, range(1, s_max + 1), r_max)
     search = {"s_max": s_max, "r_max": r_max}
     details = {"noncontainment_pairs": tuple(pairs)}
     if best is None:
@@ -322,8 +314,6 @@ def rho_window(a: fam.GradedFamily, b: fam.GradedFamily, s_max: int, r_max: int)
                                 claims=("no noncontainment on the window",),
                                 notes=notes, search=search, details=details)
     value = finite(best[0])
-    witness = a.member(best[1]).witness_not_in(b.member(best[2]))
-    witnesses = ((best[1], best[2], witness),)
     certified = False
     claims: Tuple[str, ...] = ("window supremum; certified lower bound of rho",)
     pair = _power_pair_tests(a, b)
@@ -333,8 +323,26 @@ def rho_window(a: fam.GradedFamily, b: fam.GradedFamily, s_max: int, r_max: int)
         value = finite(exact)
         certified = True
         claims = ("exact: ceiling-pair closed form (value slope_b/slope_a)",)
-    return ResurgenceReport("rho_window", value, certified, witnesses, (),
+    return ResurgenceReport("rho_window", value, certified, (best[1],), (),
                             claims=claims, search=search, details=details)
+
+
+def _escape_pairs(a, b, s_range, cutoff):
+    """The pairs (s, beta_s) for s in s_range with beta_s finite within the
+    cutoff, and (ratio, witness (s, r, m)) of the largest s/beta_s, or None."""
+    best = None
+    pairs = []
+    for s in s_range:
+        sv = beta(a, b, s, cutoff)
+        if sv.is_finite:
+            pairs.append((s, sv.value))
+            ratio = Fraction(s, sv.value)
+            if best is None or ratio > best[0]:
+                best = (ratio, s, sv.value)
+    if best is None:
+        return pairs, None
+    ratio, s, r = best
+    return pairs, (ratio, (s, r, a.member(s).witness_not_in(b.member(r))))
 
 
 def _global_filtration_certificate(family, horizon) -> bool:
@@ -370,24 +378,14 @@ def rho_n(a: fam.GradedFamily, b: fam.GradedFamily, n: int, s_max: int, cutoff: 
     """sup { s / beta_s : n <= s <= s_max, beta_s finite within cutoff }."""
     if n < 1:
         raise DomainError("rho_n needs n >= 1")
-    best = None
-    pairs = []
-    for s in range(n, s_max + 1):
-        sv = beta(a, b, s, cutoff)
-        if sv.is_finite:
-            pairs.append((s, sv.value))
-            ratio = Fraction(s, sv.value)
-            if best is None or ratio > best[0]:
-                best = (ratio, s, sv.value)
+    pairs, best = _escape_pairs(a, b, range(n, s_max + 1), cutoff)
     search = {"n": n, "s_max": s_max, "cutoff": cutoff}
     details = {"noncontainment_pairs": tuple(pairs)}
     if best is None:
         return ResurgenceReport("rho_n", NEG_INFINITY, False, (), (),
                                 notes=("no noncontainment with s >= n on the window",),
                                 search=search, details=details)
-    witness = a.member(best[1]).witness_not_in(b.member(best[2]))
-    return ResurgenceReport("rho_n", finite(best[0]), False,
-                            ((best[1], best[2], witness),), (),
+    return ResurgenceReport("rho_n", finite(best[0]), False, (best[1],), (),
                             claims=("window supremum of the tail s/beta_s",),
                             search=search, details=details)
 
@@ -719,8 +717,9 @@ def _disprove_or_fail_hypothesis_i(b, horizon):
 def _closure_gap(b, horizon, assertions) -> EquivalenceConstant:
     if b.members_integrally_closed():
         return EquivalenceConstant(0, 0, True, horizon)
-    if b.kind == "powers":
-        return bequiv_constant("closure_powers", b.ideal, horizon)
+    sem = b.power_semantics()
+    if sem is not None and sem[1] == fam.affine(1):
+        return bequiv_constant("closure_powers", sem[0], horizon)
     for text in assertions:
         if text.startswith("closure_gap:"):
             k = int(text.split(":", 1)[1])

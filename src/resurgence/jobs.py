@@ -1,51 +1,34 @@
 """Declarative batch jobs: config parsing, execution, report emission.
 
 Config files are JSON: named ideals (generator exponent lists), named family
-descriptors, and an ordered task list.  Reports are deterministic for a fixed
-config - rationals are serialized as numerator/denominator strings (never
-floats), orderings are fixed everywhere, and wall-clock data is segregated
-under a separate key so the rest of the report is byte-stable.
+descriptors, and an ordered task list.  Each op is one entry of `OPS` (its
+required keys and its handler) and each family kind one entry of
+`FAMILY_KINDS`, so validation and execution read the same table.  Reports are
+deterministic for a fixed config - rationals are serialized as
+numerator/denominator strings (never floats), orderings are fixed everywhere,
+and wall-clock data is segregated under a separate key so the rest of the
+report is byte-stable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass, field, is_dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from . import closures, families as fam, invariants as inv, valuations as val
+from . import __version__, closures, families as fam, invariants as inv, valuations as val
 from .errors import ConfigError, ResurgenceError
 from .monomials import MonomialIdeal
 from .rationals import ExtendedRational, parse_fraction
 
-VERSION = "0.1.0"
-
 BUILTIN_DEFAULTS = {"window": 20, "cutoff": 200, "kmax": 6, "horizon": 8}
-
-# every op, with the task keys it cannot run without
-REQUIRED_KEYS = {
-    "beta_table": ("a", "b", "s_to"), "lambda_table": ("a", "b", "n_to"),
-    "beta_v_table": ("a", "b", "weights"), "lambda_v_table": ("a", "b", "weights"),
-    "rho_window": ("a", "b"), "rho_n": ("a", "b", "n"), "rho_lim": ("a", "b", "grid"),
-    "rho_hat_rees": ("a", "b"), "rho_hat_beta": ("a", "b", "n_max"), "rho_exact": ("a", "b"),
-    "waldschmidt": ("family", "weights"), "validate_graded": ("family",),
-    "validate_filtration": ("family",), "standard_veronese": ("family", "k"),
-    "b_equivalent": ("family", "ideal", "k"), "veronese_scaling": ("a", "b", "k"),
-    "linearly_finer": ("a", "b"), "rees_valuations": ("ideal",),
-    "newton_polyhedron": ("ideal",), "integral_closure": ("ideal",),
-    "symbolic_power": ("ideal",),
-}
 
 # task keys that are read as integers
 INT_KEYS = ("s_from", "s_to", "n_from", "n_to", "n", "k", "n_max", "s_max", "r_max",
             "tail", "budget") + tuple(BUILTIN_DEFAULTS)
-
-FAMILY_KINDS = {
-    "powers", "symbolic", "ceiling", "power_pattern", "closure", "closure_powers",
-    "veronese", "periodic", "table", "expression",
-}
 
 
 @dataclass
@@ -68,6 +51,12 @@ class JobConfig:
 # parsing
 # ---------------------------------------------------------------------------
 
+_BAD = object()  # what a reader returns once it has collected an error
+
+
+def _failed(values) -> bool:
+    return any(value is _BAD for value in values)
+
 
 def _parse_int(value, where, errors) -> Optional[int]:
     """int(value), or None with an error collected when it is not an integer."""
@@ -78,52 +67,182 @@ def _parse_int(value, where, errors) -> Optional[int]:
         return None
 
 
-def _parse_index_function(node, where, errors) -> Optional[fam.IndexFunction]:
-    if not isinstance(node, dict) or "fn" not in node:
-        errors.append(f"{where}: exponent rule must be an object with an 'fn' key")
-        return None
-    kind = node["fn"]
-    try:
-        if kind == "affine":
-            return fam.affine(int(node.get("a", 1)), int(node.get("b", 0)))
-        if kind == "ceil_mul":
-            return fam.ceil_mul(parse_fraction(str(node["ratio"])), int(node.get("offset", 0)))
-        if kind == "ceil_sqrt":
-            return fam.ceil_sqrt()
-        if kind == "ceil_log2p1":
-            return fam.ceil_log2p1()
-    except (TypeError, ValueError, ResurgenceError) as exc:
-        errors.append(f"{where}: bad exponent rule: {exc}")
-        return None
-    errors.append(f"{where}: unknown exponent rule {kind!r}")
-    return None
+def _named(name, table, key, what, where, errors):
+    """table[name] when `name` is a string naming an entry, else _BAD with the
+    problem collected (JSON may put any value where a name belongs)."""
+    if isinstance(name, str) and name in table:
+        return table[name]
+    errors.append(f"{where}: {key!r} must name a defined {what}, not {name!r}")
+    return _BAD
 
 
-def _parse_expr(node, where, names, errors):
-    """Parse an expression AST node; records referenced ideal/family names."""
-    if not isinstance(node, dict):
-        errors.append(f"{where}: expression must be an object")
-        return None
-    if "ideal" in node:
-        names["ideals"].add(node["ideal"])
-        return fam.Base(node["ideal"])
-    if "family" in node:
-        names["families"].add(node["family"])
-        shift = _parse_int(node.get("shift", 0), f"{where}: shift", errors)
-        return None if shift is None else fam.Ref(node["family"], shift)
-    if "product" in node:
-        factors = [_parse_expr(x, where, names, errors) for x in node["product"]]
-        return None if any(f is None for f in factors) else fam.Product(tuple(factors))
-    if "sum" in node:
-        terms = [_parse_expr(x, where, names, errors) for x in node["sum"]]
-        return None if any(t is None for t in terms) else fam.Sum(tuple(terms))
-    if "power" in node:
-        base = _parse_expr(node["power"], where, names, errors)
-        exponent = _parse_index_function(node.get("exponent", {"fn": "affine", "a": 1}),
-                                         where, errors)
-        return None if base is None or exponent is None else fam.Power(base, exponent)
-    errors.append(f"{where}: expression object needs one of ideal/family/product/sum/power")
-    return None
+def _section(raw, key, errors) -> dict:
+    """A top-level object of the config; absent or null reads as empty."""
+    value = raw.get(key)
+    if value is not None and not isinstance(value, dict):
+        errors.append(f"'{key}' must be an object")
+    return value if isinstance(value, dict) else {}
+
+
+def _check_assertions(value, where, errors):
+    if not isinstance(value, list) or not all(isinstance(text, str) for text in value):
+        errors.append(f"{where}: 'assert' must be a list of strings, not {value!r}")
+        return
+    for text in value:
+        if text.startswith("closure_gap:"):
+            gap = _parse_int(text.split(":", 1)[1], f"{where}: 'assert' {text!r}", errors)
+            if gap is not None and gap < 0:
+                errors.append(f"{where}: 'assert' {text!r} needs a gap >= 0")
+
+
+class _FamilyBuilder:
+    """Parses and builds the named families in one recursive pass.
+
+    A family's dependencies are built the first time it references them, and
+    a name already on the build stack closes a cycle.  Readers collect their
+    problems and return _BAD, so one family can report several of them.
+    """
+
+    def __init__(self, nodes: dict, ideals: dict, nvars: int, errors: list):
+        self.nodes, self.ideals, self.nvars, self.errors = nodes, ideals, nvars, errors
+        self.env = fam.Environment(ideals)
+        self.built: dict = {}
+        self.stack: list = []
+
+    def where(self, part=""):
+        return f"family {self.stack[-1]!r}{part}"
+
+    def fail(self, problem, part=""):
+        self.errors.append(f"{self.where(part)}: {problem}")
+        return _BAD
+
+    def build(self, name):
+        if name in self.stack:
+            cycle = " -> ".join(self.stack[self.stack.index(name):] + [name])
+            self.errors.append(f"cycle among family definitions: {cycle}")
+            return _BAD
+        if name not in self.built:
+            self.stack.append(name)
+            self.built[name] = self._build(self.nodes[name])
+            self.stack.pop()
+            if self.built[name] is not _BAD:
+                self.env.bind_family(name, self.built[name])
+        return self.built[name]
+
+    def _build(self, node):
+        if not isinstance(node, dict) or "kind" not in node:
+            return self.fail("descriptor must be an object with a 'kind'")
+        kind = node["kind"]
+        if not isinstance(kind, str) or kind not in FAMILY_KINDS:
+            return self.fail(f"unknown family kind {kind!r}")
+        try:
+            return FAMILY_KINDS[kind](self, node)
+        except ResurgenceError as exc:  # a constructor rejected the parsed values
+            return self.fail(str(exc))
+
+    def make(self, constructor, *args):
+        """constructor(*args), named after the family being built, unless a
+        reader failed."""
+        return _BAD if _failed(args) else constructor(*args, name=self.stack[-1])
+
+    def ideal(self, name, key="ideal", part=""):
+        return _named(name, self.ideals, key, "ideal", self.where(part), self.errors)
+
+    def family(self, name, part=""):
+        node = _named(name, self.nodes, "family", "family", self.where(part), self.errors)
+        return _BAD if node is _BAD else self.build(name)
+
+    def count(self, node, key):
+        """A positive integer field."""
+        value = _parse_int(node.get(key, 0), f"{self.where()}: {key}", self.errors)
+        if value is not None and value < 1:
+            return self.fail(f"{node['kind']} needs a positive {key!r}")
+        return _BAD if value is None else value
+
+    def alpha(self, node):
+        try:
+            return parse_fraction(str(node.get("alpha")))
+        except (ValueError, ZeroDivisionError) as exc:
+            return self.fail(f"bad alpha: {exc}")
+
+    def index_function(self, node, part=""):
+        if not isinstance(node, dict) or "fn" not in node:
+            return self.fail("exponent rule must be an object with an 'fn' key", part)
+        kind = node["fn"]
+        try:
+            if kind == "affine":
+                return fam.affine(int(node.get("a", 1)), int(node.get("b", 0)))
+            if kind == "ceil_mul":
+                return fam.ceil_mul(parse_fraction(str(node["ratio"])), int(node.get("offset", 0)))
+            if kind == "ceil_sqrt":
+                return fam.ceil_sqrt()
+            if kind == "ceil_log2p1":
+                return fam.ceil_log2p1()
+        except KeyError as exc:
+            return self.fail(f"exponent rule {kind!r} needs {exc}", part)
+        except (TypeError, ValueError, ZeroDivisionError, ResurgenceError) as exc:
+            return self.fail(f"bad exponent rule: {exc}", part)
+        return self.fail(f"unknown exponent rule {kind!r}", part)
+
+    def patterns(self, node):
+        """(period, {residue: expression}) of a periodic family."""
+        period, patterns = self.count(node, "period"), node.get("patterns")
+        if not isinstance(patterns, dict):
+            return period, self.fail("periodic needs a 'patterns' object")
+        if period is _BAD:
+            return period, _BAD
+        exprs = {r: self.expr(patterns.get(str(r)), f" residue {r}") for r in range(period)}
+        return period, _BAD if _failed(exprs.values()) else exprs
+
+    def prefix(self, node):
+        names = node.get("prefix")
+        if not isinstance(names, list):
+            return self.fail("table needs a 'prefix' list of ideal names")
+        prefix = [self.ideal(name, "prefix") for name in names]
+        return _BAD if _failed(prefix) else prefix
+
+    def expr(self, node, part=""):
+        """An ideal expression; the families it references are built first."""
+        if not isinstance(node, dict):
+            return self.fail("expression must be an object", part)
+        if "ideal" in node:
+            ideal = self.ideal(node["ideal"], part=part)
+            return _BAD if ideal is _BAD else fam.Base(node["ideal"])
+        if "family" in node:
+            family = self.family(node["family"], part)
+            shift = _parse_int(node.get("shift", 0), f"{self.where(part)}: shift", self.errors)
+            return _BAD if family is _BAD or shift is None else fam.Ref(node["family"], shift)
+        for key, combine in (("product", fam.Product), ("sum", fam.Sum)):
+            if key in node:
+                if not isinstance(node[key], list) or not node[key]:
+                    return self.fail(f"{key!r} must be a nonempty list of expressions", part)
+                terms = [self.expr(x, part) for x in node[key]]
+                return _BAD if _failed(terms) else combine(tuple(terms))
+        if "power" in node:
+            base = self.expr(node["power"], part)
+            exponent = self.index_function(node.get("exponent", {"fn": "affine", "a": 1}), part)
+            return _BAD if _failed((base, exponent)) else fam.Power(base, exponent)
+        return self.fail("expression object needs one of ideal/family/product/sum/power", part)
+
+
+# every family kind: its constructor, fed by the readers of its descriptor keys
+FAMILY_KINDS = {
+    "powers": lambda b, node: b.make(fam.powers, b.ideal(node.get("ideal"))),
+    "symbolic": lambda b, node: b.make(fam.symbolic, b.ideal(node.get("ideal"))),
+    "ceiling": lambda b, node: b.make(fam.ceiling, b.ideal(node.get("ideal")), b.alpha(node)),
+    "power_pattern": lambda b, node: b.make(fam.power_pattern, b.ideal(node.get("ideal")),
+                                            b.index_function(node.get("exponent"))),
+    "closure_powers": lambda b, node: b.make(fam.closure_powers, b.ideal(node.get("ideal"))),
+    "closure": lambda b, node: b.make(fam.closure_of, b.family(node.get("family"))),
+    "veronese": lambda b, node: b.make(fam.veronese, b.family(node.get("family")),
+                                       b.count(node, "step")),
+    "periodic": lambda b, node: b.make(fam.periodic, b.nvars, *b.patterns(node), b.env),
+    "table": lambda b, node: b.make(
+        fam.table, b.nvars, b.prefix(node),
+        None if node.get("tail") is None else b.expr(node["tail"], " tail"), b.env),
+    "expression": lambda b, node: b.make(fam.expression, b.nvars, b.expr(node.get("expr")),
+                                         b.env),
+}
 
 
 def parse_config(text: str) -> JobConfig:
@@ -142,7 +261,7 @@ def parse_config(text: str) -> JobConfig:
         nvars = 1
 
     ideals: dict[str, MonomialIdeal] = {}
-    for name, gens in (raw.get("ideals") or {}).items():
+    for name, gens in _section(raw, "ideals", errors).items():
         if not isinstance(gens, list):
             errors.append(f"ideal {name!r}: generators must be a list of exponent vectors")
             continue
@@ -153,84 +272,13 @@ def parse_config(text: str) -> JobConfig:
                     raise ValueError(f"exponent vector {g} does not have length {nvars}")
                 checked.append([int(e) for e in g])
             ideals[name] = MonomialIdeal.from_generators(nvars, checked)
-        except (ValueError, ResurgenceError) as exc:
+        except (TypeError, ValueError, ResurgenceError) as exc:
             errors.append(f"ideal {name!r}: {exc}")
 
-    family_nodes = raw.get("families") or {}
-    deps: dict[str, set] = {}
-    parsed: dict[str, dict] = {}
-    for name, node in family_nodes.items():
-        where = f"family {name!r}"
-        if not isinstance(node, dict) or "kind" not in node:
-            errors.append(f"{where}: descriptor must be an object with a 'kind'")
-            continue
-        kind = node["kind"]
-        if kind not in FAMILY_KINDS:
-            errors.append(f"{where}: unknown family kind {kind!r}")
-            continue
-        names = {"ideals": set(), "families": set()}
-        entry = {"kind": kind, "node": node, "names": names}
-        if kind in ("powers", "symbolic", "ceiling", "power_pattern", "closure_powers"):
-            if "ideal" not in node:
-                errors.append(f"{where}: kind {kind!r} needs an 'ideal'")
-            else:
-                names["ideals"].add(node["ideal"])
-            if kind == "ceiling":
-                try:
-                    entry["alpha"] = parse_fraction(str(node.get("alpha")))
-                except ValueError as exc:
-                    errors.append(f"{where}: bad alpha: {exc}")
-            if kind == "power_pattern":
-                entry["fn"] = _parse_index_function(node.get("exponent"), where, errors)
-        elif kind in ("closure", "veronese"):
-            if "family" not in node:
-                errors.append(f"{where}: kind {kind!r} needs a 'family'")
-            else:
-                names["families"].add(node["family"])
-            if kind == "veronese":
-                step = _parse_int(node.get("step", 0), f"{where}: step", errors)
-                if step is not None and step < 1:
-                    errors.append(f"{where}: veronese needs a positive 'step'")
-        elif kind == "periodic":
-            period = node.get("period")
-            patterns = node.get("patterns")
-            if not isinstance(period, int) or period < 1 or not isinstance(patterns, dict):
-                errors.append(f"{where}: periodic needs 'period' and a 'patterns' object")
-            else:
-                entry["patterns"] = {}
-                for residue in range(period):
-                    key = str(residue)
-                    if key not in patterns:
-                        errors.append(f"{where}: missing pattern for residue {residue}")
-                        continue
-                    expr = _parse_expr(patterns[key], f"{where} residue {residue}", names, errors)
-                    entry["patterns"][residue] = expr
-        elif kind == "table":
-            prefix = node.get("prefix")
-            if not isinstance(prefix, list):
-                errors.append(f"{where}: table needs a 'prefix' list of ideal names")
-            else:
-                for entry_name in prefix:
-                    names["ideals"].add(entry_name)
-            if node.get("tail") is not None:
-                entry["tail"] = _parse_expr(node["tail"], f"{where} tail", names, errors)
-        elif kind == "expression":
-            if "expr" not in node:
-                errors.append(f"{where}: expression kind needs 'expr'")
-            else:
-                entry["expr"] = _parse_expr(node["expr"], where, names, errors)
-        parsed[name] = entry
-        deps[name] = set(names["families"])
-
-    for name, entry in parsed.items():
-        for iname in entry["names"]["ideals"]:
-            if iname not in ideals:
-                errors.append(f"family {name!r}: references undefined ideal {iname!r}")
-        for fname in entry["names"]["families"]:
-            if fname not in parsed:
-                errors.append(f"family {name!r}: references undefined family {fname!r}")
-
-    order = _topo_order(deps, errors)
+    family_nodes = _section(raw, "families", errors)
+    builder = _FamilyBuilder(family_nodes, ideals, nvars, errors)
+    for name in sorted(family_nodes):
+        builder.build(name)
 
     tasks = raw.get("tasks") or []
     if not isinstance(tasks, list):
@@ -241,20 +289,20 @@ def parse_config(text: str) -> JobConfig:
         if not isinstance(task, dict) or "op" not in task:
             errors.append(f"{where}: must be an object with an 'op'")
             continue
-        if task["op"] not in REQUIRED_KEYS:
+        if not isinstance(task["op"], str) or task["op"] not in OPS:
             errors.append(f"{where}: unknown op {task['op']!r}")
             continue
-        for key in REQUIRED_KEYS[task["op"]]:
+        for key in OPS[task["op"]].keys:
             if key not in task:
                 errors.append(f"{where}: op {task['op']!r} needs {key!r}")
         for key in INT_KEYS:
             if key in task:
                 _parse_int(task[key], f"{where}: {key!r}", errors)
         for key in ("a", "b", "family"):
-            if key in task and task[key] not in parsed:
-                errors.append(f"{where}: references undefined family {task[key]!r}")
-        if "ideal" in task and task["ideal"] not in ideals:
-            errors.append(f"{where}: references undefined ideal {task['ideal']!r}")
+            if key in task:
+                _named(task[key], family_nodes, key, "family", where, errors)
+        if "ideal" in task:
+            _named(task["ideal"], ideals, "ideal", "ideal", where, errors)
         if "weights" in task:
             w = task["weights"]
             if not isinstance(w, list) or len(w) != nvars:
@@ -264,24 +312,21 @@ def parse_config(text: str) -> JobConfig:
         for key in ("weights", "grid"):
             for item in task[key] if isinstance(task.get(key), list) else ():
                 _parse_int(item, f"{where}: {key!r}", errors)
+        if "assert" in task:
+            _check_assertions(task["assert"], where, errors)
 
-    output = raw.get("output") or {}
+    output = _section(raw, "output", errors)
     out_format = output.get("format", "json")
     if out_format not in ("json", "csv"):
         errors.append(f"output format must be 'json' or 'csv', not {out_format!r}")
     defaults = dict(BUILTIN_DEFAULTS)
+    given = _section(raw, "defaults", errors)
     for key in BUILTIN_DEFAULTS:
-        if key in (raw.get("defaults") or {}):
-            defaults[key] = _parse_int(raw["defaults"][key], f"defaults: {key!r}", errors)
+        if key in given:
+            defaults[key] = _parse_int(given[key], f"defaults: {key!r}", errors)
 
     if errors:
         raise ConfigError(errors)
-
-    env = fam.Environment(ideals)
-    built: dict[str, fam.GradedFamily] = {}
-    for name in order:
-        built[name] = _build_family(name, parsed[name], nvars, ideals, built, env)
-        env.bind_family(name, built[name])
 
     normalized = {
         "vars": nvars,
@@ -291,56 +336,8 @@ def parse_config(text: str) -> JobConfig:
         "defaults": defaults,
         "output": {"format": out_format, "path": output.get("path")},
     }
-    return JobConfig(nvars, ideals, built, tasks, out_format, output.get("path"),
+    return JobConfig(nvars, ideals, builder.built, tasks, out_format, output.get("path"),
                      defaults, normalized)
-
-
-def _topo_order(deps, errors):
-    order, state = [], {}
-
-    def visit(node, stack):
-        if state.get(node) == "done":
-            return
-        if state.get(node) == "active":
-            errors.append(f"cycle among family definitions: {' -> '.join(stack + [node])}")
-            return
-        state[node] = "active"
-        for dep in sorted(deps.get(node, ())):
-            if dep in deps:
-                visit(dep, stack + [node])
-        state[node] = "done"
-        order.append(node)
-
-    for node in sorted(deps):
-        visit(node, [])
-    return order
-
-
-def _build_family(name, entry, nvars, ideals, built, env):
-    kind = entry["kind"]
-    node = entry["node"]
-    if kind == "powers":
-        return fam.powers(ideals[node["ideal"]], name=name)
-    if kind == "symbolic":
-        return fam.symbolic(ideals[node["ideal"]], name=name)
-    if kind == "ceiling":
-        return fam.ceiling(ideals[node["ideal"]], entry["alpha"], name=name)
-    if kind == "power_pattern":
-        return fam.power_pattern(ideals[node["ideal"]], entry["fn"], name=name)
-    if kind == "closure_powers":
-        return fam.closure_powers(ideals[node["ideal"]], name=name)
-    if kind == "closure":
-        return fam.closure_of(built[node["family"]], name=name)
-    if kind == "veronese":
-        return fam.veronese(built[node["family"]], int(node["step"]), name=name)
-    if kind == "periodic":
-        return fam.periodic(nvars, int(node["period"]), entry["patterns"], env, name=name)
-    if kind == "table":
-        prefix = [ideals[n] for n in node["prefix"]]
-        return fam.table(nvars, prefix, entry.get("tail"), env, name=name)
-    if kind == "expression":
-        return fam.expression(nvars, entry["expr"], env, name=name)
-    raise AssertionError(kind)  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +348,13 @@ def _build_family(name, entry, nvars, ideals, built, env):
 def run(config: JobConfig) -> dict:
     """Execute every task in order; failures are recorded per task and do not
     abort the batch.  Returns the structured report."""
-    import time
-
     results = []
     timings = {}
     for i, task in enumerate(config.tasks):
         started = time.perf_counter()
         record = {"index": i, "op": task["op"]}
         try:
-            record["result"] = encode(_run_task(config, task))
+            record["result"] = encode(OPS[task["op"]].run(config, task))
             record["status"] = "ok"
         except ResurgenceError as exc:
             record["status"] = "error"
@@ -368,7 +363,7 @@ def run(config: JobConfig) -> dict:
         results.append(record)
     return {
         "tool": "resurgence",
-        "version": VERSION,
+        "version": __version__,
         "config_digest": config.digest(),
         "config": config.normalized,
         "tasks": results,
@@ -380,95 +375,87 @@ def exit_status(report: dict) -> int:
     return 1 if any(t["status"] == "error" for t in report["tasks"]) else 0
 
 
-def _param(config, task, key):
-    return int(task.get(key, config.defaults.get(key, BUILTIN_DEFAULTS.get(key))))
+def _param(config, task, key, fallback=None):
+    """Integer task value of `key`; when absent, the task's or else the
+    config's value of `fallback` (by default `key` itself)."""
+    fallback = fallback or key
+    return int(task.get(key, task.get(fallback, config.defaults[fallback])))
 
 
-def _run_task(config: JobConfig, task: dict):
-    op = task["op"]
-    fams = config.families
-    if op == "beta_table":
-        a, b = fams[task["a"]], fams[task["b"]]
-        cutoff = _param(config, task, "cutoff")
-        return {"table": [(s, inv.beta(a, b, s, cutoff))
-                          for s in range(int(task.get("s_from", 1)), int(task["s_to"]) + 1)]}
-    if op == "lambda_table":
-        a, b = fams[task["a"]], fams[task["b"]]
-        cutoff = _param(config, task, "cutoff")
-        return {"table": [(n, inv.lambda_(a, b, n, cutoff))
-                          for n in range(int(task.get("n_from", 1)), int(task["n_to"]) + 1)]}
-    if op in ("beta_v_table", "lambda_v_table"):
-        a, b = fams[task["a"]], fams[task["b"]]
-        v = val.MonomialValuation(tuple(int(w) for w in task["weights"]))
-        cutoff = _param(config, task, "cutoff")
-        func = inv.beta_v if op == "beta_v_table" else inv.lambda_v
-        lo = int(task.get("n_from", task.get("s_from", 1)))
-        hi = int(task.get("n_to", task.get("s_to", 0)))
-        return {"table": [(n, func(v, a, b, n, cutoff)) for n in range(lo, hi + 1)]}
-    if op == "rho_window":
-        window = _param(config, task, "window")
-        return inv.rho_window(fams[task["a"]], fams[task["b"]],
-                              int(task.get("s_max", window)), int(task.get("r_max", window)))
-    if op == "rho_n":
-        return inv.rho_n(fams[task["a"]], fams[task["b"]], int(task["n"]),
-                         int(task.get("s_max", _param(config, task, "window"))),
-                         _param(config, task, "cutoff"))
-    if op == "rho_lim":
-        return inv.rho_lim_estimate(fams[task["a"]], fams[task["b"]],
-                                    [int(n) for n in task["grid"]],
-                                    _param(config, task, "cutoff"),
-                                    tail=int(task.get("tail", 10)),
-                                    kmax=_param(config, task, "kmax"),
-                                    horizon=_param(config, task, "horizon"))
-    if op == "rho_hat_rees":
-        return inv.rho_hat_rees(fams[task["a"]], fams[task["b"]],
-                                kmax=_param(config, task, "kmax"),
-                                horizon=_param(config, task, "horizon"),
-                                assertions=tuple(task.get("assert", ())))
-    if op == "rho_hat_beta":
-        return inv.rho_hat_beta_limit(fams[task["a"]], fams[task["b"]], int(task["n_max"]),
-                                      _param(config, task, "cutoff"),
-                                      grid=task.get("grid"),
-                                      kmax=_param(config, task, "kmax"),
-                                      horizon=_param(config, task, "horizon"))
-    if op == "rho_exact":
-        return inv.rho_exact_certified(fams[task["a"]], fams[task["b"]],
-                                       search_budget=int(task.get("budget", 60)),
-                                       kmax=_param(config, task, "kmax"),
-                                       horizon=_param(config, task, "horizon"),
-                                       assertions=tuple(task.get("assert", ())))
-    if op == "waldschmidt":
-        v = val.MonomialValuation(tuple(int(w) for w in task["weights"]))
-        return val.skew_waldschmidt(v, fams[task["family"]],
-                                    window=_param(config, task, "window"),
-                                    kmax=_param(config, task, "kmax"))
-    if op == "validate_graded":
-        return fam.validate_graded(fams[task["family"]], _param(config, task, "horizon"))
-    if op == "validate_filtration":
-        return fam.validate_filtration(fams[task["family"]], _param(config, task, "horizon"))
-    if op == "standard_veronese":
-        return fam.is_standard_veronese(fams[task["family"]], int(task["k"]),
-                                        _param(config, task, "horizon"))
-    if op == "b_equivalent":
-        return fam.is_b_equivalent(fams[task["family"]], config.ideals[task["ideal"]],
-                                   int(task["k"]), _param(config, task, "horizon"))
-    if op == "veronese_scaling":
-        return inv.veronese_scaling_check(fams[task["a"]], fams[task["b"]], int(task["k"]),
-                                          _param(config, task, "window"))
-    if op == "linearly_finer":
-        return inv.linearly_finer_check(fams[task["a"]], fams[task["b"]],
-                                        _param(config, task, "window"))
-    if op == "rees_valuations":
-        return closures.rees_valuations(config.ideals[task["ideal"]])
-    if op == "newton_polyhedron":
-        return closures.newton_polyhedron(config.ideals[task["ideal"]])
-    if op == "integral_closure":
-        view = closures.integral_closure(config.ideals[task["ideal"]], int(task.get("n", 1)))
-        return {"generators": view.generators}
-    if op == "symbolic_power":
-        view = closures.symbolic_power(config.ideals[task["ideal"]], int(task.get("n", 1)))
-        return {"generators": view.generators}
-    raise AssertionError(op)  # pragma: no cover
+def _pair(config, task):
+    return config.families[task["a"]], config.families[task["b"]]
+
+
+def _bounds(config, task):
+    return {"kmax": _param(config, task, "kmax"), "horizon": _param(config, task, "horizon")}
+
+
+def _valuation(task):
+    return val.MonomialValuation(tuple(int(w) for w in task["weights"]))
+
+
+def _table(config, task, func, index, fallback):
+    """{"table": [(i, inv.<func>(a, b, i, cutoff))]} for i from <index>_from
+    (else <fallback>_from, else 1) to <index>_to (else <fallback>_to, else 0);
+    the valuation versions take the task's weights first."""
+    a, b = _pair(config, task)
+    head = (_valuation(task),) if func.endswith("_v") else ()
+    lo = int(task.get(f"{index}_from", task.get(f"{fallback}_from", 1)))
+    hi = int(task.get(f"{index}_to", task.get(f"{fallback}_to", 0)))
+    cutoff = _param(config, task, "cutoff")
+    return {"table": [(i, getattr(inv, func)(*head, a, b, i, cutoff)) for i in range(lo, hi + 1)]}
+
+
+class Op(NamedTuple):
+    keys: tuple  # task keys the op cannot run without
+    run: Callable  # (config, task) -> result
+
+
+# Every op.  Handlers look library functions up on their module at call time,
+# so a wrapper installed on the module (a tracer, a mock) sees every call.
+OPS = {
+    "beta_table": Op(("a", "b", "s_to"), lambda c, t: _table(c, t, "beta", "s", "s")),
+    "lambda_table": Op(("a", "b", "n_to"), lambda c, t: _table(c, t, "lambda_", "n", "n")),
+    "beta_v_table": Op(("a", "b", "weights"), lambda c, t: _table(c, t, "beta_v", "n", "s")),
+    "lambda_v_table": Op(("a", "b", "weights"), lambda c, t: _table(c, t, "lambda_v", "n", "s")),
+    "rho_window": Op(("a", "b"), lambda c, t: inv.rho_window(
+        *_pair(c, t), _param(c, t, "s_max", "window"), _param(c, t, "r_max", "window"))),
+    "rho_n": Op(("a", "b", "n"), lambda c, t: inv.rho_n(
+        *_pair(c, t), int(t["n"]), _param(c, t, "s_max", "window"), _param(c, t, "cutoff"))),
+    "rho_lim": Op(("a", "b", "grid"), lambda c, t: inv.rho_lim_estimate(
+        *_pair(c, t), [int(n) for n in t["grid"]], _param(c, t, "cutoff"),
+        tail=int(t.get("tail", 10)), **_bounds(c, t))),
+    "rho_hat_rees": Op(("a", "b"), lambda c, t: inv.rho_hat_rees(
+        *_pair(c, t), **_bounds(c, t), assertions=tuple(t.get("assert", ())))),
+    "rho_hat_beta": Op(("a", "b", "n_max"), lambda c, t: inv.rho_hat_beta_limit(
+        *_pair(c, t), int(t["n_max"]), _param(c, t, "cutoff"),
+        grid=[int(n) for n in t["grid"]] if "grid" in t else None, **_bounds(c, t))),
+    "rho_exact": Op(("a", "b"), lambda c, t: inv.rho_exact_certified(
+        *_pair(c, t), search_budget=int(t.get("budget", 60)), **_bounds(c, t),
+        assertions=tuple(t.get("assert", ())))),
+    "waldschmidt": Op(("family", "weights"), lambda c, t: val.skew_waldschmidt(
+        _valuation(t), c.families[t["family"]], window=_param(c, t, "window"),
+        kmax=_param(c, t, "kmax"))),
+    "validate_graded": Op(("family",), lambda c, t: fam.validate_graded(
+        c.families[t["family"]], _param(c, t, "horizon"))),
+    "validate_filtration": Op(("family",), lambda c, t: fam.validate_filtration(
+        c.families[t["family"]], _param(c, t, "horizon"))),
+    "standard_veronese": Op(("family", "k"), lambda c, t: fam.is_standard_veronese(
+        c.families[t["family"]], int(t["k"]), _param(c, t, "horizon"))),
+    "b_equivalent": Op(("family", "ideal", "k"), lambda c, t: fam.is_b_equivalent(
+        c.families[t["family"]], c.ideals[t["ideal"]], int(t["k"]), _param(c, t, "horizon"))),
+    "veronese_scaling": Op(("a", "b", "k"), lambda c, t: inv.veronese_scaling_check(
+        *_pair(c, t), int(t["k"]), _param(c, t, "window"))),
+    "linearly_finer": Op(("a", "b"), lambda c, t: inv.linearly_finer_check(
+        *_pair(c, t), _param(c, t, "window"))),
+    "rees_valuations": Op(("ideal",), lambda c, t: closures.rees_valuations(c.ideals[t["ideal"]])),
+    "newton_polyhedron": Op(("ideal",), lambda c, t: closures.newton_polyhedron(
+        c.ideals[t["ideal"]])),
+    "integral_closure": Op(("ideal",), lambda c, t: {"generators": closures.integral_closure(
+        c.ideals[t["ideal"]], int(t.get("n", 1))).generators}),
+    "symbolic_power": Op(("ideal",), lambda c, t: {"generators": closures.symbolic_power(
+        c.ideals[t["ideal"]], int(t.get("n", 1))).generators}),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,9 @@ class MonomialIdeal:
             _, covers, n = self._view
             rows = [tuple(c) for c in covers]
             rhs = [n] * len(rows)
-            box = self._symbolic_box(rows, n)
+            # A minimal generator of the symbolic region never needs an exponent
+            # above n: decrementing a coordinate > n keeps every cover sum >= n.
+            box = [n] * self.nvars
         elif kind == "closure":
             _, base, poly, scale = self._view
             rows, rhs, box = [], [], []
@@ -178,11 +180,6 @@ class MonomialIdeal:
         else:  # pragma: no cover - no other view kinds exist
             raise RepresentationError(f"cannot materialize view {kind!r}")
         return minimal_lattice_points(rows, rhs, box)
-
-    def _symbolic_box(self, rows, n):
-        # A minimal generator of the symbolic region never needs an exponent
-        # above n: decrementing a coordinate > n keeps every cover sum >= n.
-        return [n] * self.nvars
 
     # -- membership ----------------------------------------------------------
 
@@ -318,8 +315,6 @@ class MonomialIdeal:
         The left side must expand to generators; the right side may be any view.
         """
         self._require_same_ring(other)
-        if not self.is_explicit and self._view[0] not in ("symbolic", "closure"):
-            raise RepresentationError("left side of a containment needs explicit generators")
         return all(other.contains(g) for g in self.generators)
 
     def witness_not_in(self, other: "MonomialIdeal") -> Optional[Monomial]:

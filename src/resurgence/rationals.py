@@ -1,8 +1,8 @@
 """Exact extended rationals: {-inf} | Q | {+inf} with a total order.
 
 All finite arithmetic is delegated to fractions.Fraction; this module only
-adds the two infinities and the sup/inf conventions (sup of an empty set is
--inf, inf of an empty set is +inf) used by the containment invariants.
+adds the two infinities, which the containment invariants use for their sup/inf
+conventions (sup of an empty set is -inf, inf of an empty set is +inf).
 """
 
 from __future__ import annotations
@@ -18,11 +18,6 @@ def ceil_frac(q: Fraction | int) -> int:
     """Exact ceiling of a rational."""
     q = Fraction(q)
     return -((-q.numerator) // q.denominator)
-
-
-def floor_frac(q: Fraction | int) -> int:
-    q = Fraction(q)
-    return q.numerator // q.denominator
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -95,13 +90,3 @@ def _coerce(x) -> ExtendedRational:
     if isinstance(x, ExtendedRational):
         return x
     return finite(x)
-
-
-def sup(values) -> ExtendedRational:
-    """Supremum with the convention sup(empty) = -inf."""
-    best = NEG_INFINITY
-    for v in values:
-        v = _coerce(v)
-        if v > best:
-            best = v
-    return best

@@ -74,14 +74,6 @@ def degree_valuation(nvars: int) -> MonomialValuation:
     return MonomialValuation((1,) * nvars)
 
 
-def value_of_monomial(v: MonomialValuation, m) -> int:
-    return v.of_monomial(tuple(m))
-
-
-def value_of_ideal(v: MonomialValuation, ideal: MonomialIdeal) -> int:
-    return v.of_ideal(ideal)
-
-
 @dataclass(frozen=True)
 class WaldschmidtResult:
     """Skew Waldschmidt constant v^(family) = lim v(a_n)/n = inf v(a_n)/n.

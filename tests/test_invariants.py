@@ -515,3 +515,18 @@ class TestStructuralInvariants:
             assert a.member(i) == a.member(1)
         for j in range(2, 13):
             assert b.member(j) == a.member(1)
+
+
+@pytest.mark.parametrize("gens", [((1, 0), (0, 1)), ((2, 0), (0, 3))])
+def test_powers_and_power_pattern_affine_one_take_the_same_routes(gens):
+    # I^n spelled as powers(I) or as power_pattern(I, affine(1)) is one family
+    I = ideal(2, *gens)
+    spelled = powers(I), power_pattern(I, fam.affine(1))
+    assert spelled[0].base_equivalence() == spelled[1].base_equivalence()
+    assert spelled[0].base_equivalence() is not None
+    left = powers(maximal(2))
+    rees = [rho_hat_rees(left, b) for b in spelled]
+    assert rees[0] == rees[1]
+    assert "equals rho_hat(a, b)" in rees[1].claims
+    exact = [rho_exact_certified(left, b) for b in spelled]
+    assert exact[0] == exact[1]

@@ -284,3 +284,83 @@ class TestCLI:
         main(["--config", str(config_path), "--out", str(out), "--cutoff", "50"])
         high = json.loads(out.read_text())["tasks"][0]["result"]["table"][0][1]
         assert high["value"] == 10
+
+
+BASE_JOB = {
+    "vars": 2,
+    "ideals": {"m": [[1, 0], [0, 1]]},
+    "families": {"a": {"kind": "powers", "ideal": "m"}},
+    "tasks": [],
+}
+
+
+def _problems(**changes):
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(dict(BASE_JOB, **changes)))
+    return err.value.problems
+
+
+class TestConfigErrors:
+    """Malformed values are collected as ConfigErrors, never raised as crashes."""
+
+    @pytest.mark.parametrize("value", [5, "closure_module_finite", ["closure_gap:x"],
+                                       ["closure_gap:-1"], [["closure_module_finite"]]])
+    def test_assert_must_be_a_list_of_strings(self, value):
+        task = {"op": "rho_hat_rees", "a": "a", "b": "a", "assert": value}
+        assert any("'assert'" in p for p in _problems(tasks=[task]))
+
+    def test_well_formed_assertions_pass(self):
+        task = {"op": "rho_exact", "a": "a", "b": "a",
+                "assert": ["closure_module_finite", "closure_gap:0"]}
+        parse_config(json.dumps(dict(BASE_JOB, tasks=[task])))
+
+    @pytest.mark.parametrize("changes", [
+        {"families": {"a": {"kind": "powers", "ideal": ["m"]}}},
+        {"families": {"a": {"kind": "table", "prefix": [["m"]]}}},
+        {"families": {"a": {"kind": "expression", "expr": {"family": ["a"]}}}},
+        {"tasks": [{"op": "rho_window", "a": ["a"], "b": "a"}]},
+        {"tasks": [{"op": "rees_valuations", "ideal": ["m"]}]},
+        {"tasks": [{"op": ["rho_window"], "a": "a", "b": "a"}]},
+        {"families": {"a": {"kind": ["powers"], "ideal": "m"}}},
+    ])
+    def test_names_must_be_strings(self, changes):
+        assert len(_problems(**changes)) == 1
+
+    @pytest.mark.parametrize("section", ["ideals", "families", "output", "defaults"])
+    def test_sections_must_be_objects(self, section):
+        assert _problems(**{section: [1]})[0] == f"'{section}' must be an object"
+
+    @pytest.mark.parametrize("changes", [
+        {"ideals": {"m": [[["1"], 0]]}},
+        {"families": {"a": {"kind": "ceiling", "ideal": "m", "alpha": "1/0"}}},
+        {"families": {"a": {"kind": "expression", "expr": {"product": 5}}}},
+        {"families": {"a": {"kind": "expression", "expr": {"sum": []}}}},
+    ])
+    def test_malformed_values_are_collected(self, changes):
+        assert _problems(**changes)
+
+    def test_grid_entries_are_read_as_integers(self):
+        task = {"op": "rho_hat_beta", "a": "a", "b": "a", "n_max": 4, "grid": ["2"]}
+        report = run(parse_config(json.dumps(dict(BASE_JOB, tasks=[task]))))
+        assert report["tasks"][0]["result"]["search"]["grid"] == [2, 4]
+
+    def test_ceil_mul_needs_a_ratio(self):
+        node = {"kind": "power_pattern", "ideal": "m", "exponent": {"fn": "ceil_mul"}}
+        assert any("ratio" in p for p in _problems(families={"a": node}))
+
+    def test_library_errors_while_building_are_collected(self):
+        problems = _problems(families={
+            "c": {"kind": "ceiling", "ideal": "m", "alpha": "-1"},
+            "v": {"kind": "veronese", "family": "c", "step": 0},
+            "p": {"kind": "periodic", "period": 2, "patterns": {"0": {"ideal": "m"}}},
+        })
+        assert len(problems) == 3
+        for name, problem in zip("cpv", problems):
+            assert problem.startswith(f"family '{name}'")
+
+    def test_bad_ceiling_alpha_exits_two(self, tmp_path, capsys):
+        job = dict(BASE_JOB, families={"c": {"kind": "ceiling", "ideal": "m", "alpha": "-1"}})
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps(job))
+        assert main(["--config", str(config_path)]) == 2
+        assert "config error: family 'c': ceiling families need alpha > 0" in capsys.readouterr().err
