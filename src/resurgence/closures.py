@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import CapabilityError, DomainError
-from .monomials import MonomialIdeal, Monomial
+from .monomials import ClosureView, Monomial, MonomialIdeal, SymbolicView
 from .polyhedra import RationalPolyhedron, hull_with_recession
 
 MAX_COVER_VARS = 12
@@ -23,12 +23,8 @@ def newton_polyhedron(ideal: MonomialIdeal) -> RationalPolyhedron:
     """conv(exponents) + positive orthant, cached on the ideal (written once)."""
     if ideal.is_zero():
         raise DomainError("the zero ideal has no Newton polyhedron")
-    cached = ideal._cache.get("newton")
-    if cached is None:
-        rays = [tuple(1 if i == j else 0 for j in range(ideal.nvars)) for i in range(ideal.nvars)]
-        cached = hull_with_recession(ideal.generators, rays)
-        ideal._cache["newton"] = cached
-    return cached
+    rays = [tuple(1 if i == j else 0 for j in range(ideal.nvars)) for i in range(ideal.nvars)]
+    return ideal.cached("newton", lambda: hull_with_recession(ideal.generators, rays))
 
 
 def integral_closure(ideal: MonomialIdeal, n: int = 1) -> MonomialIdeal:
@@ -43,7 +39,7 @@ def integral_closure(ideal: MonomialIdeal, n: int = 1) -> MonomialIdeal:
         raise DomainError("closure exponent must be positive")
     if ideal.is_unit():
         return MonomialIdeal.unit(ideal.nvars)
-    return MonomialIdeal.closure_view(ideal, newton_polyhedron(ideal), n)
+    return MonomialIdeal(ideal.nvars, None, ClosureView(ideal, newton_polyhedron(ideal), n))
 
 
 @dataclass(frozen=True)
@@ -106,11 +102,8 @@ def symbolic_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
         raise DomainError("symbolic powers need a nonzero proper ideal")
     if any(e > 1 for g in ideal.generators for e in g):
         raise CapabilityError("symbolic powers are implemented for squarefree ideals only")
-    covers = ideal._cache.get("covers")
-    if covers is None:
-        covers = minimal_covers(ideal)
-        ideal._cache["covers"] = covers
-    return MonomialIdeal.symbolic_view(ideal.nvars, covers, n)
+    covers = ideal.cached("covers", lambda: minimal_covers(ideal))
+    return MonomialIdeal(ideal.nvars, None, SymbolicView(covers, n))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Graded families of monomial ideals: constructors, lazy cached members,
 and finite-window validation of the graded / filtration / standard-Veronese /
-base-equivalence hypotheses.
+base-equivalence hypotheses.  Each constructor states its kind once: the
+closure computing members and the structural facts the library reads.
 
 Members obey the global conventions member(0) = S and member(i) = (0) for
 i < 0.  Validation is always finite-window: a report either carries a
@@ -211,30 +212,34 @@ class Environment:
 class GradedFamily:
     """A lazily evaluated family {a_i} of monomial ideals.
 
-    member() is a pure function of (kind, n); computed members are cached and
-    never mutated (single writer per index, any number of readers).
+    A constructor passes `compute` (member n for n >= 1) and the facts true of
+    its kind by construction: `power` = (base, exponent rule, closed?) when the
+    members are base^e(n) or their closures; structural `filtration`/`graded`;
+    `veronese_k` with member(k*n) = member(k)^n; `integrally_closed` members;
+    `constant_from` d0 with member(d) = member(d0) for d >= d0; `inner`/`step`
+    with v(member(n)) = v(inner.member(step*n)) for every monomial valuation v;
+    `symbolic_of`, the ideal whose symbolic powers the members are.  `kind` is
+    only a label.  Computed members are cached and never mutated.
     """
 
-    def __init__(self, kind: str, nvars: int, *, ideal=None, fn=None, inner=None,
-                 step=None, period=None, patterns=None, prefix=None, tail=None,
-                 expr=None, env=None, func=None, name=None):
+    def __init__(self, kind: str, nvars: int, compute: Callable[[int], MonomialIdeal], name=None,
+                 *, power=None, filtration=False, graded=False, veronese_k=None,
+                 integrally_closed=False, constant_from=None, inner=None, step=1,
+                 symbolic_of=None):
         self.kind = kind
         self.nvars = nvars
-        self.ideal = ideal
-        self.fn = fn
+        self.compute = compute
+        self.name = name
+        self.power = power
+        self.filtration = filtration
+        self.graded = graded
+        self.veronese_k = veronese_k
+        self.integrally_closed = integrally_closed
+        self.constant_from = constant_from
         self.inner = inner
         self.step = step
-        self.period = period
-        self.patterns = patterns
-        self.prefix = prefix
-        self.tail = tail
-        self.expr = expr
-        self.env = env
-        self.func = func
-        self.name = name
+        self.symbolic_of = symbolic_of
         self._cache: dict[int, MonomialIdeal] = {}
-
-    # -- member access -------------------------------------------------------
 
     def member(self, n: int) -> MonomialIdeal:
         if n < 0:
@@ -243,131 +248,44 @@ class GradedFamily:
             return MonomialIdeal.unit(self.nvars)
         got = self._cache.get(n)
         if got is None:
-            got = self._compute(n)
+            got = self.compute(n)
             self._cache[n] = got
         return got
-
-    def _compute(self, n: int) -> MonomialIdeal:
-        kind = self.kind
-        if kind == "power_fn":
-            return self.ideal.power(self.fn(n))
-        if kind == "symbolic":
-            return closures.symbolic_power(self.ideal, n)
-        if kind == "closure_of":
-            sem = self.inner.power_semantics()
-            if sem is not None and not sem[2] and not sem[0].is_zero():
-                base, fn, _ = sem
-                e = fn(n)
-                return MonomialIdeal.unit(self.nvars) if e == 0 else closures.integral_closure(base, e)
-            inner_member = self.inner.member(n)
-            if inner_member.is_zero() or inner_member.is_unit():
-                return inner_member
-            return closures.integral_closure(inner_member, 1)
-        if kind == "veronese":
-            return self.inner.member(self.step * n)
-        if kind == "periodic":
-            expr = self.patterns[n % self.period]
-            return expr.evaluate(n, self.env)
-        if kind == "table":
-            if n <= len(self.prefix):
-                return self.prefix[n - 1]
-            if self.tail is None:
-                raise FamilyRangeError(f"table family has no member at index {n} and no tail rule")
-            return self.tail.evaluate(n, self.env)
-        if kind == "expression":
-            return self.expr.evaluate(n, self.env)
-        if kind == "custom":
-            return self.func(n)
-        raise DomainError(f"unknown family kind {kind!r}")  # pragma: no cover
-
-    # -- structure predicates --------------------------------------------------
 
     def power_semantics(self):
         """(base ideal, exponent rule, closed?) when members are I^e(n) or
         their integral closures; None otherwise."""
-        if self.kind == "power_fn":
-            return (self.ideal, self.fn, False)
-        if self.kind == "closure_of":
-            sem = self.inner.power_semantics()
-            if sem is not None and not sem[2]:
-                return (sem[0], sem[1], True)
-        return None
-
-    @property
-    def is_structural_filtration(self) -> bool:
-        if self.kind in ("power_fn", "symbolic"):
-            return True  # index functions are nondecreasing; symbolic powers shrink
-        if self.kind in ("closure_of", "veronese"):
-            return self.inner.is_structural_filtration
-        return False
-
-    @property
-    def is_structural_graded(self) -> bool:
-        if self.kind == "symbolic":
-            return True
-        if self.kind == "power_fn":
-            return self.fn.subadditive
-        if self.kind in ("closure_of", "veronese"):
-            return self.inner.is_structural_graded
-        return False
-
-    def structural_veronese_k(self) -> Optional[int]:
-        """A k with member(k*n) = member(k)^n for all n, exactly by construction."""
-        if self.kind == "power_fn" and self.fn.pure_slope:
-            return self.fn.slope.denominator
-        if self.kind == "veronese":
-            return self.inner.structural_veronese_k()
-        return None
+        return self.power
 
     def base_equivalence(self) -> Optional[Tuple[MonomialIdeal, closures.EquivalenceConstant]]:
         """(base ideal b, shift certificate) when the family is structurally
         b-equivalent: ordinary powers (k = 0) or closures of powers
         (Briancon-Skoda)."""
-        sem = self.power_semantics()
+        sem = self.power
         if sem is None or sem[1] != affine(1) or not sem[0].is_proper():
             return None
         base, _, closed = sem
         return (base, closures.bequiv_constant("closure_powers" if closed else "powers", base))
 
-    def members_integrally_closed(self) -> bool:
-        """Structurally true when every member equals its integral closure."""
-        if self.kind == "closure_of":
-            return True
-        if self.kind == "symbolic":
-            return True  # intersections of powers of monomial primes
-        if self.kind == "veronese":
-            return self.inner.members_integrally_closed()
-        return False
-
     def eventually_constant(self) -> Optional[Tuple[int, MonomialIdeal]]:
         """(d0, C) with member(d) = C for all d >= d0, when provable."""
-        if self.kind == "power_fn" and self.fn.kind == "affine" and self.fn.a == 0:
-            return (1, self.member(1))
-        if self.kind == "table" and self.tail is not None and not self.tail.depends_on_index():
-            d0 = len(self.prefix) + 1
-            return (d0, self.member(d0))
-        if self.kind == "closure_of":
-            inner = self.inner.eventually_constant()
-            if inner is not None and inner[1].is_proper():
-                return (inner[0], closures.integral_closure(inner[1], 1))
-            return inner
-        return None
+        d0 = self.constant_from
+        return None if d0 is None else (d0, self.member(d0))
 
     def value_rule(self, weights: Tuple[int, ...]) -> Optional[Callable[[int], int]]:
-        """Closed-form n -> v(member(n)) when the kind supports one."""
-        sem = self.power_semantics()
-        if sem is not None:
-            base, fn, _closed = sem
+        """Closed-form n -> v(member(n)) for power families and for families
+        whose values come from an inner family with one."""
+        if self.power is not None:
+            base, fn, _closed = self.power
             if base.is_zero():
                 return None
             v_base = min(sum(w * e for w, e in zip(weights, g)) for g in base.generators)
             return lambda n: fn(n) * v_base
-        if self.kind == "veronese":
-            inner = self.inner.value_rule(weights)
-            if inner is not None:
-                step = self.step
-                return lambda n: inner(step * n)
-        return None
+        inner = None if self.inner is None else self.inner.value_rule(weights)
+        if inner is None:
+            return None
+        step = self.step
+        return lambda n: inner(step * n)
 
     def __repr__(self):
         label = self.name or self.kind
@@ -382,7 +300,12 @@ def powers(ideal: MonomialIdeal, name=None) -> GradedFamily:
 
 
 def power_pattern(ideal: MonomialIdeal, fn: IndexFunction, name=None) -> GradedFamily:
-    return GradedFamily("power_fn", ideal.nvars, ideal=ideal, fn=fn, name=name)
+    """Members ideal^fn(n): a filtration since fn is nondecreasing."""
+    return GradedFamily(
+        "power_fn", ideal.nvars, lambda n: ideal.power(fn(n)), name,
+        power=(ideal, fn, False), filtration=True, graded=fn.subadditive,
+        veronese_k=fn.slope.denominator if fn.pure_slope else None,
+        constant_from=1 if fn.kind == "affine" and fn.a == 0 else None)
 
 
 def ceiling(ideal: MonomialIdeal, alpha: Fraction, name=None) -> GradedFamily:
@@ -402,11 +325,30 @@ def constant(ideal: MonomialIdeal, name=None) -> GradedFamily:
 
 
 def symbolic(ideal: MonomialIdeal, name=None) -> GradedFamily:
-    return GradedFamily("symbolic", ideal.nvars, ideal=ideal, name=name)
+    """Symbolic powers: graded, shrinking, and intersections of powers of
+    monomial primes, hence integrally closed."""
+    return GradedFamily("symbolic", ideal.nvars, lambda n: closures.symbolic_power(ideal, n), name,
+                        filtration=True, graded=True, integrally_closed=True, symbolic_of=ideal)
 
 
 def closure_of(family: GradedFamily, name=None) -> GradedFamily:
-    return GradedFamily("closure_of", family.nvars, inner=family, name=name)
+    """Memberwise integral closures; monomial valuations do not see them."""
+    sem = family.power
+    if sem is not None and not sem[2] and not sem[0].is_zero():
+        base, fn, _ = sem
+
+        def compute(n):
+            e = fn(n)
+            return MonomialIdeal.unit(family.nvars) if e == 0 else closures.integral_closure(base, e)
+    else:
+        def compute(n):
+            m = family.member(n)
+            return m if m.is_zero() or m.is_unit() else closures.integral_closure(m, 1)
+    return GradedFamily(
+        "closure_of", family.nvars, compute, name,
+        power=None if sem is None or sem[2] else (sem[0], sem[1], True),
+        filtration=family.filtration, graded=family.graded, integrally_closed=True,
+        constant_from=family.constant_from, inner=family)
 
 
 def closure_powers(ideal: MonomialIdeal, name=None) -> GradedFamily:
@@ -414,31 +356,47 @@ def closure_powers(ideal: MonomialIdeal, name=None) -> GradedFamily:
 
 
 def veronese(family: GradedFamily, k: int, name=None) -> GradedFamily:
+    """The substride n -> member(k*n)."""
     if k < 1:
         raise DomainError("Veronese step must be positive")
-    return GradedFamily("veronese", family.nvars, inner=family, step=k, name=name)
+    return GradedFamily(
+        "veronese", family.nvars, lambda n: family.member(k * n), name,
+        filtration=family.filtration, graded=family.graded, veronese_k=family.veronese_k,
+        integrally_closed=family.integrally_closed, inner=family, step=k)
 
 
 def periodic(nvars: int, period: int, patterns: Mapping[int, Expr], env: Environment,
              name=None) -> GradedFamily:
     if period < 1 or set(patterns) != set(range(period)):
         raise DomainError("periodic family needs one pattern per residue class 0..period-1")
-    return GradedFamily("periodic", nvars, period=period, patterns=dict(patterns), env=env, name=name)
+    patterns = dict(patterns)
+    return GradedFamily("periodic", nvars, lambda n: patterns[n % period].evaluate(n, env), name)
 
 
 def table(nvars: int, prefix: Sequence[MonomialIdeal], tail: Optional[Expr] = None,
           env: Optional[Environment] = None, name=None) -> GradedFamily:
-    return GradedFamily("table", nvars, prefix=tuple(prefix), tail=tail,
-                        env=env or Environment(), name=name)
+    """Listed members 1..len(prefix), then the tail expression (constant from
+    len(prefix) + 1 when the tail does not depend on n)."""
+    prefix = tuple(prefix)
+    env = env or Environment()
+
+    def compute(n):
+        if n <= len(prefix):
+            return prefix[n - 1]
+        if tail is None:
+            raise FamilyRangeError(f"table family has no member at index {n} and no tail rule")
+        return tail.evaluate(n, env)
+    fixed = tail is not None and not tail.depends_on_index()
+    return GradedFamily("table", nvars, compute, name, constant_from=len(prefix) + 1 if fixed else None)
 
 
 def expression(nvars: int, expr: Expr, env: Environment, name=None) -> GradedFamily:
-    return GradedFamily("expression", nvars, expr=expr, env=env, name=name)
+    return GradedFamily("expression", nvars, lambda n: expr.evaluate(n, env), name)
 
 
 def from_function(nvars: int, func: Callable[[int], MonomialIdeal], name=None) -> GradedFamily:
     """Library-only escape hatch: members computed by an arbitrary function."""
-    return GradedFamily("custom", nvars, func=func, name=name)
+    return GradedFamily("custom", nvars, func, name)
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +420,10 @@ class ValidationReport:
     params: dict = field(default_factory=dict)
     counterexample: Optional[dict] = None
 
-    def describe(self) -> str:
-        status = "holds" if self.holds else "fails"
-        return f"{self.property}{self.params or ''} {status} ({self.certificate}, horizon {self.horizon})"
-
 
 def validate_graded(family: GradedFamily, horizon: int) -> ValidationReport:
     """Check a_p a_q <= a_(p+q) for all p + q <= horizon."""
-    if family.is_structural_graded:
+    if family.graded:
         return ValidationReport("graded", horizon, True, "structural")
     for p in range(1, horizon):
         for q in range(p, horizon - p + 1):
@@ -485,7 +439,7 @@ def validate_graded(family: GradedFamily, horizon: int) -> ValidationReport:
 
 def validate_filtration(family: GradedFamily, horizon: int) -> ValidationReport:
     """Check a_(p+1) <= a_p for all p < horizon."""
-    if family.is_structural_filtration:
+    if family.filtration:
         return ValidationReport("filtration", horizon, True, "structural")
     for p in range(1, horizon):
         witness = family.member(p + 1).witness_not_in(family.member(p))
@@ -500,7 +454,7 @@ def validate_filtration(family: GradedFamily, horizon: int) -> ValidationReport:
 def is_standard_veronese(family: GradedFamily, k: int, horizon: int) -> ValidationReport:
     """Check member(k*n) == member(k)^n (equal minimal generators) for n <= horizon."""
     params = {"k": k}
-    sk = family.structural_veronese_k()
+    sk = family.veronese_k
     if sk is not None and k % sk == 0:
         return ValidationReport("standard_veronese", horizon, True, "structural", params)
     bk = family.member(k)
@@ -523,7 +477,7 @@ def find_standard_veronese(family: GradedFamily, kmax: int, horizon: int):
     a miss up to kmax is reported as a failure to find, never as evidence
     of non-Noetherianity.
     """
-    sk = family.structural_veronese_k()
+    sk = family.veronese_k
     if sk is not None and sk <= kmax:
         return sk, ValidationReport("standard_veronese", horizon, True, "structural", {"k": sk})
     for k in range(1, kmax + 1):

@@ -138,17 +138,12 @@ def beta(a: fam.GradedFamily, b: fam.GradedFamily, s: int, cutoff: int) -> Seque
 
 
 def _beta_search(fails, b, cutoff) -> SequenceValue:
-    if b.is_structural_filtration:
+    if b.filtration:
         hit = _least_failing(fails, cutoff)
-        if hit is not None:
-            return SequenceValue("finite", hit)
-        ec = b.eventually_constant()
-        if ec is not None and ec[0] <= cutoff:
-            return SequenceValue("empty")
-        return SequenceValue("exceeds", bound=cutoff)
-    for d in range(1, cutoff + 1):
-        if fails(d):
-            return SequenceValue("finite", d)
+    else:
+        hit = next((d for d in range(1, cutoff + 1) if fails(d)), None)
+    if hit is not None:
+        return SequenceValue("finite", hit)
     ec = b.eventually_constant()
     if ec is not None and ec[0] <= cutoff:
         return SequenceValue("empty")
@@ -175,7 +170,7 @@ def lambda_(a: fam.GradedFamily, b: fam.GradedFamily, n: int, cutoff: int) -> Se
 
 
 def _lambda_search(fails, a, cutoff) -> SequenceValue:
-    if a.is_structural_filtration:
+    if a.filtration:
         got = _greatest_failing(fails, cutoff)
         if got is None:
             return SequenceValue("empty")
@@ -348,7 +343,7 @@ def _escape_pairs(a, b, s_range, cutoff):
 def _global_filtration_certificate(family, horizon) -> bool:
     """True when the filtration property holds for ALL indices: either by
     construction, or window-verified up to a constant tail."""
-    if family.is_structural_filtration:
+    if family.filtration:
         return True
     ec = family.eventually_constant()
     if ec is not None and ec[0] <= horizon:
@@ -411,7 +406,7 @@ def rho_lim_estimate(a: fam.GradedFamily, b: fam.GradedFamily, n_grid: Sequence[
     certified = False
     claims: Tuple[str, ...] = ()
     value = values[-1][1]
-    if a.is_structural_filtration and b.base_equivalence() is not None:
+    if a.filtration and b.base_equivalence() is not None:
         rees = rho_hat_rees(a, b, kmax=kmax, horizon=horizon)
         value = rees.value
         certified = True
@@ -715,7 +710,7 @@ def _disprove_or_fail_hypothesis_i(b, horizon):
 
 
 def _closure_gap(b, horizon, assertions) -> EquivalenceConstant:
-    if b.members_integrally_closed():
+    if b.integrally_closed:
         return EquivalenceConstant(0, 0, True, horizon)
     sem = b.power_semantics()
     if sem is not None and sem[1] == fam.affine(1):
@@ -744,7 +739,7 @@ def _search_witness(a, b, rho_hat: Fraction, budget: int):
 def _max_escape_s(a, b, r, s_limit):
     """Largest s <= s_limit with a_s escaping b_r (top-down break for filtrations)."""
     b_r = b.member(r)
-    if a.is_structural_filtration:
+    if a.filtration:
         for s in range(s_limit, 0, -1):
             if not a.member(s).is_subset_of(b_r):
                 return s

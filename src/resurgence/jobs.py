@@ -319,6 +319,9 @@ def parse_config(text: str) -> JobConfig:
     out_format = output.get("format", "json")
     if out_format not in ("json", "csv"):
         errors.append(f"output format must be 'json' or 'csv', not {out_format!r}")
+    out_path = output.get("path")
+    if out_path is not None and not isinstance(out_path, str):
+        errors.append(f"output path must be a string, not {out_path!r}")
     defaults = dict(BUILTIN_DEFAULTS)
     given = _section(raw, "defaults", errors)
     for key in BUILTIN_DEFAULTS:
@@ -334,10 +337,9 @@ def parse_config(text: str) -> JobConfig:
         "families": {k: family_nodes[k] for k in sorted(family_nodes)},
         "tasks": tasks,
         "defaults": defaults,
-        "output": {"format": out_format, "path": output.get("path")},
+        "output": {"format": out_format, "path": out_path},
     }
-    return JobConfig(nvars, ideals, builder.built, tasks, out_format, output.get("path"),
-                     defaults, normalized)
+    return JobConfig(nvars, ideals, builder.built, tasks, out_format, out_path, defaults, normalized)
 
 
 # ---------------------------------------------------------------------------

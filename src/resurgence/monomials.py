@@ -2,22 +2,25 @@
 
 A monomial is an exponent tuple; a MonomialIdeal stores its divisibility-minimal
 generators sorted lexicographically (deterministic reports, bit-stable goldens).
-Ideals may alternatively be membership *views* (symbolic power, integral
-closure) that answer `contains` without expanding generators; containment tests
-always orient explicit generators on the left and a predicate on the right.
+An ideal may instead carry a membership *view* (SymbolicView, ClosureView): a
+small typed object that answers `contains` without expanding generators and
+states the lattice region its generators are materialized from.  Containment
+tests always orient explicit generators on the left and a predicate on the right.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Any, Iterable, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import CapabilityError, DimensionError, DomainError, RepresentationError
+from .errors import CapabilityError, DimensionError, DomainError
 
 Monomial = Tuple[int, ...]
 
 # Cap on candidate lattice points when materializing generators of a view.
 MATERIALIZE_CAP = 100_000
+
+_MISSING = object()
 
 
 def monomial(*exponents: int) -> Monomial:
@@ -84,26 +87,58 @@ def minimize_monomials(gens: Iterable[Monomial]) -> Tuple[Monomial, ...]:
     return tuple(sorted(kept))
 
 
+class SymbolicView(NamedTuple):
+    """Membership means every stored cover C satisfies sum_{i in C} m_i >= n."""
+
+    covers: Tuple[Monomial, ...]
+    n: int
+    kind = "symbolic"
+
+    def contains(self, m: Monomial) -> bool:
+        return all(sum(m[i] for i, on in enumerate(c) if on) >= self.n for c in self.covers)
+
+    def region(self, nvars: int):
+        # A minimal generator of the symbolic region never needs an exponent
+        # above n: decrementing a coordinate > n keeps every cover sum >= n.
+        return [tuple(c) for c in self.covers], [self.n] * len(self.covers), [self.n] * nvars
+
+
+class ClosureView(NamedTuple):
+    """Membership means m lies in scale * NP(base), NP the Newton polyhedron."""
+
+    base: "MonomialIdeal"
+    polyhedron: Any
+    scale: int
+    kind = "closure"
+
+    def contains(self, m: Monomial) -> bool:
+        return self.polyhedron.contains(m, scale=self.scale)
+
+    def region(self, nvars: int):
+        rows, rhs = [], []
+        for hs in self.polyhedron.halfspaces:
+            if all(w >= 0 for w in hs.normal) and hs.offset > 0:
+                rows.append(tuple(int(w) for w in hs.normal))
+                rhs.append(int(hs.offset) * self.scale)
+        box = [self.scale * max(g[j] for g in self.base.generators) for j in range(nvars)]
+        return rows, rhs, box
+
+
 class MonomialIdeal:
     """A monomial ideal in k[x_1..x_n], explicit or as a membership view.
 
-    Views:
-      * symbolic view: (cover supports, n) - membership means every stored
-        cover C satisfies sum_{i in C} m_i >= n;
-      * closure view: (base ideal, newton polyhedron of base, scale n) -
-        membership means m lies in n * NP(base).
     Explicit generators of a view are materialized lazily (bounded search)
     and cached; all values are immutable after construction.
     """
 
-    __slots__ = ("nvars", "_gens", "_view", "_cache")
+    __slots__ = ("nvars", "_gens", "view", "_cache")
 
     def __init__(self, nvars: int, gens: Optional[Tuple[Monomial, ...]], view=None):
         self.nvars = int(nvars)
         if self.nvars <= 0:
             raise DimensionError("ambient variable count must be positive")
         self._gens = gens
-        self._view = view
+        self.view = view
         self._cache: dict = {}
 
     # -- constructors ------------------------------------------------------
@@ -121,19 +156,11 @@ class MonomialIdeal:
     def unit(cls, nvars: int) -> "MonomialIdeal":
         return cls(nvars, ((0,) * nvars,))
 
-    @classmethod
-    def symbolic_view(cls, nvars: int, covers: Tuple[Monomial, ...], n: int) -> "MonomialIdeal":
-        return cls(nvars, None, view=("symbolic", covers, n))
-
-    @classmethod
-    def closure_view(cls, base: "MonomialIdeal", polyhedron, scale: int) -> "MonomialIdeal":
-        return cls(base.nvars, None, view=("closure", base, polyhedron, scale))
-
     # -- basic predicates ----------------------------------------------------
 
     @property
     def view_kind(self) -> str:
-        return self._view[0] if self._view is not None else "explicit"
+        return self.view.kind if self.view is not None else "explicit"
 
     @property
     def is_explicit(self) -> bool:
@@ -160,45 +187,26 @@ class MonomialIdeal:
         return self._gens
 
     def _materialize(self) -> Tuple[Monomial, ...]:
-        kind = self._view[0]
-        if kind == "symbolic":
-            _, covers, n = self._view
-            rows = [tuple(c) for c in covers]
-            rhs = [n] * len(rows)
-            # A minimal generator of the symbolic region never needs an exponent
-            # above n: decrementing a coordinate > n keeps every cover sum >= n.
-            box = [n] * self.nvars
-        elif kind == "closure":
-            _, base, poly, scale = self._view
-            rows, rhs, box = [], [], []
-            for hs in poly.halfspaces:
-                if all(w >= 0 for w in hs.normal) and hs.offset > 0:
-                    rows.append(tuple(int(w) for w in hs.normal))
-                    rhs.append(int(hs.offset) * scale)
-            for j in range(self.nvars):
-                box.append(scale * max(g[j] for g in base.generators))
-        else:  # pragma: no cover - no other view kinds exist
-            raise RepresentationError(f"cannot materialize view {kind!r}")
-        return minimal_lattice_points(rows, rhs, box)
+        return minimal_lattice_points(*self.view.region(self.nvars))
+
+    def cached(self, key: str, compute):
+        """compute() on the first call for `key`, the stored value afterwards."""
+        value = self._cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._cache[key] = compute()
+        return value
 
     # -- membership ----------------------------------------------------------
 
     def contains(self, m: Sequence[int]) -> bool:
         m = check_monomial(m, self.nvars)
-        if self._view is None:
-            return self._contains_explicit(m)
-        kind = self._view[0]
-        if kind == "symbolic":
-            _, covers, n = self._view
-            return all(sum(m[i] for i, on in enumerate(c) if on) >= n for c in covers)
-        _, base, poly, scale = self._view
-        return poly.contains(m, scale=scale)
+        return self._contains_explicit(m) if self.view is None else self.view.contains(m)
 
     def _contains_explicit(self, m: Monomial) -> bool:
         gens = self._gens
         if not gens:
             return False
-        fast = self._membership_index()
+        fast = self.cached("index", self._membership_index)
         if fast is not None:
             kind = fast[0]
             if kind == "uniform-complete":
@@ -213,16 +221,13 @@ class MonomialIdeal:
         return any(divides(g, m) for g in gens)
 
     def _membership_index(self):
-        """Lazy per-ideal membership accelerator.
+        """Per-ideal membership accelerator, built once through `cached`.
 
         'uniform-complete': the ideal is the set of ALL monomials of one total
         degree d (i.e. the d-th power of the maximal ideal), so membership is
         a degree test. 'staircase2': two variables; binary search along the
         staircase.
         """
-        idx = self._cache.get("index", False)
-        if idx is not False:
-            return idx
         gens = self._gens
         idx = None
         if gens and not self.is_unit():
@@ -244,18 +249,7 @@ class MonomialIdeal:
                         xs.append(g[0])
                         ymins.append(best)
                 idx = ("staircase2", xs, ymins)
-        self._cache["index"] = idx
         return idx
-
-    def min_degree(self) -> int:
-        """Smallest total degree of a member (explicit ideals only)."""
-        if self.is_zero():
-            raise DomainError("zero ideal has no members")
-        d = self._cache.get("mindeg")
-        if d is None:
-            d = min(degree(g) for g in self.generators)
-            self._cache["mindeg"] = d
-        return d
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -287,7 +281,7 @@ class MonomialIdeal:
             return MonomialIdeal.unit(self.nvars)
         if n == 1 or self.is_zero() or self.is_unit():
             return self
-        fast = self._membership_index()
+        fast = self.cached("index", self._membership_index)
         if fast is not None and fast[0] == "uniform-complete":
             # (m^d)^n = m^(dn): generate all monomials of total degree dn.
             return complete_power_ideal(self.nvars, fast[1] * n)

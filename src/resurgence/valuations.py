@@ -8,15 +8,14 @@ labeled as such by callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Tuple
 
 from . import families as fam
 from .closures import minimal_covers
 from .errors import CapabilityError, DimensionError, DomainError
-from .monomials import Monomial, MonomialIdeal
+from .monomials import ClosureView, Monomial, MonomialIdeal
 from .polyhedra import HalfSpace, LinearProgram, lp_minimize
 
 
@@ -33,13 +32,6 @@ class MonomialValuation:
             raise DomainError("valuation weights must be nonnegative")
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
 
-    @property
-    def is_primitive(self) -> bool:
-        g = 0
-        for w in self.weights:
-            g = gcd(g, w)
-        return g == 1
-
     def of_monomial(self, m: Monomial) -> int:
         if len(m) != len(self.weights):
             raise DimensionError("monomial and valuation dimensions differ")
@@ -55,10 +47,9 @@ class MonomialValuation:
             raise DimensionError("ideal and valuation dimensions differ")
         if ideal.is_zero():
             raise DomainError("the zero ideal has no valuation value")
-        view = ideal.view_kind
-        if view == "closure":
-            _, base, _poly, scale = ideal._view
-            value, arg = self.of_ideal_with_argmin(base)
+        if isinstance(ideal.view, ClosureView):
+            scale = ideal.view.scale
+            value, arg = self.of_ideal_with_argmin(ideal.view.base)
             return scale * value, tuple(scale * e for e in arg)
         best = None
         arg = None
@@ -97,12 +88,14 @@ class WaldschmidtResult:
 
 def skew_waldschmidt(v: MonomialValuation, family: fam.GradedFamily, window: int = 12,
                      kmax: int = 6) -> WaldschmidtResult:
-    """Dispatch by family kind.
+    """Dispatch by the family's facts.
 
     powers / power-pattern / closures thereof: exact slope * v(I);
-    symbolic: exact via the fractional-cover LP; families with a verified
-    standard Veronese index k: exact v(a_k)/k; otherwise a window upper
-    bound inf_{n <= window} v(a_n)/n, explicitly uncertified.
+    symbolic powers: exact via the fractional-cover LP; values taken from an
+    inner family at step k (closures, Veroneses): k times the inner constant;
+    families with a verified standard Veronese index k: exact v(a_k)/k;
+    otherwise a window upper bound inf_{n <= window} v(a_n)/n, explicitly
+    uncertified.
     """
     if window < 1:
         raise DomainError("window must be positive")
@@ -114,17 +107,13 @@ def skew_waldschmidt(v: MonomialValuation, family: fam.GradedFamily, window: int
         else:
             exact = fn.slope * v.of_ideal(base)
         return WaldschmidtResult(exact, exact, True, "closed-form")
-    if family.kind == "symbolic":
-        return _symbolic_waldschmidt(v, family.ideal)
-    if family.kind == "closure_of":
+    if family.symbolic_of is not None:
+        return _symbolic_waldschmidt(v, family.symbolic_of)
+    if family.inner is not None:
         inner = skew_waldschmidt(v, family.inner, window=window, kmax=kmax)
-        # monomial valuations do not see the integral closure
-        return inner
-    if family.kind == "veronese":
-        inner = skew_waldschmidt(v, family.inner, window=window, kmax=kmax)
-        scaled = inner.upper * family.step
-        return WaldschmidtResult(scaled, None if inner.lower is None else inner.lower * family.step,
-                                 inner.certified, inner.method, inner.window, inner.dual)
+        step = family.step
+        return replace(inner, upper=inner.upper * step,
+                       lower=None if inner.lower is None else inner.lower * step)
     k, report = fam.find_standard_veronese(family, kmax, min(window, 8))
     if k is not None:
         exact = Fraction(v.of_ideal(family.member(k)), k)

@@ -306,7 +306,7 @@ def test_criterion_08_property_suites():
         by_beta = bs.is_finite and r >= bs.value
         by_lambda = (lr.kind == "exceeds") or (lr.is_finite and s <= lr.value)
         if not escapes == by_beta == by_lambda:
-            failures.append(("duality", a.ideal, b.ideal, s, r))
+            failures.append(("duality", a.member(1), b.member(1), s, r))
 
     # (d) 150 cases: I^n <= closure(I^n) <= I^(n) for squarefree I, n <= 4
     for _ in range(150):

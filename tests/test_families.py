@@ -22,6 +22,7 @@ from resurgence import (
     veronese,
 )
 import resurgence.families as fam
+from resurgence.valuations import MonomialValuation, degree_valuation, skew_waldschmidt
 
 
 def ideal(nvars, *gens):
@@ -204,3 +205,232 @@ class TestStructureFlags:
         assert fam.affine(2, 1)(5) == 11
         assert fam.ceil_mul(Fraction(5, 3)).pure_slope
         assert not fam.ceil_mul(Fraction(5, 3), 1).pure_slope
+
+
+# -- facts of every family kind ------------------------------------------------
+
+I2 = ideal(2, (2, 0), (1, 1), (0, 3))
+S3 = ideal(3, (1, 1, 0), (0, 1, 1), (1, 0, 1))
+
+
+def fact_families():
+    """One family per constructor, closures over six kinds, Veroneses over three."""
+    m = ideal(2, (1, 0), (0, 1))
+    env = fam.Environment({"I": I2, "m": m})
+    periodic_b = not_filtration_families()["b"]
+    tail_table = table(2, [ideal(2, (1, 0)), ideal(2, (1, 1))], tail=fam.Base("I"), env=env)
+    return {
+        "powers": powers(I2),
+        "power_pattern": fam.power_pattern(I2, fam.ceil_sqrt()),
+        "ceiling": ceiling(I2, Fraction(3, 2)),
+        "constant": constant(I2),
+        "symbolic": symbolic(S3),
+        "closure_powers": closure_powers(I2),
+        "periodic": periodic_b,
+        "table": tail_table,
+        "expression": fam.expression(2, fam.Product((fam.Power(fam.Base("m"), fam.affine(1)),
+                                                     fam.Base("I"))), env),
+        "from_function": fam.from_function(2, lambda n: I2.power(n).add(m.power(2 * n + 1))),
+        "closure_of_ceiling": closure_of(ceiling(I2, Fraction(3, 2))),
+        "closure_of_periodic": closure_of(periodic_b),
+        "closure_of_table": closure_of(tail_table),
+        "closure_of_veronese_powers": closure_of(veronese(powers(I2), 2)),
+        "closure_of_symbolic": closure_of(symbolic(S3)),
+        "closure_of_closure_powers": closure_of(closure_powers(I2)),
+        "veronese_powers": veronese(powers(I2), 2),
+        "veronese_closure_powers": veronese(closure_powers(I2), 3),
+        "veronese_symbolic": veronese(symbolic(S3), 2),
+    }
+
+
+def family_facts(family):
+    sem = family.power_semantics()
+    ec = family.eventually_constant()
+    beq = family.base_equivalence()
+    sw = skew_waldschmidt(degree_valuation(family.nvars), family)
+    rule = family.value_rule((3, 2, 1)[: family.nvars])
+    return {
+        "power": None if sem is None else (sem[0].generators, sem[1].kind, sem[1].a, sem[1].b, sem[2]),
+        "flags": (family.filtration, family.graded, family.veronese_k, family.integrally_closed),
+        "constant": None if ec is None else (ec[0], ec[1].generators),
+        "bequiv": None if beq is None else (beq[0].generators, beq[1].k, beq[1].bound),
+        "waldschmidt": (sw.upper, sw.lower, sw.certified, sw.method),
+        "values": None if rule is None else tuple(rule(n) for n in range(1, 7)),
+    }
+
+
+# recorded before the family kinds became constructor-set facts; the two
+# closures marked below had no value rule then (the rule now comes from `inner`)
+FACTS = {
+    "powers": {
+        "power": (((0, 3), (1, 1), (2, 0)), "affine", Fraction(1, 1), 0, False),
+        "flags": (True, True, 1, False),
+        "constant": None,
+        "bequiv": (((0, 3), (1, 1), (2, 0)), 0, 0),
+        "waldschmidt": (Fraction(2, 1), Fraction(2, 1), True, "closed-form"),
+        "values": (5, 10, 15, 20, 25, 30),
+    },
+    "power_pattern": {
+        "power": (((0, 3), (1, 1), (2, 0)), "ceil_sqrt", Fraction(0, 1), 0, False),
+        "flags": (True, True, None, False),
+        "constant": None,
+        "bequiv": None,
+        "waldschmidt": (Fraction(0, 1), Fraction(0, 1), True, "closed-form"),
+        "values": (5, 10, 10, 10, 15, 15),
+    },
+    "ceiling": {
+        "power": (((0, 3), (1, 1), (2, 0)), "ceil_mul", Fraction(3, 2), 0, False),
+        "flags": (True, True, 2, False),
+        "constant": None,
+        "bequiv": None,
+        "waldschmidt": (Fraction(3, 1), Fraction(3, 1), True, "closed-form"),
+        "values": (10, 15, 25, 30, 40, 45),
+    },
+    "constant": {
+        "power": (((0, 3), (1, 1), (2, 0)), "affine", Fraction(0, 1), 1, False),
+        "flags": (True, True, None, False),
+        "constant": (1, ((0, 3), (1, 1), (2, 0))),
+        "bequiv": None,
+        "waldschmidt": (Fraction(0, 1), Fraction(0, 1), True, "closed-form"),
+        "values": (5, 5, 5, 5, 5, 5),
+    },
+    "symbolic": {
+        "power": None,
+        "flags": (True, True, None, True),
+        "constant": None,
+        "bequiv": None,
+        "waldschmidt": (Fraction(3, 2), Fraction(3, 2), True, "lp"),
+        "values": None,
+    },
+    "closure_powers": {
+        "power": (((0, 3), (1, 1), (2, 0)), "affine", Fraction(1, 1), 0, True),
+        "flags": (True, True, None, True),
+        "constant": None,
+        "bequiv": (((0, 3), (1, 1), (2, 0)), 0, 1),
+        "waldschmidt": (Fraction(2, 1), Fraction(2, 1), True, "closed-form"),
+        "values": (5, 10, 15, 20, 25, 30),
+    },
+    "periodic": {
+        "power": None,
+        "flags": (False, False, None, False),
+        "constant": None,
+        "bequiv": None,
+        "waldschmidt": (Fraction(3, 10), None, False, "window"),
+        "values": None,
+    },
+    "table": {
+        "power": None,
+        "flags": (False, False, None, False),
+        "constant": (3, ((0, 3), (1, 1), (2, 0))),
+        "bequiv": None,
+        "waldschmidt": (Fraction(1, 6), None, False, "window"),
+        "values": None,
+    },
+    "expression": {
+        "power": None,
+        "flags": (False, False, None, False),
+        "constant": None,
+        "bequiv": None,
+        "waldschmidt": (Fraction(7, 6), None, False, "window"),
+        "values": None,
+    },
+    "from_function": {
+        "power": None,
+        "flags": (False, False, None, False),
+        "constant": None,
+        "bequiv": None,
+        "waldschmidt": (Fraction(2, 1), None, False, "window"),
+        "values": None,
+    },
+    "closure_of_ceiling": {
+        "power": (((0, 3), (1, 1), (2, 0)), "ceil_mul", Fraction(3, 2), 0, True),
+        "flags": (True, True, None, True),
+        "constant": None,
+        "bequiv": None,
+        "waldschmidt": (Fraction(3, 1), Fraction(3, 1), True, "closed-form"),
+        "values": (10, 15, 25, 30, 40, 45),
+    },
+    "closure_of_periodic": {
+        "power": None,
+        "flags": (False, False, None, True),
+        "constant": None,
+        "bequiv": None,
+        "waldschmidt": (Fraction(3, 10), None, False, "window"),
+        "values": None,
+    },
+    "closure_of_table": {
+        "power": None,
+        "flags": (False, False, None, True),
+        "constant": (3, ((0, 3), (1, 1), (2, 0))),
+        "bequiv": None,
+        "waldschmidt": (Fraction(1, 6), None, False, "window"),
+        "values": None,
+    },
+    "closure_of_veronese_powers": {
+        "power": None,
+        "flags": (True, True, None, True),
+        "constant": None,
+        "bequiv": None,
+        "waldschmidt": (Fraction(4, 1), Fraction(4, 1), True, "closed-form"),
+        "values": (10, 20, 30, 40, 50, 60),  # was None
+    },
+    "closure_of_symbolic": {
+        "power": None,
+        "flags": (True, True, None, True),
+        "constant": None,
+        "bequiv": None,
+        "waldschmidt": (Fraction(3, 2), Fraction(3, 2), True, "lp"),
+        "values": None,
+    },
+    "closure_of_closure_powers": {
+        "power": None,
+        "flags": (True, True, None, True),
+        "constant": None,
+        "bequiv": None,
+        "waldschmidt": (Fraction(2, 1), Fraction(2, 1), True, "closed-form"),
+        "values": (5, 10, 15, 20, 25, 30),  # was None
+    },
+    "veronese_powers": {
+        "power": None,
+        "flags": (True, True, 1, False),
+        "constant": None,
+        "bequiv": None,
+        "waldschmidt": (Fraction(4, 1), Fraction(4, 1), True, "closed-form"),
+        "values": (10, 20, 30, 40, 50, 60),
+    },
+    "veronese_closure_powers": {
+        "power": None,
+        "flags": (True, True, None, True),
+        "constant": None,
+        "bequiv": None,
+        "waldschmidt": (Fraction(6, 1), Fraction(6, 1), True, "closed-form"),
+        "values": (15, 30, 45, 60, 75, 90),
+    },
+    "veronese_symbolic": {
+        "power": None,
+        "flags": (True, True, None, True),
+        "constant": None,
+        "bequiv": None,
+        "waldschmidt": (Fraction(3, 1), Fraction(3, 1), True, "lp"),
+        "values": None,
+    },
+}
+
+
+@pytest.mark.parametrize("name", FACTS)
+def test_family_facts_match_the_recording(name):
+    assert family_facts(fact_families()[name]) == FACTS[name]
+
+
+def test_fact_families_cover_every_constructor():
+    kinds = {f.kind for f in fact_families().values()}
+    assert kinds == {"power_fn", "symbolic", "closure_of", "veronese", "periodic", "table",
+                     "expression", "custom"}
+
+
+@pytest.mark.parametrize("name", ["closure_of_veronese_powers", "closure_of_closure_powers"])
+def test_closure_value_rule_comes_from_inner(name):
+    family = fact_families()[name]
+    v = MonomialValuation((3, 2))
+    rule = family.value_rule(v.weights)
+    assert [rule(n) for n in range(1, 7)] == [v.of_ideal(family.member(n)) for n in range(1, 7)]

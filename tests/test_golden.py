@@ -1,4 +1,4 @@
-"""Whole configs run end to end: a recorded report compared byte for byte,
+"""Whole configs run end to end: recorded reports compared byte for byte,
 and the documented example configs required to run without a task error."""
 
 import json
@@ -24,6 +24,13 @@ def test_all_ops_report_matches_the_recording():
     # recorded before the op table and the family pass replaced the if-chains
     recorded = (GOLDEN / "all_ops_report.json").read_bytes()
     assert _report_bytes((GOLDEN / "all_ops.json").read_text()) == recorded
+
+
+@pytest.mark.parametrize("job", ["triangle", "periodic"])
+def test_shipped_job_report_matches_the_recording(job):
+    # recorded before the family kinds became constructor-set facts
+    recorded = (GOLDEN / f"{job}_report.json").read_bytes()
+    assert _report_bytes((ROOT / "jobs" / f"{job}.json").read_text()) == recorded
 
 
 def test_all_ops_config_covers_every_op_and_family_kind():

@@ -358,6 +358,17 @@ class TestConfigErrors:
         for name, problem in zip("cpv", problems):
             assert problem.startswith(f"family '{name}'")
 
+    @pytest.mark.parametrize("path", [5, ["out.json"], {"file": "out.json"}])
+    def test_output_path_must_be_a_string(self, path, tmp_path, capsys):
+        assert _problems(output={"path": path}) == [f"output path must be a string, not {path!r}"]
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps(dict(BASE_JOB, output={"path": path})))
+        assert main(["--config", str(config_path)]) == 2
+        assert "output path must be a string" in capsys.readouterr().err
+
+    def test_null_output_path_is_accepted(self):
+        assert parse_config(json.dumps(dict(BASE_JOB, output={"path": None}))).output_path is None
+
     def test_bad_ceiling_alpha_exits_two(self, tmp_path, capsys):
         job = dict(BASE_JOB, families={"c": {"kind": "ceiling", "ideal": "m", "alpha": "-1"}})
         config_path = tmp_path / "job.json"
