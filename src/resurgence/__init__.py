@@ -14,7 +14,6 @@ from .errors import (
     DomainError,
     FamilyRangeError,
     HypothesisError,
-    RepresentationError,
     ResurgenceError,
 )
 from .monomials import MonomialIdeal, format_monomial, minimize_monomials

@@ -17,10 +17,6 @@ class CapabilityError(ResurgenceError):
     """The request exceeds a configured bound or an unsupported representation."""
 
 
-class RepresentationError(ResurgenceError):
-    """An operation needs a representation (e.g. explicit generators) that is unavailable."""
-
-
 class FamilyRangeError(ResurgenceError):
     """A family member was requested outside the range the family defines."""
 

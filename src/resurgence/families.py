@@ -356,13 +356,16 @@ def closure_powers(ideal: MonomialIdeal, name=None) -> GradedFamily:
 
 
 def veronese(family: GradedFamily, k: int, name=None) -> GradedFamily:
-    """The substride n -> member(k*n)."""
+    """The substride n -> member(k*n); constant from ceil(d0/k) when the
+    inner family is constant from d0."""
     if k < 1:
         raise DomainError("Veronese step must be positive")
+    d0 = family.constant_from
     return GradedFamily(
         "veronese", family.nvars, lambda n: family.member(k * n), name,
         filtration=family.filtration, graded=family.graded, veronese_k=family.veronese_k,
-        integrally_closed=family.integrally_closed, inner=family, step=k)
+        integrally_closed=family.integrally_closed,
+        constant_from=None if d0 is None else -(-d0 // k), inner=family, step=k)
 
 
 def periodic(nvars: int, period: int, patterns: Mapping[int, Expr], env: Environment,

@@ -349,7 +349,8 @@ def parse_config(text: str) -> JobConfig:
 
 def run(config: JobConfig) -> dict:
     """Execute every task in order; failures are recorded per task and do not
-    abort the batch.  Returns the structured report."""
+    abort the batch.  An exception outside the library's error hierarchy is
+    recorded as an `internal_error`.  Returns the structured report."""
     results = []
     timings = {}
     for i, task in enumerate(config.tasks):
@@ -358,9 +359,10 @@ def run(config: JobConfig) -> dict:
         try:
             record["result"] = encode(OPS[task["op"]].run(config, task))
             record["status"] = "ok"
-        except ResurgenceError as exc:
+        except Exception as exc:  # a fault outside the library's errors must not lose the batch
+            prefix = "" if isinstance(exc, ResurgenceError) else "internal_error: "
             record["status"] = "error"
-            record["error"] = f"{type(exc).__name__}: {exc}"
+            record["error"] = f"{prefix}{type(exc).__name__}: {exc}"
         timings[str(i)] = time.perf_counter() - started
         results.append(record)
     return {

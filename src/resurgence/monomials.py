@@ -1,16 +1,32 @@
 """Monomials and monomial ideals with exact arbitrary-precision exponents.
 
-A monomial is an exponent tuple; a MonomialIdeal stores its divisibility-minimal
-generators sorted lexicographically (deterministic reports, bit-stable goldens).
-An ideal may instead carry a membership *view* (SymbolicView, ClosureView): a
-small typed object that answers `contains` without expanding generators and
-states the lattice region its generators are materialized from.  Containment
-tests always orient explicit generators on the left and a predicate on the right.
+A monomial is an exponent tuple of integers; `check_monomial` rejects any
+exponent that is not integral, so no float is ever truncated into one.  A
+MonomialIdeal stores its divisibility-minimal generators sorted
+lexicographically (deterministic reports, bit-stable goldens).  An ideal may
+instead carry a membership *view* (SymbolicView, ClosureView): a small typed
+object that answers `contains` without expanding generators and states the
+lattice region its generators are materialized from.
+
+Containment has one primitive, `witness_not_in`: it orients explicit
+generators on the left and a membership test on the right, and returns the
+lex-first left generator outside the right side.  Stored generators are
+trusted, so an explicit right side is tested without re-validation.  In two
+variables a minimal generating set sorted lex is a staircase: x strictly
+increases while y strictly decreases.  Hence (gx, gy) lies in an explicit
+ideal iff the last of its generators with x <= gx has y <= gy, and one linear
+merge of the two staircases decides containment; the same invariant makes
+two-variable minimization one sort plus a sweep that keeps each entry whose
+y strictly decreases (Miller & Sturmfels, Combinatorial Commutative Algebra,
+ch. 1-3).
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+from math import comb
+from operator import itemgetter
 from typing import Any, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapabilityError, DimensionError, DomainError
@@ -21,6 +37,7 @@ Monomial = Tuple[int, ...]
 MATERIALIZE_CAP = 100_000
 
 _MISSING = object()
+_first = itemgetter(0)
 
 
 def monomial(*exponents: int) -> Monomial:
@@ -28,10 +45,13 @@ def monomial(*exponents: int) -> Monomial:
 
 
 def check_monomial(m: Sequence[int], nvars: int) -> Monomial:
-    m = tuple(int(e) for e in m)
+    given = tuple(m)
+    m = tuple(map(int, given))
     if len(m) != nvars:
         raise DimensionError(f"monomial has {len(m)} exponents, ambient ring has {nvars} variables")
-    if any(e < 0 for e in m):
+    if m != given:
+        raise DomainError(f"non-integral exponent in monomial {given}")
+    if min(m, default=0) < 0:
         raise DomainError(f"negative exponent in monomial {m}")
     return m
 
@@ -71,11 +91,22 @@ def format_monomial(m: Monomial, names: Optional[Sequence[str]] = None) -> str:
 def minimize_monomials(gens: Iterable[Monomial]) -> Tuple[Monomial, ...]:
     """Divisibility-minimal subset, sorted lexicographically. Idempotent.
 
-    Monomials of equal total degree never divide one another unless equal,
-    so after a degree sort each candidate is only tested against kept
-    generators of strictly smaller degree.
+    In two variables, after a lex sort a monomial is divisible by another iff
+    some earlier entry has y no larger than its own, so one sweep keeps
+    exactly the entries whose y strictly decreases; the kept entries are the
+    staircase, already in lex order.  In more variables, monomials of equal
+    total degree never divide one another unless equal, so after a degree
+    sort each candidate is only tested against kept generators of strictly
+    smaller degree.
     """
-    unique = sorted(set(gens), key=lambda m: (degree(m), m))
+    unique = set(gens)
+    if unique and len(next(iter(unique))) == 2:
+        staircase: list[Monomial] = []
+        for g in sorted(unique):
+            if not staircase or g[1] < staircase[-1][1]:
+                staircase.append(g)
+        return tuple(staircase)
+    unique = sorted(unique, key=lambda m: (degree(m), m))
     kept: list[Monomial] = []
     degrees: list[int] = []
     for g in unique:
@@ -199,57 +230,36 @@ class MonomialIdeal:
     # -- membership ----------------------------------------------------------
 
     def contains(self, m: Sequence[int]) -> bool:
-        m = check_monomial(m, self.nvars)
+        return self._has(check_monomial(m, self.nvars))
+
+    def _has(self, m: Monomial) -> bool:
+        """Membership of a monomial already checked against this ring."""
         return self._contains_explicit(m) if self.view is None else self.view.contains(m)
 
     def _contains_explicit(self, m: Monomial) -> bool:
         gens = self._gens
         if not gens:
             return False
-        fast = self.cached("index", self._membership_index)
-        if fast is not None:
-            kind = fast[0]
-            if kind == "uniform-complete":
-                return degree(m) >= fast[1]
-            if kind == "staircase2":
-                xs, ymins = fast[1], fast[2]
-                # largest generator x-exponent <= m_x
-                import bisect
-
-                k = bisect.bisect_right(xs, m[0]) - 1
-                return k >= 0 and ymins[k] <= m[1]
+        if self.nvars == 2:
+            # the last staircase step with x <= m_x has the least y of those steps
+            k = bisect.bisect_right(gens, m[0], key=_first) - 1
+            return k >= 0 and gens[k][1] <= m[1]
+        d = self.cached("complete_degree", self._complete_degree)
+        if d is not None:
+            return degree(m) >= d
         return any(divides(g, m) for g in gens)
 
-    def _membership_index(self):
-        """Per-ideal membership accelerator, built once through `cached`.
-
-        'uniform-complete': the ideal is the set of ALL monomials of one total
-        degree d (i.e. the d-th power of the maximal ideal), so membership is
-        a degree test. 'staircase2': two variables; binary search along the
-        staircase.
-        """
+    def _complete_degree(self) -> Optional[int]:
+        """d when the ideal is generated by ALL monomials of total degree d (the
+        d-th power of the maximal ideal), so that membership is a degree test;
+        None otherwise.  Built once per ideal through `cached`."""
         gens = self._gens
-        idx = None
-        if gens and not self.is_unit():
-            d = degree(gens[0])
-            if all(degree(g) == d for g in gens):
-                from math import comb
-
-                if len(gens) == comb(d + self.nvars - 1, self.nvars - 1):
-                    idx = ("uniform-complete", d)
-            if idx is None and self.nvars == 2 and len(gens) > 8:
-                by_x = sorted(gens)
-                xs, ymins = [], []
-                best = None
-                for g in by_x:
-                    best = g[1] if best is None else min(best, g[1])
-                    if xs and xs[-1] == g[0]:
-                        ymins[-1] = best
-                    else:
-                        xs.append(g[0])
-                        ymins.append(best)
-                idx = ("staircase2", xs, ymins)
-        return idx
+        if not gens:
+            return None
+        d = degree(gens[0])
+        if len(gens) == comb(d + self.nvars - 1, self.nvars - 1) and all(degree(g) == d for g in gens):
+            return d
+        return None
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -281,10 +291,10 @@ class MonomialIdeal:
             return MonomialIdeal.unit(self.nvars)
         if n == 1 or self.is_zero() or self.is_unit():
             return self
-        fast = self.cached("index", self._membership_index)
-        if fast is not None and fast[0] == "uniform-complete":
+        d = self.cached("complete_degree", self._complete_degree)
+        if d is not None:
             # (m^d)^n = m^(dn): generate all monomials of total degree dn.
-            return complete_power_ideal(self.nvars, fast[1] * n)
+            return complete_power_ideal(self.nvars, d * n)
         result = None
         base = self
         k = n
@@ -308,16 +318,23 @@ class MonomialIdeal:
 
         The left side must expand to generators; the right side may be any view.
         """
-        self._require_same_ring(other)
-        return all(other.contains(g) for g in self.generators)
+        return self.witness_not_in(other) is None
 
     def witness_not_in(self, other: "MonomialIdeal") -> Optional[Monomial]:
-        """A minimal generator of self outside other, or None if contained."""
+        """The lex-first minimal generator of self outside other, or None if
+        self <= other.
+
+        A view on the right answers through its public `contains`.  An
+        explicit right side is trusted: in two variables one merge walks both
+        staircases (see the module docstring), in more variables each
+        generator goes through `_contains_explicit`.
+        """
         self._require_same_ring(other)
-        for g in self.generators:
-            if not other.contains(g):
-                return g
-        return None
+        gens = self.generators
+        if other.view is None and self.nvars == 2:
+            return _staircase_witness(gens, other._gens)
+        has = other._contains_explicit if other.view is None else other.contains
+        return next((g for g in gens if not has(g)), None)
 
     # -- equality / ordering / rendering -----------------------------------------
 
@@ -335,6 +352,25 @@ class MonomialIdeal:
         if self.is_zero():
             return "MonomialIdeal(0)"
         return "MonomialIdeal(" + ", ".join(format_monomial(g) for g in self.generators) + ")"
+
+
+def _staircase_witness(gens: Tuple[Monomial, ...], staircase: Tuple[Monomial, ...]) -> Optional[Monomial]:
+    """The first of the lex-sorted 2-variable `gens` outside the ideal whose
+    minimal generators are `staircase`, by one merge of the two sequences.
+
+    Both x-sequences are nondecreasing, so the pointer into `staircase` only
+    moves forward; `y` is the y of the last staircase step with x <= gx, the
+    least y among those steps because y strictly decreases along a staircase.
+    """
+    j, steps, y = 0, len(staircase), None
+    for g in gens:
+        gx = g[0]
+        while j < steps and staircase[j][0] <= gx:
+            y = staircase[j][1]
+            j += 1
+        if y is None or y > g[1]:
+            return g
+    return None
 
 
 def complete_power_ideal(nvars: int, d: int) -> MonomialIdeal:

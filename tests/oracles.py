@@ -23,6 +23,17 @@ def in_monomial_set(m, gens):
     return any(divides(g, m) for g in gens)
 
 
+def minimal_set(gens):
+    """Elements of `gens` divisible by no other element, sorted lexicographically."""
+    unique = set(gens)
+    return sorted(g for g in unique if not any(h != g and divides(h, g) for h in unique))
+
+
+def first_outside(gens, member):
+    """The lex-first minimal element of `gens` that fails `member`, or None."""
+    return next((g for g in minimal_set(gens) if not member(g)), None)
+
+
 def product_set(gens_a, gens_b):
     return {tuple(x + y for x, y in zip(a, b)) for a in gens_a for b in gens_b}
 

@@ -198,6 +198,18 @@ class TestStructureFlags:
         d0, value = prefix_family.eventually_constant()
         assert (d0, value) == (2, I)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_veronese_keeps_the_constant_tail(self, k):
+        I = ideal(2, (1, 0), (0, 1))
+        prefix = [I.power(4), I.power(3), I.power(2), I.power(2)]
+        inner = table(2, prefix, tail=fam.Base("I"), env=fam.Environment({"I": I}))
+        d0, value = veronese(inner, k).eventually_constant()
+        assert d0 == -(-5 // k) and value == I
+        assert all(veronese(inner, k).member(n) == I for n in range(d0, d0 + 4))
+        assert k == 1 or veronese(inner, k).member(d0 - 1) != I
+        assert veronese(constant(I), k).eventually_constant() == (1, I)
+        assert veronese(powers(I), k).eventually_constant() is None
+
     def test_index_functions(self):
         assert [fam.ceil_sqrt()(n) for n in (1, 2, 4, 5, 9, 10)] == [1, 2, 2, 3, 3, 4]
         assert [fam.ceil_log2p1()(n) for n in (1, 2, 3, 4, 7, 8)] == [1, 2, 2, 3, 3, 4]

@@ -104,6 +104,10 @@ class TestBeta:
         I = maximal(2)
         assert beta(powers(I), constant(I), 3, 30).kind == "empty"
 
+    def test_empty_for_constant_veronese_tail(self):
+        I = maximal(2)
+        assert beta(powers(I), fam.veronese(constant(I), 2), 1, 30).kind == "empty"
+
     def test_exceeds_cutoff(self):
         a, b = sqrt_pair()
         sv = beta(a, b, 10, 50)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from resurgence import ConfigError
+from resurgence import ConfigError, jobs
 from resurgence.cli import main
 from resurgence.jobs import emit, exit_status, parse_config, run
 
@@ -174,6 +174,22 @@ class TestRun:
         report = run(parse_config(json.dumps(job)))
         statuses = [t["status"] for t in report["tasks"]]
         assert statuses == ["ok", "error", "ok"]
+        assert exit_status(report) == 1
+
+    def test_internal_error_recorded_not_fatal(self, monkeypatch):
+        def broken(config, task):
+            raise TypeError("'int' object is not iterable")
+        monkeypatch.setitem(jobs.OPS, "rees_valuations", jobs.OPS["rees_valuations"]._replace(run=broken))
+        job = dict(TRIANGLE_JOB)
+        job["tasks"] = [
+            {"op": "rho_hat_rees", "a": "a", "b": "b"},
+            {"op": "rees_valuations", "ideal": "tri"},
+            {"op": "rho_hat_rees", "a": "a", "b": "b"},
+        ]
+        report = run(parse_config(json.dumps(job)))
+        assert [t["status"] for t in report["tasks"]] == ["ok", "error", "ok"]
+        assert report["tasks"][1]["error"] == "internal_error: TypeError: 'int' object is not iterable"
+        assert "result" not in report["tasks"][1]
         assert exit_status(report) == 1
 
     def test_determinism_modulo_timings(self):
