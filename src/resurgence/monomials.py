@@ -14,11 +14,11 @@ lex-first left generator outside the right side.  Stored generators are
 trusted, so an explicit right side is tested without re-validation.  In two
 variables a minimal generating set sorted lex is a staircase: x strictly
 increases while y strictly decreases.  Hence (gx, gy) lies in an explicit
-ideal iff the last of its generators with x <= gx has y <= gy, and one linear
-merge of the two staircases decides containment; the same invariant makes
-two-variable minimization one sort plus a sweep that keeps each entry whose
-y strictly decreases (Miller & Sturmfels, Combinatorial Commutative Algebra,
-ch. 1-3).
+ideal iff the last of its generators with x <= gx has y <= gy: one bisect
+finds that generator for a single monomial, and one linear merge of the two
+staircases decides containment.  The same invariant makes two-variable
+minimization one sort plus a sweep that keeps each entry whose y strictly
+decreases (Miller & Sturmfels, Combinatorial Commutative Algebra, ch. 1-3).
 """
 
 from __future__ import annotations
@@ -230,10 +230,7 @@ class MonomialIdeal:
     # -- membership ----------------------------------------------------------
 
     def contains(self, m: Sequence[int]) -> bool:
-        return self._has(check_monomial(m, self.nvars))
-
-    def _has(self, m: Monomial) -> bool:
-        """Membership of a monomial already checked against this ring."""
+        m = check_monomial(m, self.nvars)
         return self._contains_explicit(m) if self.view is None else self.view.contains(m)
 
     def _contains_explicit(self, m: Monomial) -> bool:

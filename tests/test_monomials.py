@@ -5,7 +5,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
 
 import oracles
 from resurgence import DimensionError, DomainError, MonomialIdeal, minimize_monomials
@@ -196,96 +195,3 @@ class TestViews:
         I = MonomialIdeal.from_generators(2, [g for g in gens if any(g)])
         for m in itertools.product(range(11), repeat=2):
             assert I.contains(m) == oracles.in_monomial_set(m, I.generators)
-
-
-# -- seeded property tests of the containment kernel ---------------------------
-
-SEEDED = settings(max_examples=150, deadline=None, database=None)
-
-
-def raw_generators(nvars, top=6):
-    """Generator lists of the zero ideal, the unit ideal or 1 to 9 monomials."""
-    mono = st.tuples(*[st.integers(0, top)] * nvars)
-    return st.one_of(st.just([]), st.just([(0,) * nvars]), st.lists(mono, min_size=1, max_size=9))
-
-
-def squarefree_generators(nvars):
-    mono = st.tuples(*[st.integers(0, 1)] * nvars).filter(any)
-    return st.lists(mono, min_size=1, max_size=5)
-
-
-@st.composite
-def explicit_pairs(draw):
-    nvars = draw(st.sampled_from([2, 3]))
-    return nvars, draw(raw_generators(nvars)), draw(raw_generators(nvars))
-
-
-@st.composite
-def view_pairs(draw):
-    """(left generators, right view ideal, independent membership oracle)."""
-    nvars = draw(st.sampled_from([2, 3]))
-    left = draw(raw_generators(nvars, top=5))
-    n = draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        base = draw(squarefree_generators(nvars))
-        right = symbolic_power(MonomialIdeal.from_generators(nvars, base), n)
-        member = lambda m: oracles.symbolic_member(m, base, n, nvars)  # noqa: E731
-    else:
-        base = draw(raw_generators(nvars, top=3).filter(lambda g: g and any(map(any, g))))
-        right = integral_closure(MonomialIdeal.from_generators(nvars, base), n)
-        member = None  # the scan over the materialized generators
-    return nvars, left, right, member
-
-
-class TestContainmentKernel:
-    @seed(61)
-    @SEEDED
-    @given(explicit_pairs())
-    def test_explicit_right_matches_naive_scan(self, case):
-        nvars, left, right = case
-        I = MonomialIdeal.from_generators(nvars, left)
-        J = MonomialIdeal.from_generators(nvars, right)
-        expected = oracles.first_outside(left, lambda m: oracles.in_monomial_set(m, right))
-        assert I.witness_not_in(J) == expected
-        assert I.is_subset_of(J) == (expected is None)
-
-    @seed(62)
-    @SEEDED
-    @given(explicit_pairs())
-    def test_products_match_naive_scan(self, case):
-        # products give long staircases on both sides of the 2-variable merge
-        nvars, left, right = case
-        I = MonomialIdeal.from_generators(nvars, left)
-        J = MonomialIdeal.from_generators(nvars, right)
-        left_raw = oracles.product_set(left, right) if left and right else []
-        right_raw = oracles.product_set(right, right) if right else []
-        expected = oracles.first_outside(left_raw, lambda m: oracles.in_monomial_set(m, right_raw))
-        assert I.multiply(J).witness_not_in(J.multiply(J)) == expected
-
-    @seed(63)
-    @SEEDED
-    @given(view_pairs())
-    def test_view_right_matches_naive_scan(self, case):
-        nvars, left, right, member = case
-        I = MonomialIdeal.from_generators(nvars, left)
-        witness = I.witness_not_in(right)
-        subset = I.is_subset_of(right)
-        materialized = right.generators
-        expected = oracles.first_outside(left, lambda m: oracles.in_monomial_set(m, materialized))
-        assert witness == expected
-        assert subset == (expected is None)
-        if member is not None:
-            assert expected == oracles.first_outside(left, member)
-
-
-class TestMinimizeOracle:
-    @seed(64)
-    @SEEDED
-    @given(st.sampled_from([2, 3]).flatmap(
-        lambda n: st.lists(st.tuples(*[st.integers(0, 8)] * n), max_size=30)))
-    def test_matches_brute_force_minimal_set(self, gens):
-        once = minimize_monomials(gens)
-        assert list(once) == oracles.minimal_set(gens)
-        assert list(once) == sorted(once)
-        assert minimize_monomials(once) == once
-        assert minimize_monomials(reversed(gens)) == once
