@@ -122,19 +122,15 @@ class EquivalenceConstant:
     horizon: int
 
 
-def bequiv_constant(kind: str, ideal: MonomialIdeal, horizon: int = 8) -> EquivalenceConstant:
-    """Equivalence shift for the family of `kind` over `ideal`.
+def bequiv_constant(ideal: MonomialIdeal, horizon: int = 8) -> EquivalenceConstant:
+    """Equivalence shift of the closures of the powers of `ideal`.
 
-    kind 'powers': k = 0 exactly.  kind 'closure_powers': the Briancon-Skoda
-    bound k = vars - 1 certifies closure(I^(i+k)) <= I^i; the tightening pass
-    then decrements k while the containment verifies on the window.
+    The Briancon-Skoda bound k = vars - 1 certifies closure(I^(i+k)) <= I^i;
+    the tightening pass then decrements k while the containment verifies on
+    the window.  (Plain powers need no pass: their shift is 0 exactly.)
     """
     if ideal.is_zero() or ideal.is_unit():
         raise DomainError("equivalence constants need a nonzero proper ideal")
-    if kind == "powers":
-        return EquivalenceConstant(0, 0, True, horizon)
-    if kind != "closure_powers":
-        raise CapabilityError(f"no equivalence certificate for family kind {kind!r}")
     bound = ideal.nvars - 1
     k = bound
     while k > 0:

@@ -265,7 +265,9 @@ class GradedFamily:
         if sem is None or sem[1] != affine(1) or not sem[0].is_proper():
             return None
         base, _, closed = sem
-        return (base, closures.bequiv_constant("closure_powers" if closed else "powers", base))
+        if not closed:
+            return base, closures.EquivalenceConstant(0, 0, True, 8)
+        return base, closures.bequiv_constant(base)
 
     def eventually_constant(self) -> Optional[Tuple[int, MonomialIdeal]]:
         """(d0, C) with member(d) = C for all d >= d0, when provable."""

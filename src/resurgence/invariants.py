@@ -54,45 +54,26 @@ class SequenceValue:
         return "empty"
 
 
-def _least_failing(fails: Callable[[int], bool], cutoff: int) -> Optional[int]:
-    """Least d <= cutoff with fails(d), given an upward-closed failure set.
+def _first_index(holds: Callable[[int], bool], cutoff: int) -> Optional[int]:
+    """Least d in 1..cutoff with holds(d), given an upward-closed set of such d;
+    None if there is none.
 
-    Galloping doubles the probe index, so members are only evaluated near the
-    answer, never at the cutoff unless the answer is out of reach.
+    Gallops through 1, 2, 4, ... (capped at the cutoff) and then bisects the
+    last gap, so members are only evaluated near the answer and no index is
+    probed twice.
     """
     lo, d = 0, 1
-    while d < cutoff and not fails(d):
+    while not holds(d):
+        if d >= cutoff:
+            return None
         lo, d = d, min(2 * d, cutoff)
-    if not fails(d):
-        return None
-    hi = d
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fails(mid):
-            hi = mid
+    while d - lo > 1:
+        mid = (lo + d) // 2
+        if holds(mid):
+            d = mid
         else:
             lo = mid
-    return hi
-
-
-def _greatest_failing(fails: Callable[[int], bool], cutoff: int):
-    """Greatest d <= cutoff with fails(d), for a downward-closed failure set;
-    None if nothing fails, ('exceeds',) if the cutoff itself fails."""
-    if not fails(1):
-        return None
-    lo, d = 1, 1
-    while d < cutoff and fails(d):
-        lo, d = d, min(2 * d, cutoff)
-    if fails(d):
-        return ("exceeds",)
-    hi = d
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fails(mid):
-            lo = mid
-        else:
-            hi = mid
-    return ("finite", lo)
+    return d
 
 
 def _power_pair_tests(a: fam.GradedFamily, b: fam.GradedFamily):
@@ -115,31 +96,58 @@ def _power_pair_tests(a: fam.GradedFamily, b: fam.GradedFamily):
     return None
 
 
+def _escape_test(a: fam.GradedFamily, b: fam.GradedFamily):
+    """(escapes, by_exponents): escapes(i, j) is True iff a_i is not contained
+    in b_j.  by_exponents says it compares power exponents (see
+    _power_pair_tests) and builds no ideal."""
+    pair = _power_pair_tests(a, b)
+    if pair is None:
+        return (lambda i, j: not a.member(i).is_subset_of(b.member(j))), False
+    fa, fb = pair
+    return (lambda i, j: fa(i) < fb(j)), True
+
+
+def _value_escape_test(v: MonomialValuation, a: fam.GradedFamily, b: fam.GradedFamily):
+    """(i, j) -> v(a_i) < v(b_j); closed-form value sequences are used for
+    power-pattern families without materializing any ideal."""
+    va, vb = _value_rule(v, a), _value_rule(v, b)
+    return lambda i, j: va(i) < vb(j)
+
+
+def _value_rule(v: MonomialValuation, family: fam.GradedFamily) -> Callable[[int], int]:
+    rule = family.value_rule(v.weights)
+    if rule is not None:
+        return rule
+    return lambda n: v.of_ideal(family.member(n))
+
+
 def beta(a: fam.GradedFamily, b: fam.GradedFamily, s: int, cutoff: int) -> SequenceValue:
     """Least d <= cutoff with a_s not contained in b_d.
 
-    Binary search when b is a filtration by construction (the escape set is
+    Galloping search when b is a filtration by construction (the escape set is
     upward closed); linear scan otherwise.  'empty' is only reported when the
     family provably never escapes (constant tail reached inside the window).
     """
     if s < 1 or cutoff < 1:
         raise DomainError("beta needs s >= 1 and cutoff >= 1")
-    pair = _power_pair_tests(a, b)
-    if pair is not None:
-        fa, fb = pair
-        va = fa(s)
-        fails = lambda d: va < fb(d)
-    else:
-        a_s = a.member(s)
-        if a_s.is_zero():
-            return SequenceValue("empty")
-        fails = lambda d: not a_s.is_subset_of(b.member(d))
-    return _beta_search(fails, b, cutoff)
+    escapes, by_exponents = _escape_test(a, b)
+    if not by_exponents and a.member(s).is_zero():
+        return SequenceValue("empty")
+    return _beta_search(lambda d: escapes(s, d), b, cutoff)
+
+
+def beta_v(v: MonomialValuation, a: fam.GradedFamily, b: fam.GradedFamily,
+           s: int, cutoff: int) -> SequenceValue:
+    """Least d <= cutoff with v(a_s) < v(b_d)."""
+    if s < 1 or cutoff < 1:
+        raise DomainError("beta_v needs s >= 1 and cutoff >= 1")
+    escapes = _value_escape_test(v, a, b)
+    return _beta_search(lambda d: escapes(s, d), b, cutoff)
 
 
 def _beta_search(fails, b, cutoff) -> SequenceValue:
     if b.filtration:
-        hit = _least_failing(fails, cutoff)
+        hit = _first_index(fails, cutoff)
     else:
         hit = next((d for d in range(1, cutoff + 1) if fails(d)), None)
     if hit is not None:
@@ -158,54 +166,8 @@ def lambda_(a: fam.GradedFamily, b: fam.GradedFamily, n: int, cutoff: int) -> Se
     """
     if n < 1 or cutoff < 1:
         raise DomainError("lambda needs n >= 1 and cutoff >= 1")
-    pair = _power_pair_tests(a, b)
-    if pair is not None:
-        fa, fb = pair
-        vb = fb(n)
-        fails = lambda d: fa(d) < vb
-    else:
-        b_n = b.member(n)
-        fails = lambda d: not a.member(d).is_subset_of(b_n)
-    return _lambda_search(fails, a, cutoff)
-
-
-def _lambda_search(fails, a, cutoff) -> SequenceValue:
-    if a.filtration:
-        got = _greatest_failing(fails, cutoff)
-        if got is None:
-            return SequenceValue("empty")
-        if got[0] == "exceeds":
-            return SequenceValue("exceeds", bound=cutoff)
-        return SequenceValue("finite", got[1])
-    best = None
-    for d in range(cutoff, 0, -1):
-        if fails(d):
-            best = d
-            break
-    if best is None:
-        return SequenceValue("empty", certified=False)
-    if best == cutoff:
-        return SequenceValue("exceeds", bound=cutoff)
-    return SequenceValue("finite", best, certified=False)
-
-
-def _value_rule(v: MonomialValuation, family: fam.GradedFamily) -> Callable[[int], int]:
-    rule = family.value_rule(v.weights)
-    if rule is not None:
-        return rule
-    return lambda n: v.of_ideal(family.member(n))
-
-
-def beta_v(v: MonomialValuation, a: fam.GradedFamily, b: fam.GradedFamily,
-           s: int, cutoff: int) -> SequenceValue:
-    """Least d <= cutoff with v(a_s) < v(b_d); closed-form value sequences are
-    used for power-pattern families without materializing any ideal."""
-    if s < 1 or cutoff < 1:
-        raise DomainError("beta_v needs s >= 1 and cutoff >= 1")
-    va = _value_rule(v, a)(s)
-    vb = _value_rule(v, b)
-    fails = lambda d: va < vb(d)
-    return _beta_search(fails, b, cutoff)
+    escapes, _ = _escape_test(a, b)
+    return _lambda_search(lambda d: escapes(d, n), a, cutoff)
 
 
 def lambda_v(v: MonomialValuation, a: fam.GradedFamily, b: fam.GradedFamily,
@@ -213,10 +175,23 @@ def lambda_v(v: MonomialValuation, a: fam.GradedFamily, b: fam.GradedFamily,
     """Greatest d <= cutoff with v(a_d) < v(b_n)."""
     if n < 1 or cutoff < 1:
         raise DomainError("lambda_v needs n >= 1 and cutoff >= 1")
-    vb = _value_rule(v, b)(n)
-    va = _value_rule(v, a)
-    fails = lambda d: va(d) < vb
-    return _lambda_search(fails, a, cutoff)
+    escapes = _value_escape_test(v, a, b)
+    return _lambda_search(lambda d: escapes(d, n), a, cutoff)
+
+
+def _lambda_search(fails, a, cutoff) -> SequenceValue:
+    if a.filtration:
+        # the greatest failing index is one below the least non-failing one
+        held = _first_index(lambda d: not fails(d), cutoff)
+        if held is None:
+            return SequenceValue("exceeds", bound=cutoff)
+        return SequenceValue("finite", held - 1) if held > 1 else SequenceValue("empty")
+    best = next((d for d in range(cutoff, 0, -1) if fails(d)), None)
+    if best is None:
+        return SequenceValue("empty", certified=False)
+    if best == cutoff:
+        return SequenceValue("exceeds", bound=cutoff)
+    return SequenceValue("finite", best, certified=False)
 
 
 def noncontainment_table(a: fam.GradedFamily, b: fam.GradedFamily, s_max: int,
@@ -300,6 +275,8 @@ def rho_window(a: fam.GradedFamily, b: fam.GradedFamily, s_max: int, r_max: int)
     stamped exact when a closed form applies (pure-ceiling pairs over one
     base ideal) or when the no-escape analysis of the -inf case closes.
     """
+    if s_max < 1:
+        raise DomainError("rho_window needs s_max >= 1")
     pairs, best = _escape_pairs(a, b, range(1, s_max + 1), r_max)
     search = {"s_max": s_max, "r_max": r_max}
     details = {"noncontainment_pairs": tuple(pairs)}
@@ -671,11 +648,12 @@ def rho_exact_certified(a: fam.GradedFamily, b: fam.GradedFamily, search_budget:
     best = None
     for r in range(1, r_limit + 1):
         s_limit = ceil_frac((r + gap.k) * rho_hat.value) - 1
-        found = _max_escape_s(a, b, r, s_limit)
-        if found is not None:
-            ratio = Fraction(found, r)
-            if best is None or ratio > best[0]:
-                best = (ratio, found, r)
+        if s_limit < 1:
+            continue
+        sv = lambda_(a, b, r, s_limit)
+        found = s_limit if sv.kind == "exceeds" else sv.value
+        if found is not None and (best is None or Fraction(found, r) > best[0]):
+            best = (Fraction(found, r), found, r)
     if best is None:  # pragma: no cover - (s0, r0) lies in the region
         raise AssertionError("search region lost the witness pair")
     witness = a.member(best[1]).witness_not_in(b.member(best[2]))
@@ -714,7 +692,7 @@ def _closure_gap(b, horizon, assertions) -> EquivalenceConstant:
         return EquivalenceConstant(0, 0, True, horizon)
     sem = b.power_semantics()
     if sem is not None and sem[1] == fam.affine(1):
-        return bequiv_constant("closure_powers", sem[0], horizon)
+        return bequiv_constant(sem[0], horizon)
     for text in assertions:
         if text.startswith("closure_gap:"):
             k = int(text.split(":", 1)[1])
@@ -734,21 +712,6 @@ def _search_witness(a, b, rho_hat: Fraction, budget: int):
             if not a.member(s).is_subset_of(b.member(r)):
                 return s, r
     return None
-
-
-def _max_escape_s(a, b, r, s_limit):
-    """Largest s <= s_limit with a_s escaping b_r (top-down break for filtrations)."""
-    b_r = b.member(r)
-    if a.filtration:
-        for s in range(s_limit, 0, -1):
-            if not a.member(s).is_subset_of(b_r):
-                return s
-        return None
-    best = None
-    for s in range(1, s_limit + 1):
-        if not a.member(s).is_subset_of(b_r):
-            best = s
-    return best
 
 
 # ---------------------------------------------------------------------------

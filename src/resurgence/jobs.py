@@ -398,12 +398,12 @@ def _valuation(task):
     return val.MonomialValuation(tuple(int(w) for w in task["weights"]))
 
 
-def _table(config, task, func, index, fallback):
-    """{"table": [(i, inv.<func>(a, b, i, cutoff))]} for i from <index>_from
-    (else <fallback>_from, else 1) to <index>_to (else <fallback>_to, else 0);
-    the valuation versions take the task's weights first."""
+def _table(config, task, func, index, fallback, *head):
+    """{"table": [(i, inv.<func>(*head, a, b, i, cutoff))]} for i from
+    <index>_from (else <fallback>_from, else 1) to <index>_to (else
+    <fallback>_to, else 0); the valuation versions pass the task's valuation
+    as `head`."""
     a, b = _pair(config, task)
-    head = (_valuation(task),) if func.endswith("_v") else ()
     lo = int(task.get(f"{index}_from", task.get(f"{fallback}_from", 1)))
     hi = int(task.get(f"{index}_to", task.get(f"{fallback}_to", 0)))
     cutoff = _param(config, task, "cutoff")
@@ -420,8 +420,10 @@ class Op(NamedTuple):
 OPS = {
     "beta_table": Op(("a", "b", "s_to"), lambda c, t: _table(c, t, "beta", "s", "s")),
     "lambda_table": Op(("a", "b", "n_to"), lambda c, t: _table(c, t, "lambda_", "n", "n")),
-    "beta_v_table": Op(("a", "b", "weights"), lambda c, t: _table(c, t, "beta_v", "n", "s")),
-    "lambda_v_table": Op(("a", "b", "weights"), lambda c, t: _table(c, t, "lambda_v", "n", "s")),
+    "beta_v_table": Op(("a", "b", "weights"), lambda c, t: _table(
+        c, t, "beta_v", "n", "s", _valuation(t))),
+    "lambda_v_table": Op(("a", "b", "weights"), lambda c, t: _table(
+        c, t, "lambda_v", "n", "s", _valuation(t))),
     "rho_window": Op(("a", "b"), lambda c, t: inv.rho_window(
         *_pair(c, t), _param(c, t, "s_max", "window"), _param(c, t, "r_max", "window"))),
     "rho_n": Op(("a", "b", "n"), lambda c, t: inv.rho_n(

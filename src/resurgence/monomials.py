@@ -46,7 +46,10 @@ def monomial(*exponents: int) -> Monomial:
 
 def check_monomial(m: Sequence[int], nvars: int) -> Monomial:
     given = tuple(m)
-    m = tuple(map(int, given))
+    try:
+        m = tuple(map(int, given))
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf
+        raise DomainError(f"non-integral exponent in monomial {given}") from None
     if len(m) != nvars:
         raise DimensionError(f"monomial has {len(m)} exponents, ambient ring has {nvars} variables")
     if m != given:

@@ -271,11 +271,10 @@ def _staircase_hull_2d(pts) -> RationalPolyhedron:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min <objective, y> subject to <normal_i, y> >= offset_i (and y >= 0 if nonneg)."""
+    """min <objective, y> subject to <normal_i, y> >= offset_i and y >= 0."""
 
     objective: Tuple[Fraction, ...]
     constraints: Tuple[HalfSpace, ...]
-    nonneg: bool = True
 
     def __post_init__(self):
         for c in self.constraints:
@@ -299,26 +298,18 @@ def lp_minimize(lp: LinearProgram) -> LPResult:
     """Exact optimum with a verified dual certificate.
 
     Returns Infeasible / Unbounded as values.  For a finite optimum the dual
-    multipliers u satisfy u >= 0, A^T u <= c (with equality on free-variable
-    coordinates) and b.u = optimum; these conditions are re-checked exactly
-    before returning.
+    multipliers u satisfy u >= 0, A^T u <= c and b.u = optimum; these
+    conditions are re-checked exactly before returning.  A free variable is
+    written as the difference of two nonnegative ones by the caller.
     """
     nvar = len(lp.objective)
-    if lp.nonneg:
-        cols = [list(h.normal) for h in lp.constraints]
-        obj = [Fraction(x) for x in lp.objective]
-    else:
-        # free variables: y = u - v
-        cols = [list(h.normal) + [-x for x in h.normal] for h in lp.constraints]
-        obj = [Fraction(x) for x in lp.objective] + [-Fraction(x) for x in lp.objective]
     m = len(lp.constraints)
-    n_struct = len(obj)
     # A y - s = b, rows flipped to make b >= 0; artificials appended last.
     A = []
     b = []
     flips = []
     for i in range(m):
-        row = [Fraction(x) for x in cols[i]]
+        row = [Fraction(x) for x in lp.constraints[i].normal]
         row += [Fraction(-1) if j == i else Fraction(0) for j in range(m)]
         rhs = Fraction(lp.constraints[i].offset)
         if rhs < 0:
@@ -329,7 +320,7 @@ def lp_minimize(lp: LinearProgram) -> LPResult:
             flips.append(1)
         A.append(row)
         b.append(rhs)
-    n_total = n_struct + m
+    n_total = nvar + m
     art = list(range(n_total, n_total + m))
     for i in range(m):
         A[i] = A[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
@@ -356,7 +347,7 @@ def lp_minimize(lp: LinearProgram) -> LPResult:
                 basis[i] = entering
 
     # phase 2 with artificials barred; rebuild from the phase-1 tableau
-    c2 = [Fraction(x) for x in obj] + [Fraction(0)] * m + [Fraction(0)] * m
+    c2 = [Fraction(x) for x in lp.objective] + [Fraction(0)] * (2 * m)
     A2 = [row[:-1] for row in T]
     b2 = [row[-1] for row in T]
     basis2, T2 = _simplex_loop(A2, b2, c2, basis, barred=set(art))
@@ -365,10 +356,7 @@ def lp_minimize(lp: LinearProgram) -> LPResult:
     x = [Fraction(0)] * (n_total + m)
     for i, bv in enumerate(basis2):
         x[bv] = T2[i][-1]
-    if lp.nonneg:
-        y = tuple(x[:nvar])
-    else:
-        y = tuple(x[j] - x[nvar + j] for j in range(nvar))
+    y = tuple(x[:nvar])
     optimum = sum(Fraction(ci) * yi for ci, yi in zip(lp.objective, y))
     # dual from the artificial columns (they started as the identity)
     u_std = []
@@ -421,12 +409,8 @@ def _verify_dual(lp: LinearProgram, optimum: Fraction, dual: Sequence[Fraction])
     nvar = len(lp.objective)
     for j in range(nvar):
         coeff = sum(Fraction(u) * Fraction(lp.constraints[i].normal[j]) for i, u in enumerate(dual))
-        if lp.nonneg:
-            if coeff > Fraction(lp.objective[j]):
-                raise AssertionError("dual certificate violates A^T u <= c")
-        else:
-            if coeff != Fraction(lp.objective[j]):
-                raise AssertionError("dual certificate violates A^T u = c on a free variable")
+        if coeff > Fraction(lp.objective[j]):
+            raise AssertionError("dual certificate violates A^T u <= c")
     value = sum(Fraction(u) * Fraction(lp.constraints[i].offset) for i, u in enumerate(dual))
     if value != optimum:
         raise AssertionError("dual objective does not match the primal optimum")

@@ -134,7 +134,7 @@ def _symbolic_waldschmidt(v: MonomialValuation, ideal: MonomialIdeal) -> Waldsch
     vertex covers {y >= 0 : sum_{i in C} y_i >= 1 for every minimal cover C}."""
     covers = minimal_covers(ideal)
     constraints = tuple(HalfSpace(tuple(c), 1) for c in covers)
-    lp = LinearProgram(tuple(Fraction(w) for w in v.weights), constraints, nonneg=True)
+    lp = LinearProgram(tuple(Fraction(w) for w in v.weights), constraints)
     res = lp_minimize(lp)
     if not res.is_optimal:  # pragma: no cover - the cover LP is always feasible & bounded
         raise AssertionError(f"cover LP returned {res.status}")

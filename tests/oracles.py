@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from resurgence import LinearProgram, lp_minimize
+from resurgence import HalfSpace, LinearProgram, lp_minimize
 
 
 def divides(a, b):
@@ -231,7 +231,10 @@ def halfspace_redundant(poly, index):
     """LP witness check: can the polyhedron do without halfspace `index`?"""
     target = poly.halfspaces[index]
     others = tuple(h for i, h in enumerate(poly.halfspaces) if i != index)
-    lp = LinearProgram(tuple(Fraction(v) for v in target.normal), others, nonneg=False)
+    # the variables are free: y = u - v with u, v >= 0
+    split = tuple(HalfSpace(h.normal + tuple(-x for x in h.normal), h.offset) for h in others)
+    objective = tuple(Fraction(v) for v in target.normal)
+    lp = LinearProgram(objective + tuple(-c for c in objective), split)
     res = lp_minimize(lp)
     if res.status == "unbounded":
         return False

@@ -14,6 +14,7 @@ from resurgence import (
     integral_closure,
     minimal_covers,
     newton_polyhedron,
+    powers,
     rees_valuations,
     symbolic_power,
 )
@@ -211,14 +212,15 @@ class TestSymbolicPowers:
 
 class TestEquivalenceConstant:
     def test_powers_are_zero(self):
-        assert bequiv_constant("powers", ideal(2, (1, 0), (0, 1))).k == 0
+        _, const = powers(ideal(2, (1, 0), (0, 1))).base_equivalence()
+        assert (const.k, const.bound, const.certified) == (0, 0, True)
 
     def test_normal_ideal_tightens_to_zero(self):
-        got = bequiv_constant("closure_powers", ideal(2, (1, 0), (0, 1)))
+        got = bequiv_constant(ideal(2, (1, 0), (0, 1)))
         assert (got.k, got.bound, got.certified) == (0, 1, False)
 
     def test_non_normal_stays_at_bound(self):
-        got = bequiv_constant("closure_powers", ideal(2, (2, 0), (0, 3)))
+        got = bequiv_constant(ideal(2, (2, 0), (0, 3)))
         assert (got.k, got.certified) == (1, True)
 
     def test_briancon_skoda_window(self):

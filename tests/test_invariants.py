@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +10,7 @@ from resurgence import (
     NEG_INFINITY,
     POS_INFINITY,
     CapabilityError,
+    DomainError,
     HypothesisError,
     MonomialIdeal,
     MonomialValuation,
@@ -40,6 +42,8 @@ from resurgence import (
     veronese_scaling_check,
 )
 import resurgence.families as fam
+from resurgence.invariants import _first_index, _lambda_search
+from resurgence.rationals import ceil_frac
 
 
 def ideal(nvars, *gens):
@@ -122,6 +126,45 @@ class TestBeta:
             direct = next(d for d in range(1, 31)
                           if not a.member(s).is_subset_of(b.member(d)))
             assert fast.value == direct
+
+
+class TestFirstIndex:
+    """The galloping search against a linear scan.  A closed set of indices is
+    a threshold set, so every one inside, at the edges of and beyond each
+    window is tried, plus a seeded far threshold."""
+
+    @staticmethod
+    def counted(predicate):
+        probes = []
+
+        def probe(d):
+            probes.append(d)
+            return predicate(d)
+        return probe, probes
+
+    def test_matches_linear_scan_and_probes_each_index_once(self):
+        rng = random.Random(41)
+        filtration = SimpleNamespace(filtration=True)
+        for cutoff in range(1, 65):
+            window = range(1, cutoff + 1)
+            far = rng.randint(cutoff + 3, 4 * cutoff + 8)
+            for t in list(range(0, cutoff + 3)) + [far]:
+                # upward closed, as beta's escape set: least member
+                holds, probes = self.counted(lambda d: d >= t)
+                want = next((d for d in window if d >= t), None)
+                assert _first_index(holds, cutoff) == want, (cutoff, t)
+                assert len(probes) == len(set(probes)) and set(probes) <= set(window)
+                # downward closed, as lambda's escape set: greatest member
+                fails, probes = self.counted(lambda d: d < t)
+                last = max((d for d in window if d < t), default=None)
+                got = _lambda_search(fails, filtration, cutoff)
+                if last is None:
+                    assert got.kind == "empty", (cutoff, t)
+                elif last == cutoff:
+                    assert (got.kind, got.bound) == ("exceeds", cutoff), (cutoff, t)
+                else:
+                    assert (got.kind, got.value) == ("finite", last), (cutoff, t)
+                assert len(probes) == len(set(probes)) and set(probes) <= set(window)
 
 
 class TestLambda:
@@ -252,6 +295,11 @@ class TestRhoWindow:
         rep = rho_window(powers(I), b, 20, 20)
         assert rep.value == finite(Fraction(1, 2))
         assert rep.witnesses[0][:2] == (1, 2)
+
+    def test_empty_window_rejected(self):
+        m = maximal(2)
+        with pytest.raises(DomainError):
+            rho_window(powers(m), powers(m.power(2)), 0, 5)
 
     def test_constant_family_is_neg_infinity(self):
         I = maximal(2)
@@ -401,6 +449,29 @@ class TestRhoExact:
         assert powers(J).member(s).contains(witness)
         assert not powers(I).member(r).contains(witness)
         assert rep.details["region"]["N"] == 6
+
+    def test_region_scan_with_non_filtration_left_family(self):
+        # a = m, m^2, m^3, m^4, m, m^6, m^7, ... is no filtration (a_5 = m), but
+        # a_(2n) = (m^2)^n gives w^(a) = w(m); against b = powers((x^2, y^3))
+        # rho_hat = 3 and the row r = 1 escapes at s = 1, 2, 3 and 5, not at 4
+        m = maximal(2)
+        a = table(2, [m, m.power(2), m.power(3), m.power(4), m],
+                  tail=fam.Power(fam.Base("m"), fam.affine(1)), env=fam.Environment({"m": m}))
+        b = powers(ideal(2, (2, 0), (0, 3)))
+        assert not a.filtration
+        rep = rho_exact_certified(a, b)
+        rho_hat, k = rep.details["rho_hat"].value, rep.details["gap"].k
+        assert (rho_hat, k) == (3, 1)
+        region = [(s, r) for r in range(1, ceil_frac(rep.details["region"]["N"]))
+                  for s in range(1, ceil_frac((r + k) * rho_hat))]
+        escapes = [(Fraction(s, r), s, r) for s, r in region
+                   if not a.member(s).is_subset_of(b.member(r))]
+        best = max(escapes, key=lambda e: e[0])
+        assert rep.certified
+        assert rep.value == finite(best[0]) == finite(5)
+        s, r, witness = rep.witnesses[0]
+        assert (s, r) == best[1:]
+        assert a.member(s).contains(witness) and not b.member(r).contains(witness)
 
     def test_value_at_rho_hat_without_strict_witness(self):
         # a = powers(m), b = powers((x^2, y^3)): every escape has s/r <= 3 and

@@ -53,6 +53,13 @@ class TestMinimize:
         with pytest.raises(DomainError):
             MonomialIdeal.from_generators(2, gens)
 
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf"), float("-inf"), None, "x"])
+    def test_non_numeric_exponents_are_rejected(self, exponent):
+        with pytest.raises(DomainError):
+            MonomialIdeal.from_generators(2, [(exponent, 1)])
+        with pytest.raises(DomainError):
+            ideal(2, (1, 0)).contains((exponent, 1))
+
     def test_integral_values_are_accepted(self):
         assert ideal(2, (2.0, Fraction(3, 1))).generators == ((2, 3),)
 

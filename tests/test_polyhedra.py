@@ -222,10 +222,11 @@ class TestLP:
         assert lp_minimize(lp).status == "infeasible"
 
     def test_free_variables(self):
+        # free y = u - v with u, v >= 0: min y1 + y2 s.t. y1 >= -2, y2 >= -3, y1 + y2 >= -4
         lp = LinearProgram(
-            (Fraction(1), Fraction(1)),
-            (HalfSpace((1, 0), -2), HalfSpace((0, 1), -3), HalfSpace((1, 1), -4)),
-            nonneg=False,
+            (Fraction(1), Fraction(1), Fraction(-1), Fraction(-1)),
+            (HalfSpace((1, 0, -1, 0), -2), HalfSpace((0, 1, 0, -1), -3),
+             HalfSpace((1, 1, -1, -1), -4)),
         )
         res = lp_minimize(lp)
         assert res.optimum == Fraction(-4)
