@@ -426,8 +426,7 @@ def rho_hat_rees(a: fam.GradedFamily, b: fam.GradedFamily, kmax: int = 6,
     if beq is not None:
         base, const = beq
         hyps.append(f"structural: b is base-equivalent with shift {const.k} (bound {const.bound})")
-        rv = rees_valuations(base)
-        ratios = _valuation_ratios(rv, lambda val: Fraction(val), a, kmax, horizon)
+        ratios = _valuation_ratios(rees_valuations(base).weights(), base, 1, a, kmax, horizon)
         claims += [
             "equals rho_hat(a, closure(b))",
             "equals rho(a, closure(b))",
@@ -445,8 +444,7 @@ def rho_hat_rees(a: fam.GradedFamily, b: fam.GradedFamily, kmax: int = 6,
         bk = b.member(k)
         if not bk.is_proper():
             raise DomainError(f"member b_{k} is not a proper nonzero ideal")
-        rv = rees_valuations(bk)
-        ratios = _valuation_ratios(rv, lambda val: Fraction(val, k), a, kmax, horizon)
+        ratios = _valuation_ratios(rees_valuations(bk).weights(), bk, k, a, kmax, horizon)
         claims.append("equals rho_hat(a, closure(b))")
         if "closure_module_finite" in assertions:
             claims.append(
@@ -461,12 +459,10 @@ def rho_hat_rees(a: fam.GradedFamily, b: fam.GradedFamily, kmax: int = 6,
         if k > 1 and b.member(1).is_proper():
             # open data for the RV(b_1)-versus-RV(b_k) question: same formula
             # evaluated over the Rees valuations of b_1, never a theorem.
-            rv1 = rees_valuations(b.member(1))
-            ratios1 = _valuation_ratios(rv1, lambda val: Fraction(val, k), a, kmax, horizon,
-                                        proxy_member=b.member(k))
+            ratios1 = _valuation_ratios(rees_valuations(b.member(1)).weights(), bk, k, a,
+                                        kmax, horizon)
             details["rv_b1_data"] = tuple(ratios1)
-            rv1_max, _ = _max_ratio(ratios1)
-            details["rv_b1_max"] = rv1_max
+            details["rv_b1_max"] = _max_ratio(ratios1)[0]
     value, maximizer = _max_ratio(ratios)
     details["valuations"] = tuple(ratios)
     details["maximizer"] = maximizer
@@ -477,15 +473,13 @@ def rho_hat_rees(a: fam.GradedFamily, b: fam.GradedFamily, kmax: int = 6,
                             search={"kmax": kmax, "horizon": horizon}, details=details)
 
 
-def _valuation_ratios(rv, vhat_b_of, a, kmax, horizon, proxy_member=None):
-    """(weights, vhat(b), vhat(a), ratio) per Rees valuation, exact only."""
+def _valuation_ratios(weights, anchor, k, a, kmax, horizon):
+    """(w, vhat(b), vhat(a), ratio) per weight vector w, exact only: vhat(b) =
+    w(anchor)/k for every w, anchor b_k for a standard Veronese index k."""
     rows = []
-    for weights, val in rv.valuations:
-        v = MonomialValuation(weights)
-        # with a proxy member (b_k), vhat(b) is read off that member instead of
-        # the valuation's own value: under a standard Veronese index the
-        # constant equals v(b_k)/k for every valuation
-        vb = vhat_b_of(v.of_ideal(proxy_member) if proxy_member is not None else val)
+    for w in weights:
+        v = MonomialValuation(w)
+        vb = Fraction(v.of_ideal(anchor), k)
         wa = skew_waldschmidt(v, a, window=max(horizon, 8), kmax=kmax)
         if not wa.certified:
             raise CapabilityError(
@@ -493,21 +487,14 @@ def _valuation_ratios(rv, vhat_b_of, a, kmax, horizon, proxy_member=None):
                 "use rho_hat_beta_limit"
             )
         va = wa.value
-        if va == 0:
-            rows.append((weights, vb, va, POS_INFINITY))
-        else:
-            rows.append((weights, vb, va, finite(vb / va)))
+        rows.append((w, vb, va, POS_INFINITY if va == 0 else finite(vb / va)))
     return rows
 
 
 def _max_ratio(rows):
-    best = None
-    best_w = None
-    for weights, _vb, _va, ratio in rows:
-        if best is None or ratio > best:
-            best = ratio
-            best_w = weights
-    return best, best_w
+    """(ratio, weights) of the first row with the largest ratio."""
+    weights, _vb, _va, ratio = max(rows, key=lambda row: row[3])
+    return ratio, weights
 
 
 def rho_hat_beta_limit(a: fam.GradedFamily, b: fam.GradedFamily, n_max: int, cutoff: int,
@@ -542,13 +529,13 @@ def rho_hat_beta_limit(a: fam.GradedFamily, b: fam.GradedFamily, n_max: int, cut
         scale = 1
     if not anchor.is_proper():
         raise DomainError("anchor member of b is not a proper nonzero ideal")
-    rv = rees_valuations(anchor)
+    weights = rees_valuations(anchor).weights()
     try:
-        rows = _valuation_ratios(rv, lambda val: Fraction(val, scale), a, kmax, horizon)
+        rows = _valuation_ratios(weights, anchor, scale, a, kmax, horizon)
         _, v0w = _max_ratio(rows)
     except CapabilityError:
         rows = ()
-        v0w = rv.valuations[0][0]
+        v0w = weights[0]
         notes.append("v0 defaulted to the first Rees valuation (no exact skew Waldschmidt for a)")
     v0 = MonomialValuation(v0w)
     if grid is None:
@@ -695,7 +682,12 @@ def _closure_gap(b, horizon, assertions) -> EquivalenceConstant:
         return bequiv_constant(sem[0], horizon)
     for text in assertions:
         if text.startswith("closure_gap:"):
-            k = int(text.split(":", 1)[1])
+            try:
+                k = int(text.split(":", 1)[1])
+            except ValueError:
+                k = -1
+            if k < 0:
+                raise DomainError(f"assertion {text!r} needs an integer gap >= 0")
             return EquivalenceConstant(k, k, False, horizon)
     raise HypothesisError(
         "no closure-gap certificate for this family kind; assert 'closure_gap:<k>' if known"

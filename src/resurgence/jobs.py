@@ -58,13 +58,16 @@ def _failed(values) -> bool:
     return any(value is _BAD for value in values)
 
 
-def _parse_int(value, where, errors) -> Optional[int]:
-    """int(value), or None with an error collected when it is not an integer."""
+def _parse_int(value, where, errors):
+    """The int of an integer string or of an integral number (2.0), else _BAD
+    with the problem collected (2.7, Infinity, NaN, a list, ...)."""
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        errors.append(f"{where}: expected an integer, got {value!r}")
-        return None
+        if isinstance(value, str) or int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    errors.append(f"{where}: expected an integer, got {value!r}")
+    return _BAD
 
 
 def _named(name, table, key, what, where, errors):
@@ -91,7 +94,7 @@ def _check_assertions(value, where, errors):
     for text in value:
         if text.startswith("closure_gap:"):
             gap = _parse_int(text.split(":", 1)[1], f"{where}: 'assert' {text!r}", errors)
-            if gap is not None and gap < 0:
+            if gap is not _BAD and gap < 0:
                 errors.append(f"{where}: 'assert' {text!r} needs a gap >= 0")
 
 
@@ -152,12 +155,15 @@ class _FamilyBuilder:
         node = _named(name, self.nodes, "family", "family", self.where(part), self.errors)
         return _BAD if node is _BAD else self.build(name)
 
+    def integer(self, node, key, default=0, part=""):
+        return _parse_int(node.get(key, default), f"{self.where(part)}: {key}", self.errors)
+
     def count(self, node, key):
         """A positive integer field."""
-        value = _parse_int(node.get(key, 0), f"{self.where()}: {key}", self.errors)
-        if value is not None and value < 1:
+        value = self.integer(node, key)
+        if value is not _BAD and value < 1:
             return self.fail(f"{node['kind']} needs a positive {key!r}")
-        return _BAD if value is None else value
+        return value
 
     def alpha(self, node):
         try:
@@ -171,9 +177,11 @@ class _FamilyBuilder:
         kind = node["fn"]
         try:
             if kind == "affine":
-                return fam.affine(int(node.get("a", 1)), int(node.get("b", 0)))
+                a, b = self.integer(node, "a", 1, part), self.integer(node, "b", 0, part)
+                return _BAD if _failed((a, b)) else fam.affine(a, b)
             if kind == "ceil_mul":
-                return fam.ceil_mul(parse_fraction(str(node["ratio"])), int(node.get("offset", 0)))
+                args = (parse_fraction(str(node["ratio"])), self.integer(node, "offset", 0, part))
+                return _BAD if _failed(args) else fam.ceil_mul(*args)
             if kind == "ceil_sqrt":
                 return fam.ceil_sqrt()
             if kind == "ceil_log2p1":
@@ -210,8 +218,8 @@ class _FamilyBuilder:
             return _BAD if ideal is _BAD else fam.Base(node["ideal"])
         if "family" in node:
             family = self.family(node["family"], part)
-            shift = _parse_int(node.get("shift", 0), f"{self.where(part)}: shift", self.errors)
-            return _BAD if family is _BAD or shift is None else fam.Ref(node["family"], shift)
+            shift = self.integer(node, "shift", 0, part)
+            return _BAD if _failed((family, shift)) else fam.Ref(node["family"], shift)
         for key, combine in (("product", fam.Product), ("sum", fam.Sum)):
             if key in node:
                 if not isinstance(node[key], list) or not node[key]:
@@ -270,9 +278,10 @@ def parse_config(text: str) -> JobConfig:
             for g in gens:
                 if not isinstance(g, list) or len(g) != nvars:
                     raise ValueError(f"exponent vector {g} does not have length {nvars}")
-                checked.append([int(e) for e in g])
-            ideals[name] = MonomialIdeal.from_generators(nvars, checked)
-        except (TypeError, ValueError, ResurgenceError) as exc:
+                checked.append([_parse_int(e, f"ideal {name!r}: exponent", errors) for e in g])
+            if not any(_failed(g) for g in checked):
+                ideals[name] = MonomialIdeal.from_generators(nvars, checked)
+        except (ValueError, ResurgenceError) as exc:
             errors.append(f"ideal {name!r}: {exc}")
 
     family_nodes = _section(raw, "families", errors)

@@ -7,7 +7,8 @@ cross-multiplication and extremality is a Bareiss rank test, so the pass uses
 Python ints only.  Every facet normal is stored as a primitive integer vector,
 so Newton-polyhedron facets (and hence Rees valuations) are canonical across
 runs.  The LP solver is a dense two-phase simplex over fractions.Fraction with
-Bland's anti-cycling rule; no floating point enters any decision.
+Bland's anti-cycling rule, on one tableau whose last row holds the reduced
+costs; no floating point enters any decision.
 """
 
 from __future__ import annotations
@@ -301,105 +302,73 @@ def lp_minimize(lp: LinearProgram) -> LPResult:
     multipliers u satisfy u >= 0, A^T u <= c and b.u = optimum; these
     conditions are re-checked exactly before returning.  A free variable is
     written as the difference of two nonnegative ones by the caller.
+
+    One tableau [y | slacks | artificials | rhs] serves both phases; its last
+    row holds the reduced costs and every pivot updates it.  Row i, negated
+    when offset_i < 0, reads <normal_i, y> - s_i + a_i = offset_i.  Phase 2
+    prices c - c_B T once, with the artificials barred.  They started as the
+    identity, so u_i = -(reduced cost of a_i), times the sign of row i.
     """
     nvar = len(lp.objective)
     m = len(lp.constraints)
-    # A y - s = b, rows flipped to make b >= 0; artificials appended last.
-    A = []
-    b = []
-    flips = []
-    for i in range(m):
-        row = [Fraction(x) for x in lp.constraints[i].normal]
-        row += [Fraction(-1) if j == i else Fraction(0) for j in range(m)]
-        rhs = Fraction(lp.constraints[i].offset)
-        if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-            flips.append(-1)
-        else:
-            flips.append(1)
-        A.append(row)
-        b.append(rhs)
     n_total = nvar + m
-    art = list(range(n_total, n_total + m))
-    for i in range(m):
-        A[i] = A[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-
-    # phase 1: minimize the artificial total starting from the artificial basis
-    c1 = [Fraction(0)] * n_total + [Fraction(1)] * m
-    basis, T = _simplex_loop(A, b, c1, list(art), barred=set())
-    if T is None:
+    zero, one = Fraction(0), Fraction(1)
+    flips = [-1 if h.offset < 0 else 1 for h in lp.constraints]
+    T = [[Fraction(f * x) for x in h.normal] + [Fraction(-f if j == i else 0) for j in range(m)]
+         + [one if j == i else zero for j in range(m)] + [Fraction(f * h.offset)]
+         for i, (h, f) in enumerate(zip(lp.constraints, flips))]
+    # phase-1 costs: 1 on each artificial, priced against the artificial basis
+    T.append([-sum(row[j] for row in T) for j in range(n_total)] + [zero] * m
+             + [-sum(row[-1] for row in T)])
+    basis = list(range(n_total, n_total + m))
+    if not _simplex(T, basis, n_total + m):
         raise AssertionError("phase-1 objective is bounded below by zero")
-    phase1 = sum(c1[basis[i]] * T[i][-1] for i in range(len(basis)))
-    if phase1 > 0:
+    if T[-1][-1] < 0:  # minus the phase-1 minimum
         return LPResult("infeasible")
     # pivot artificials out of the basis where possible (degenerate rows stay)
     for i, bv in enumerate(basis):
         if bv >= n_total:
             entering = next((j for j in range(n_total) if T[i][j] != 0), None)
             if entering is not None:
-                pv = T[i][entering]
-                T[i] = [x / pv for x in T[i]]
-                for r in range(len(T)):
-                    if r != i and T[r][entering] != 0:
-                        f = T[r][entering]
-                        T[r] = [x - f * y for x, y in zip(T[r], T[i])]
+                _pivot(T, i, entering)
                 basis[i] = entering
-
-    # phase 2 with artificials barred; rebuild from the phase-1 tableau
-    c2 = [Fraction(x) for x in lp.objective] + [Fraction(0)] * (2 * m)
-    A2 = [row[:-1] for row in T]
-    b2 = [row[-1] for row in T]
-    basis2, T2 = _simplex_loop(A2, b2, c2, basis, barred=set(art))
-    if T2 is None:
+    # phase 2 with artificials barred; its costs are priced once
+    c = [Fraction(x) for x in lp.objective] + [zero] * (2 * m + 1)
+    T[-1] = [cj - sum(c[bv] * row[j] for bv, row in zip(basis, T)) for j, cj in enumerate(c)]
+    if not _simplex(T, basis, n_total):
         return LPResult("unbounded")
-    x = [Fraction(0)] * (n_total + m)
-    for i, bv in enumerate(basis2):
-        x[bv] = T2[i][-1]
-    y = tuple(x[:nvar])
+    value = {bv: T[i][-1] for i, bv in enumerate(basis)}
+    y = tuple(value.get(j, zero) for j in range(nvar))
     optimum = sum(Fraction(ci) * yi for ci, yi in zip(lp.objective, y))
-    # dual from the artificial columns (they started as the identity)
-    u_std = []
-    for j in range(m):
-        u_std.append(sum(c2[basis2[i]] * T2[i][n_total + j] for i in range(len(basis2))))
-    dual = tuple(flips[i] * u_std[i] for i in range(m))
+    dual = tuple(-f * T[-1][n_total + i] for i, f in enumerate(flips))
     _verify_dual(lp, optimum, dual)
     return LPResult("optimal", optimum, y, dual)
 
 
-def _simplex_loop(A, b, c, basis, barred):
-    """Bland-rule simplex iterations on a tableau with a known feasible basis."""
-    T = [row[:] + [b[i]] for i, row in enumerate(A)]
-    m = len(T)
-    n = len(A[0]) if m else 0
+def _pivot(T, r, j):
+    """Scale row r to a 1 in column j and clear column j from the other rows."""
+    pv = T[r][j]
+    T[r] = [x / pv for x in T[r]]
+    for i, row in enumerate(T):
+        if i != r and row[j] != 0:
+            f = row[j]
+            T[i] = [x - f * y for x, y in zip(row, T[r])]
+
+
+def _simplex(T, basis, columns) -> bool:
+    """Bland's rule from a feasible basis; False when the LP is unbounded.  The
+    first of the first `columns` columns with a negative reduced cost enters
+    (basic ones have 0); the least ratio leaves, ties to the least basis index.
+    """
     while True:
-        duals = [c[basis[i]] for i in range(m)]
-        entering = None
-        for j in range(n):
-            if j in basis or j in barred:
-                continue
-            red = c[j] - sum(duals[i] * T[i][j] for i in range(m))
-            if red < 0:
-                entering = j
-                break
+        entering = next((j for j in range(columns) if T[-1][j] < 0), None)
         if entering is None:
-            return basis, T
-        leaving = None
-        best = None
-        for i in range(m):
-            if T[i][entering] > 0:
-                ratio = T[i][-1] / T[i][entering]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
-            return basis, None
-        pv = T[leaving][entering]
-        T[leaving] = [x / pv for x in T[leaving]]
-        for i in range(m):
-            if i != leaving and T[i][entering] != 0:
-                f = T[i][entering]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leaving])]
+            return True
+        rows = [i for i in range(len(basis)) if T[i][entering] > 0]
+        if not rows:
+            return False
+        leaving = min(rows, key=lambda i: (T[i][-1] / T[i][entering], basis[i]))
+        _pivot(T, leaving, entering)
         basis[leaving] = entering
 
 

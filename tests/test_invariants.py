@@ -473,6 +473,19 @@ class TestRhoExact:
         assert (s, r) == best[1:]
         assert a.member(s).contains(witness) and not b.member(r).contains(witness)
 
+    @pytest.mark.parametrize("gap", ["x", "-2", "", "1.5"])
+    def test_asserted_closure_gap_must_be_a_nonnegative_integer(self, gap):
+        # b = I^n spelled as an expression has no closure-gap certificate of
+        # its own, so the asserted gap is the one used
+        m, I = maximal(2), ideal(2, (2, 0), (0, 3))
+        env = fam.Environment({"m": m, "I": I})
+        a = fam.expression(2, fam.Power(fam.Base("m"), fam.affine(3)), env)
+        b = fam.expression(2, fam.Power(fam.Base("I"), fam.affine(1)), env)
+        asserted = ("waldschmidt_equals_v_b1", "closure_gap:1")
+        assert rho_exact_certified(a, b, assertions=asserted).details["gap"].k == 1
+        with pytest.raises(DomainError, match="gap >= 0"):
+            rho_exact_certified(a, b, assertions=(asserted[0], f"closure_gap:{gap}"))
+
     def test_value_at_rho_hat_without_strict_witness(self):
         # a = powers(m), b = powers((x^2, y^3)): every escape has s/r <= 3 and
         # the ratio 3 is attained, but no pair exceeds rho_hat = 3

@@ -360,6 +360,42 @@ class TestConfigErrors:
         report = run(parse_config(json.dumps(dict(BASE_JOB, tasks=[task]))))
         assert report["tasks"][0]["result"]["search"]["grid"] == [2, 4]
 
+    @pytest.mark.parametrize("changes", [
+        {"ideals": {"m": [[float("inf"), 0], [0, 1]]}},
+        {"ideals": {"m": [[1.5, 0], [0, 1]]}},
+        {"ideals": {"m": [[float("nan"), 0], [0, 1]]}},
+        {"defaults": {"cutoff": float("inf")}},
+        {"defaults": {"window": 2.5}},
+        {"tasks": [{"op": "beta_table", "a": "a", "b": "a", "s_to": float("inf")}]},
+        {"tasks": [{"op": "beta_table", "a": "a", "b": "a", "s_to": 2.7}]},
+        {"tasks": [{"op": "rho_lim", "a": "a", "b": "a", "grid": [2, 3.5]}]},
+        {"families": {"a": {"kind": "powers", "ideal": "m"},
+                      "v": {"kind": "veronese", "family": "a", "step": float("inf")}}},
+        {"families": {"a": {"kind": "power_pattern", "ideal": "m",
+                            "exponent": {"fn": "affine", "a": float("inf")}}}},
+        {"families": {"a": {"kind": "power_pattern", "ideal": "m",
+                            "exponent": {"fn": "affine", "a": 1.5}}}},
+        {"families": {"a": {"kind": "power_pattern", "ideal": "m",
+                            "exponent": {"fn": "affine", "b": "x"}}}},
+        {"families": {"a": {"kind": "power_pattern", "ideal": "m",
+                            "exponent": {"fn": "ceil_mul", "ratio": "1/2", "offset": 0.5}}}},
+        {"families": {"a": {"kind": "expression", "expr": {"family": "p", "shift": 1.5}},
+                      "p": {"kind": "powers", "ideal": "m"}}},
+    ])
+    def test_integer_fields_must_be_integral(self, changes):
+        # a rejected ideal also leaves the family naming it undefined
+        assert "expected an integer" in _problems(**changes)[0]
+
+    def test_integral_numbers_and_integer_strings_are_integers(self):
+        config = parse_config(json.dumps(dict(
+            BASE_JOB, ideals={"m": [[1.0, 0], ["0", 1]]},
+            families={"a": {"kind": "power_pattern", "ideal": "m",
+                            "exponent": {"fn": "affine", "a": 2.0, "b": "0"}}},
+            tasks=[{"op": "beta_table", "a": "a", "b": "a", "s_to": 2.0, "cutoff": "9"}])))
+        assert config.ideals["m"].generators == ((0, 1), (1, 0))
+        assert config.families["a"].member(2) == config.ideals["m"].power(4)
+        assert len(run(config)["tasks"][0]["result"]["table"]) == 2
+
     def test_ceil_mul_needs_a_ratio(self):
         node = {"kind": "power_pattern", "ideal": "m", "exponent": {"fn": "ceil_mul"}}
         assert any("ratio" in p for p in _problems(families={"a": node}))

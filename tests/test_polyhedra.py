@@ -221,6 +221,11 @@ class TestLP:
         )
         assert lp_minimize(lp).status == "infeasible"
 
+    def test_no_constraints(self):
+        assert lp_minimize(LinearProgram((Fraction(-1),), ())).status == "unbounded"
+        res = lp_minimize(LinearProgram((Fraction(2), Fraction(0)), ()))
+        assert (res.optimum, res.argmin, res.dual) == (0, (0, 0), ())
+
     def test_free_variables(self):
         # free y = u - v with u, v >= 0: min y1 + y2 s.t. y1 >= -2, y2 >= -3, y1 + y2 >= -4
         lp = LinearProgram(
@@ -246,6 +251,10 @@ class TestLP:
                 constraints.append(HalfSpace.normalized(normal, rng.randint(-2, 3)))
             lp = LinearProgram(objective, tuple(constraints))
             res = lp_minimize(lp)
+            status, brute = oracles.brute_lp_minimum(objective, [(c.normal, c.offset) for c in constraints])
+            # y >= 0 makes a nonempty feasible set pointed, so the vertex search
+            # finds a point exactly when the LP is feasible
+            assert (res.status == "infeasible") == (status == "infeasible")
             if res.status != "optimal":
                 continue
             checked += 1
@@ -255,7 +264,6 @@ class TestLP:
                 col = sum(u * c.normal[j] for u, c in zip(res.dual, lp.constraints))
                 assert col <= objective[j]
             assert sum(u * c.offset for u, c in zip(res.dual, lp.constraints)) == res.optimum
-            status, brute = oracles.brute_lp_minimum(objective, [(c.normal, c.offset) for c in constraints])
             if status == "optimal":
                 assert brute == res.optimum
         assert checked >= 30
