@@ -60,9 +60,9 @@ def _failed(values) -> bool:
 
 def _parse_int(value, where, errors):
     """The int of an integer string or of an integral number (2.0), else _BAD
-    with the problem collected (2.7, Infinity, NaN, a list, ...)."""
+    with the problem collected (2.7, Infinity, NaN, true, a list, ...)."""
     try:
-        if isinstance(value, str) or int(value) == value:
+        if isinstance(value, str) or (int(value) == value and not isinstance(value, bool)):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -264,7 +264,7 @@ def parse_config(text: str) -> JobConfig:
         raise ConfigError(["config root must be a JSON object"])
 
     nvars = raw.get("vars")
-    if not isinstance(nvars, int) or nvars < 1:
+    if not isinstance(nvars, int) or isinstance(nvars, bool) or nvars < 1:
         errors.append("'vars' must be a positive integer")
         nvars = 1
 

@@ -6,9 +6,11 @@ generators enter as primitive integer vectors, rays are combined by integer
 cross-multiplication and extremality is a Bareiss rank test, so the pass uses
 Python ints only.  Every facet normal is stored as a primitive integer vector,
 so Newton-polyhedron facets (and hence Rees valuations) are canonical across
-runs.  The LP solver is a dense two-phase simplex over fractions.Fraction with
-Bland's anti-cycling rule, on one tableau whose last row holds the reduced
-costs; no floating point enters any decision.
+runs.  The LP solver is a dense two-phase simplex with Bland's anti-cycling
+rule on one integer tableau whose last row holds the reduced costs: it stores
+M = D*T for the rational tableau T and D = |det B| of the basis B, and pivots
+fraction-free (Edmonds), so only the read-out builds Fractions and no floating
+point enters any decision.
 """
 
 from __future__ import annotations
@@ -272,7 +274,9 @@ def _staircase_hull_2d(pts) -> RationalPolyhedron:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min <objective, y> subject to <normal_i, y> >= offset_i and y >= 0."""
+    """min <objective, y> subject to <normal_i, y> >= offset_i and y >= 0.
+
+    The objective may be rational; constraint normals and offsets are ints."""
 
     objective: Tuple[Fraction, ...]
     constraints: Tuple[HalfSpace, ...]
@@ -281,6 +285,8 @@ class LinearProgram:
         for c in self.constraints:
             if len(c.normal) != len(self.objective):
                 raise DimensionError("objective length differs from constraint dimension")
+            if not all(isinstance(x, int) for x in (*c.normal, c.offset)):
+                raise DomainError(f"constraint {c} has a non-integer normal or offset")
 
 
 @dataclass(frozen=True)
@@ -308,67 +314,91 @@ def lp_minimize(lp: LinearProgram) -> LPResult:
     when offset_i < 0, reads <normal_i, y> - s_i + a_i = offset_i.  Phase 2
     prices c - c_B T once, with the artificials barred.  They started as the
     identity, so u_i = -(reduced cost of a_i), times the sign of row i.
+
+    The tableau is kept in ints as M = D*T, D = |det B| > 0 (Edmonds), and
+    phase 2 scales its costs by the lcm of the objective's denominators.  So
+    M has the signs of T and its row ratios, and Bland's pivots are those of
+    the rational simplex; Fractions are built only to read out the result.
     """
     nvar = len(lp.objective)
     m = len(lp.constraints)
     n_total = nvar + m
-    zero, one = Fraction(0), Fraction(1)
     flips = [-1 if h.offset < 0 else 1 for h in lp.constraints]
-    T = [[Fraction(f * x) for x in h.normal] + [Fraction(-f if j == i else 0) for j in range(m)]
-         + [one if j == i else zero for j in range(m)] + [Fraction(f * h.offset)]
+    M = [[f * x for x in h.normal] + [-f if j == i else 0 for j in range(m)]
+         + [1 if j == i else 0 for j in range(m)] + [f * h.offset]
          for i, (h, f) in enumerate(zip(lp.constraints, flips))]
     # phase-1 costs: 1 on each artificial, priced against the artificial basis
-    T.append([-sum(row[j] for row in T) for j in range(n_total)] + [zero] * m
-             + [-sum(row[-1] for row in T)])
+    M.append([-sum(row[j] for row in M) for j in range(n_total)] + [0] * m
+             + [-sum(row[-1] for row in M)])
     basis = list(range(n_total, n_total + m))
-    if not _simplex(T, basis, n_total + m):
+    D, bounded = _simplex(M, basis, n_total + m, 1)
+    if not bounded:
         raise AssertionError("phase-1 objective is bounded below by zero")
-    if T[-1][-1] < 0:  # minus the phase-1 minimum
+    if M[-1][-1] < 0:  # minus the phase-1 minimum
         return LPResult("infeasible")
     # pivot artificials out of the basis where possible (degenerate rows stay)
     for i, bv in enumerate(basis):
         if bv >= n_total:
-            entering = next((j for j in range(n_total) if T[i][j] != 0), None)
+            entering = next((j for j in range(n_total) if M[i][j] != 0), None)
             if entering is not None:
-                _pivot(T, i, entering)
+                D = _pivot(M, i, entering, D)
                 basis[i] = entering
     # phase 2 with artificials barred; its costs are priced once
-    c = [Fraction(x) for x in lp.objective] + [zero] * (2 * m + 1)
-    T[-1] = [cj - sum(c[bv] * row[j] for bv, row in zip(basis, T)) for j, cj in enumerate(c)]
-    if not _simplex(T, basis, n_total):
+    objective = [Fraction(x) for x in lp.objective]
+    scale = lcm(*(x.denominator for x in objective))
+    c = [x.numerator * (scale // x.denominator) for x in objective] + [0] * (2 * m + 1)
+    M[-1] = [D * cj - sum(c[bv] * row[j] for bv, row in zip(basis, M)) for j, cj in enumerate(c)]
+    D, bounded = _simplex(M, basis, n_total, D)
+    if not bounded:
         return LPResult("unbounded")
-    value = {bv: T[i][-1] for i, bv in enumerate(basis)}
-    y = tuple(value.get(j, zero) for j in range(nvar))
-    optimum = sum(Fraction(ci) * yi for ci, yi in zip(lp.objective, y))
-    dual = tuple(-f * T[-1][n_total + i] for i, f in enumerate(flips))
+    value = {bv: Fraction(M[i][-1], D) for i, bv in enumerate(basis)}
+    y = tuple(value.get(j, Fraction(0)) for j in range(nvar))
+    optimum = sum(ci * yi for ci, yi in zip(objective, y))
+    dual = tuple(Fraction(-f * M[-1][n_total + i], scale * D) for i, f in enumerate(flips))
     _verify_dual(lp, optimum, dual)
     return LPResult("optimal", optimum, y, dual)
 
 
-def _pivot(T, r, j):
-    """Scale row r to a 1 in column j and clear column j from the other rows."""
-    pv = T[r][j]
-    T[r] = [x / pv for x in T[r]]
-    for i, row in enumerate(T):
-        if i != r and row[j] != 0:
+def _pivot(M, r, j, D) -> int:
+    """Pivot M = D*T on p = M[r][j] and return the new D = |p|.  Row r stays,
+    negated if p < 0 (only the artificial pivot-out meets that); every other
+    row becomes (p*row - row[j]*M[r]) / D, which is |p| times a row of the new
+    T and so an integer: every division is exact."""
+    top = M[r]
+    p = top[j]
+    if p < 0:
+        p = -p
+        top = M[r] = [-x for x in top]
+    for i, row in enumerate(M):
+        if i != r:
             f = row[j]
-            T[i] = [x - f * y for x, y in zip(row, T[r])]
+            if f:
+                M[i] = [(p * x - f * y) // D for x, y in zip(row, top)]
+            elif p != D:
+                M[i] = [p * x // D for x in row]
+    return p
 
 
-def _simplex(T, basis, columns) -> bool:
-    """Bland's rule from a feasible basis; False when the LP is unbounded.  The
-    first of the first `columns` columns with a negative reduced cost enters
-    (basic ones have 0); the least ratio leaves, ties to the least basis index.
+def _simplex(M, basis, columns, D) -> Tuple[int, bool]:
+    """Bland's rule from a feasible basis; returns the final D and whether the
+    LP is bounded.  The first of the first `columns` columns with a negative
+    reduced cost enters (basic ones have 0); the least ratio rhs/entry leaves,
+    ties to the least basis index.  Ratios are compared by cross-multiplying
+    positive entries, so no Fraction is built.
     """
     while True:
-        entering = next((j for j in range(columns) if T[-1][j] < 0), None)
+        entering = next((j for j in range(columns) if M[-1][j] < 0), None)
         if entering is None:
-            return True
-        rows = [i for i in range(len(basis)) if T[i][entering] > 0]
-        if not rows:
-            return False
-        leaving = min(rows, key=lambda i: (T[i][-1] / T[i][entering], basis[i]))
-        _pivot(T, leaving, entering)
+            return D, True
+        leaving = None
+        for i in range(len(basis)):
+            a = M[i][entering]
+            if a > 0 and (leaving is None
+                          or (M[i][-1] * den, basis[i]) < (num * a, basis[leaving])):
+                leaving, num, den = i, M[i][-1], a
+        if leaving is None:
+            return D, False
+        D = _pivot(M, leaving, entering, D)
         basis[leaving] = entering
 
 

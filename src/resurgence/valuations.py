@@ -26,11 +26,18 @@ class MonomialValuation:
     weights: Tuple[int, ...]
 
     def __post_init__(self):
-        if not self.weights or all(w == 0 for w in self.weights):
+        given = tuple(self.weights)
+        try:
+            weights = tuple(map(int, given))
+        except (TypeError, ValueError, OverflowError):  # None, nan, inf
+            weights = None
+        if weights != given:  # 0.5 or 1.7 would truncate
+            raise DomainError(f"non-integral valuation weight in {given}")
+        if not weights or all(w == 0 for w in weights):
             raise DomainError("valuation weights must not be all zero")
-        if any(w < 0 for w in self.weights):
+        if any(w < 0 for w in weights):
             raise DomainError("valuation weights must be nonnegative")
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        object.__setattr__(self, "weights", weights)
 
     def of_monomial(self, m: Monomial) -> int:
         if len(m) != len(self.weights):

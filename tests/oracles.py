@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive and self-contained: set arithmetic on
 exponent tuples, subset enumeration, exhaustive facet checks, and basic-
-feasible-point enumeration for LPs.  None of it calls the code paths it is
-used to check: `halfspace_redundant` checks hulls with the library's LP, which
-is itself checked against `brute_lp_minimum`.
+feasible-point enumeration for LPs, and the rational two-phase simplex that
+the integer tableau of `lp_minimize` replaced.  None of it calls the code
+paths it is used to check: `halfspace_redundant` checks hulls with the
+library's LP, which is itself checked against `brute_lp_minimum` and
+`fraction_lp_minimize`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from resurgence import HalfSpace, LinearProgram, lp_minimize
+from resurgence import HalfSpace, LinearProgram, LPResult, lp_minimize
 
 
 def divides(a, b):
@@ -225,6 +227,66 @@ def brute_lp_minimum(objective, constraints, nonneg=True):
     if best is not None:
         return "optimal", best
     return ("unbounded-or-open", None) if any_feasible else ("infeasible", None)
+
+
+def fraction_lp_minimize(lp):
+    """`lp_minimize` on a Fraction tableau: the same two phases, Bland's rule,
+    least-ratio leaving row (ties to the least basis index) and artificial
+    pivot-out, with each pivot row scaled to a 1.  Its pivot path, and hence
+    its argmin and dual on degenerate LPs, is the one the integer tableau must
+    reproduce.  The dual certificate is not re-checked here."""
+    nvar = len(lp.objective)
+    m = len(lp.constraints)
+    n_total = nvar + m
+    zero, one = Fraction(0), Fraction(1)
+    flips = [-1 if h.offset < 0 else 1 for h in lp.constraints]
+    T = [[Fraction(f * x) for x in h.normal] + [Fraction(-f if j == i else 0) for j in range(m)]
+         + [one if j == i else zero for j in range(m)] + [Fraction(f * h.offset)]
+         for i, (h, f) in enumerate(zip(lp.constraints, flips))]
+    T.append([-sum(row[j] for row in T) for j in range(n_total)] + [zero] * m
+             + [-sum(row[-1] for row in T)])
+    basis = list(range(n_total, n_total + m))
+    if not _fraction_simplex(T, basis, n_total + m):
+        raise AssertionError("phase-1 objective is bounded below by zero")
+    if T[-1][-1] < 0:
+        return LPResult("infeasible")
+    for i, bv in enumerate(basis):
+        if bv >= n_total:
+            entering = next((j for j in range(n_total) if T[i][j] != 0), None)
+            if entering is not None:
+                _fraction_pivot(T, i, entering)
+                basis[i] = entering
+    c = [Fraction(x) for x in lp.objective] + [zero] * (2 * m + 1)
+    T[-1] = [cj - sum(c[bv] * row[j] for bv, row in zip(basis, T)) for j, cj in enumerate(c)]
+    if not _fraction_simplex(T, basis, n_total):
+        return LPResult("unbounded")
+    value = {bv: T[i][-1] for i, bv in enumerate(basis)}
+    y = tuple(value.get(j, zero) for j in range(nvar))
+    optimum = sum(Fraction(ci) * yi for ci, yi in zip(lp.objective, y))
+    dual = tuple(-f * T[-1][n_total + i] for i, f in enumerate(flips))
+    return LPResult("optimal", optimum, y, dual)
+
+
+def _fraction_pivot(T, r, j):
+    pv = T[r][j]
+    T[r] = [x / pv for x in T[r]]
+    for i, row in enumerate(T):
+        if i != r and row[j] != 0:
+            f = row[j]
+            T[i] = [x - f * y for x, y in zip(row, T[r])]
+
+
+def _fraction_simplex(T, basis, columns) -> bool:
+    while True:
+        entering = next((j for j in range(columns) if T[-1][j] < 0), None)
+        if entering is None:
+            return True
+        rows = [i for i in range(len(basis)) if T[i][entering] > 0]
+        if not rows:
+            return False
+        leaving = min(rows, key=lambda i: (T[i][-1] / T[i][entering], basis[i]))
+        _fraction_pivot(T, leaving, entering)
+        basis[leaving] = entering
 
 
 def halfspace_redundant(poly, index):

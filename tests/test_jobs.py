@@ -386,6 +386,24 @@ class TestConfigErrors:
         # a rejected ideal also leaves the family naming it undefined
         assert "expected an integer" in _problems(**changes)[0]
 
+    @pytest.mark.parametrize("changes", [
+        {"ideals": {"m": [[True, 0], [0, 1]]}},
+        {"defaults": {"cutoff": True}},
+        {"tasks": [{"op": "beta_table", "a": "a", "b": "a", "s_to": True}]},
+        {"tasks": [{"op": "rho_lim", "a": "a", "b": "a", "grid": [2, False]}]},
+        {"tasks": [{"op": "waldschmidt", "family": "a", "weights": [True, 1]}]},
+        {"families": {"a": {"kind": "power_pattern", "ideal": "m",
+                            "exponent": {"fn": "affine", "a": True}}}},
+    ])
+    def test_booleans_are_not_integers(self, changes):
+        assert _problems(**changes)[0].endswith(("expected an integer, got True",
+                                                 "expected an integer, got False"))
+
+    @pytest.mark.parametrize("nvars", [True, False])
+    def test_vars_must_not_be_a_boolean(self, nvars):
+        problems = _problems(vars=nvars, ideals={}, families={})
+        assert problems == ["'vars' must be a positive integer"]
+
     def test_integral_numbers_and_integer_strings_are_integers(self):
         config = parse_config(json.dumps(dict(
             BASE_JOB, ideals={"m": [[1.0, 0], ["0", 1]]},

@@ -50,6 +50,16 @@ class TestValues:
         with pytest.raises(DomainError):
             MonomialValuation((-1, 2))
 
+    @pytest.mark.parametrize("weights", [(0.5, 0.5), (1.7, 1), (float("nan"), 1),
+                                         (float("inf"), 1), (None, 1), ("1", 1)])
+    def test_non_integral_weights_rejected(self, weights):
+        with pytest.raises(DomainError):
+            MonomialValuation(weights)
+
+    def test_integral_weights_stored_as_ints(self):
+        weights = MonomialValuation((2.0, Fraction(3))).weights
+        assert weights == (2, 3) and all(type(w) is int for w in weights)
+
     def test_closure_view_value(self):
         from resurgence import integral_closure
         I = ideal(2, (2, 0), (0, 3))
