@@ -70,24 +70,30 @@ def rees_valuations(ideal: MonomialIdeal) -> ReesValuationSet:
 def minimal_covers(ideal: MonomialIdeal) -> Tuple[Monomial, ...]:
     """Minimal vertex covers of the generator supports, as 0/1 indicator tuples.
 
-    These index the minimal primes of a squarefree monomial ideal.  Exhaustive
-    subset search with subset pruning; capped at MAX_COVER_VARS variables.
+    These index the minimal primes of a squarefree monomial ideal.  Berge's
+    sequential transversal method on bitmasks (Berge, Hypergraphs, 1989;
+    Fredman & Khachiyan, J. Algorithms 21, 1996): the minimal covers of the
+    supports seen so far are kept; a new support keeps the covers that meet
+    it and extends each other cover by each of its vertices.  An extension
+    is minimal unless it contains a kept cover (two extensions never contain
+    one another), so only that test is made.  Covers are returned by size,
+    then lexicographically by their sorted vertex indices, which is the
+    order of an exhaustive subset search and fixes the rows of the cover LP.
+    Capped at MAX_COVER_VARS variables.
     """
-    if ideal.nvars > MAX_COVER_VARS:
+    nvars = ideal.nvars
+    if nvars > MAX_COVER_VARS:
         raise CapabilityError(f"cover enumeration capped at {MAX_COVER_VARS} variables")
-    supports = sorted({frozenset(i for i, e in enumerate(g) if e > 0) for g in ideal.generators})
-    covers = []
-    import itertools
-
-    universe = range(ideal.nvars)
-    for size in range(0, ideal.nvars + 1):
-        for subset in itertools.combinations(universe, size):
-            sset = set(subset)
-            if any(set(c) <= sset for c in covers):
-                continue
-            if all(s & sset for s in supports):
-                covers.append(subset)
-    return tuple(tuple(1 if i in c else 0 for i in range(ideal.nvars)) for c in covers)
+    supports = sorted({sum(1 << i for i, e in enumerate(g) if e > 0) for g in ideal.generators})
+    covers = [0]
+    for support in supports:
+        bits = [1 << i for i in range(nvars) if support >> i & 1]
+        meets = [c for c in covers if c & support]
+        grown = [c | b for c in covers if not c & support for b in bits]
+        covers = meets + [g for g in grown if not any(c & g == c for c in meets)]
+    vertices = [[i for i in range(nvars) if c >> i & 1] for c in covers]
+    vertices.sort(key=lambda v: (len(v), v))
+    return tuple(tuple(1 if i in v else 0 for i in range(nvars)) for v in vertices)
 
 
 def symbolic_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:

@@ -26,14 +26,15 @@ from __future__ import annotations
 import bisect
 import itertools
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Any, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapabilityError, DimensionError, DomainError
 
 Monomial = Tuple[int, ...]
 
-# Cap on candidate lattice points when materializing generators of a view.
+# Cap on the candidate lattice points (walk leaves) visited when materializing
+# the generators of a view.
 MATERIALIZE_CAP = 100_000
 
 _MISSING = object()
@@ -387,60 +388,93 @@ def complete_power_ideal(nvars: int, d: int) -> MonomialIdeal:
             prev = b
         exps.append(d + nvars - 2 - prev)
         gens.append(tuple(exps))
-    return MonomialIdeal(nvars, tuple(sorted(gens)))
+    ideal = MonomialIdeal(nvars, tuple(sorted(gens)))
+    ideal.cached("complete_degree", lambda: d)
+    return ideal
 
 
 def minimal_lattice_points(rows, rhs, box) -> Tuple[Monomial, ...]:
     """Divisibility-minimal nonnegative lattice points of {a : W a >= m}.
 
     `rows` are nonnegative integer weight vectors, `rhs` their bounds, `box`
-    componentwise upper bounds guaranteed to contain every minimal point.
-    For each prefix of the first n-1 coordinates the least feasible last
-    coordinate c(prefix) is computed; c is componentwise nonincreasing in the
-    prefix, so a candidate is minimal iff no single-step prefix decrement
-    keeps c equal.
+    componentwise upper bounds on the first n-1 coordinates of every minimal
+    point.  With slack_r(p) = <w_r, p> - m_r, a feasible p is minimal iff
+    every k with p_k > 0 has a row r with w_r[k] > slack_r(p): the region is
+    closed upwards, so some point below p is feasible iff some p - e_k is.
+
+    A depth-first walk sets the first n-1 coordinates in order and updates the
+    slacks as it goes.  At a feasible point every slack is >= 0, so only rows
+    with w_r[k] > 0 can pass the test for k; slacks only grow along the walk,
+    so once a set coordinate fails the test on those rows at a prefix, every
+    extension of that prefix and every larger value of the current coordinate
+    fail it too, and the loop over that coordinate stops.  At each leaf the
+    last coordinate is the least feasible one, and the point is kept iff every
+    nonzero coordinate passes the test on the final slacks.  This is exact,
+    and the walk meets prefixes in lex order, so the points come out minimal
+    and sorted.  MATERIALIZE_CAP bounds the leaves visited, not the volume
+    of the box.
     """
     n = len(box)
     if n == 0:
         raise DimensionError("empty ambient dimension")
-    prefix_count = 1
-    for b in box[:-1]:
-        prefix_count *= b + 1
-    if prefix_count > MATERIALIZE_CAP:
-        raise CapabilityError(
-            f"materialization would scan {prefix_count} candidate lattice points (cap {MATERIALIZE_CAP})"
-        )
     last = n - 1
-    cvals: dict = {}
-
-    def cval(prefix) -> Optional[int]:
-        c = 0
-        for w, m in zip(rows, rhs):
-            partial = sum(w[j] * prefix[j] for j in range(last))
-            if w[last] == 0:
-                if partial < m:
-                    return None
-            else:
-                need = m - partial
-                if need > 0:
-                    c = max(c, -(-need // w[last]))
-        return c
-
-    ranges = [range(b + 1) for b in box[:-1]]
-    for prefix in itertools.product(*ranges) if ranges else [()]:
-        cvals[prefix] = cval(prefix)
-
+    # column k: the rows that weigh coordinate k, and those weights
+    cols = []
+    for k in range(n):
+        used = [r for r, w in enumerate(rows) if w[k]]
+        cols.append((used, [rows[r][k] for r in used]))
+    unweighted = [r for r, w in enumerate(rows) if not w[last]]
+    slack = [-m for m in rhs]
+    get = slack.__getitem__
+    point = [0] * n
     points = []
-    for prefix, c in cvals.items():
-        if c is None:
-            continue
-        minimal = True
-        for j in range(last):
-            if prefix[j] > 0:
-                neighbor = cvals[prefix[:j] + (prefix[j] - 1,) + prefix[j + 1 :]]
-                if neighbor is not None and neighbor <= c:
-                    minimal = False
-                    break
-        if minimal:
-            points.append(prefix + (c,))
+    leaves = 0
+
+    def minimal_at(k) -> bool:
+        used, weights = cols[k]
+        return any(map(lt, map(get, used), weights))
+
+    def shift(k, times):
+        for r, w in zip(*cols[k]):
+            slack[r] += times * w
+
+    def leaf(support):
+        if unweighted and min(map(get, unweighted)) < 0:
+            return  # a row without weight on the last coordinate stays short
+        c = max([-(slack[r] // w) for r, w in zip(*cols[last]) if slack[r] < 0], default=0)
+        if c:
+            shift(last, c)
+            support += (last,)
+        if all(map(minimal_at, support)):
+            point[last] = c
+            points.append(tuple(point))
+        if c:
+            shift(last, -c)
+
+    def walk(j, support):
+        nonlocal leaves
+        if j == last:
+            leaves += 1
+            if leaves > MATERIALIZE_CAP:
+                raise CapabilityError(
+                    f"materialization visits more than {MATERIALIZE_CAP} candidate lattice points "
+                    f"(MATERIALIZE_CAP)"
+                )
+            leaf(support)
+            return
+        walk(j + 1, support)
+        support += (j,)
+        v = 0
+        while v < box[j]:
+            v += 1
+            point[j] = v
+            shift(j, 1)
+            if not all(map(minimal_at, support)):
+                break
+            walk(j + 1, support)
+        shift(j, -v)
+        point[j] = 0
+
+    walk(0, ())
+    # a no-op on this input, kept so bench/tracer.py's minimize_monomials counts hold
     return minimize_monomials(points)

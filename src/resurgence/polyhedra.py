@@ -276,12 +276,15 @@ def _staircase_hull_2d(pts) -> RationalPolyhedron:
 class LinearProgram:
     """min <objective, y> subject to <normal_i, y> >= offset_i and y >= 0.
 
-    The objective may be rational; constraint normals and offsets are ints."""
+    The objective entries are ints or Fractions; constraint normals and
+    offsets are ints."""
 
     objective: Tuple[Fraction, ...]
     constraints: Tuple[HalfSpace, ...]
 
     def __post_init__(self):
+        if not all(isinstance(x, (int, Fraction)) for x in self.objective):
+            raise DomainError(f"objective {self.objective} has an entry that is not an int or a Fraction")
         for c in self.constraints:
             if len(c.normal) != len(self.objective):
                 raise DimensionError("objective length differs from constraint dimension")

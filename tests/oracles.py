@@ -1,12 +1,13 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately naive and self-contained: set arithmetic on
-exponent tuples, subset enumeration, exhaustive facet checks, and basic-
-feasible-point enumeration for LPs, and the rational two-phase simplex that
-the integer tableau of `lp_minimize` replaced.  None of it calls the code
-paths it is used to check: `halfspace_redundant` checks hulls with the
-library's LP, which is itself checked against `brute_lp_minimum` and
-`fraction_lp_minimize`.
+exponent tuples, subset enumeration, the full box scan for minimal lattice
+points that the pruned walk of `minimal_lattice_points` replaced, exhaustive
+facet checks, basic-feasible-point enumeration for LPs, and the rational
+two-phase simplex that the integer tableau of `lp_minimize` replaced.  None
+of it calls the code paths it is used to check: `halfspace_redundant` checks
+hulls with the library's LP, which is itself checked against
+`brute_lp_minimum` and `fraction_lp_minimize`.
 """
 
 from __future__ import annotations
@@ -74,6 +75,39 @@ def minimal_covers(gens, nvars):
 
 def symbolic_member(m, gens, n, nvars):
     return all(sum(m[i] for i in c) >= n for c in minimal_covers(gens, nvars))
+
+
+def box_minimal_lattice_points(rows, rhs, box):
+    """Minimal nonnegative lattice points of {a : W a >= m} by a full box scan.
+
+    For every prefix of the first n-1 coordinates inside `box`, c(prefix) is
+    the least feasible last coordinate (None when a row without weight on the
+    last coordinate stays short); c is nonincreasing in the prefix, so
+    (prefix, c) is minimal iff no single-step decrement of the prefix keeps a
+    feasible c <= c(prefix).  No cap: the caller keeps the box small.
+    """
+    last = len(box) - 1
+
+    def cval(prefix):
+        c = 0
+        for w, m in zip(rows, rhs):
+            need = m - sum(w[j] * prefix[j] for j in range(last))
+            if w[last] == 0:
+                if need > 0:
+                    return None
+            elif need > 0:
+                c = max(c, -(-need // w[last]))
+        return c
+
+    cvals = {p: cval(p) for p in itertools.product(*(range(b + 1) for b in box[:-1]))}
+    points = []
+    for prefix, c in cvals.items():
+        if c is None:
+            continue
+        lower = (cvals[prefix[:j] + (prefix[j] - 1,) + prefix[j + 1:]] for j in range(last) if prefix[j])
+        if all(d is None or d > c for d in lower):
+            points.append(prefix + (c,))
+    return tuple(minimal_set(points))
 
 
 # -- exact linear algebra (independent of the library) -------------------------

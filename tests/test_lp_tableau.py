@@ -87,6 +87,17 @@ def test_rows_must_be_integers(normal, offset):
         LinearProgram((Fraction(1), Fraction(1)), (HalfSpace(normal, offset),))
 
 
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), None, "x"])
+def test_objective_entries_must_be_rational(entry):
+    with pytest.raises(DomainError):
+        lp_minimize(LinearProgram((entry, Fraction(1)), (HalfSpace((1, 1), 1),)))
+
+
+def test_objective_takes_ints_and_fractions():
+    res = lp_minimize(LinearProgram((2, Fraction(3, 2)), (HalfSpace((1, 1), 1),)))
+    assert (res.optimum, res.argmin) == (Fraction(3, 2), (0, 1))
+
+
 def test_rational_objective():
     # min y1/2 + y2/3 with y1 + y2 >= 1 and y1 + 2 y2 >= 2: the vertex (0, 1)
     lp = LinearProgram((Fraction(1, 2), Fraction(1, 3)),
