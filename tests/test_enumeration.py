@@ -58,8 +58,8 @@ def squarefree_ideals(draw, max_vars=5):
 
 @st.composite
 def closure_ideals(draw):
-    nvars = draw(st.integers(1, 4))
-    mono = st.tuples(*[st.integers(0, 3)] * nvars).filter(any)
+    nvars = draw(st.integers(1, 5))
+    mono = st.tuples(*[st.integers(0, 3 if nvars <= 4 else 2)] * nvars).filter(any)
     base = MonomialIdeal.from_generators(nvars, draw(st.lists(mono, min_size=1, max_size=4)))
     return integral_closure(base, draw(st.integers(1, 2)))
 
@@ -123,8 +123,8 @@ class TestMinimalLatticePoints:
             minimal_lattice_points([(1, 1, 1)], [500], [500, 500, 500])
 
     def test_seven_cycle_beta_table_to_seven(self):
-        # s <= 5 as the box scan gave, which could not reach s = 6 under the
-        # cap; each value is 1 + ceil(7s/4), one above the Waldschmidt bound
+        # s <= 5 are the box scan's values (it raised for s >= 6 under this
+        # cap); each value is 1 + ceil(7s/4), one above the Waldschmidt bound
         # 7s/4 on the initial degree of the s-th symbolic power of the 7-cycle
         assert monomials.MATERIALIZE_CAP == 100_000
         m = MonomialIdeal.from_generators(7, [tuple(int(k == i) for k in range(7)) for i in range(7)])
