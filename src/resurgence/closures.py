@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import CapabilityError, DomainError
-from .monomials import ClosureView, Monomial, MonomialIdeal, SymbolicView
+from .monomials import Monomial, MonomialIdeal, RegionView
 from .polyhedra import RationalPolyhedron, hull_with_recession
 
 MAX_COVER_VARS = 12
@@ -27,19 +27,35 @@ def newton_polyhedron(ideal: MonomialIdeal) -> RationalPolyhedron:
     return ideal.cached("newton", lambda: hull_with_recession(ideal.generators, rays))
 
 
-def integral_closure(ideal: MonomialIdeal, n: int = 1) -> MonomialIdeal:
-    """Integral closure of ideal^n, as a membership view on n * NP(ideal).
+def _positive_facets(ideal: MonomialIdeal) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """Sorted (normal, offset) pairs of the positive-offset facets of NP(ideal),
+    compiled once per ideal.  Every facet normal is >= 0 (the recession cone
+    is the orthant), so the offset-0 facets hold at every exponent vector."""
+    poly = newton_polyhedron(ideal)
 
-    Explicit minimal generators are materialized on demand by bounded lattice
-    point search (monomials of the n-fold dilate of the Newton polyhedron).
-    """
+    def compile_facets():
+        if any(w < 0 for hs in poly.halfspaces for w in hs.normal):
+            raise AssertionError("Newton polyhedron facet with a negative normal entry")
+        return tuple(sorted((hs.normal, int(hs.offset)) for hs in poly.halfspaces if hs.offset > 0))
+
+    return ideal.cached("positive_facets", compile_facets)
+
+
+def integral_closure(ideal: MonomialIdeal, n: int = 1) -> MonomialIdeal:
+    """Integral closure of ideal^n, as the region view of n * NP(ideal): the
+    positive-offset facets with right-hand sides n * offset, generators
+    materialized on demand inside the box n * (coordinatewise maximum)."""
     if ideal.is_zero():
         raise DomainError("the zero ideal has no integral closure here")
     if n < 1:
         raise DomainError("closure exponent must be positive")
     if ideal.is_unit():
         return MonomialIdeal.unit(ideal.nvars)
-    return MonomialIdeal(ideal.nvars, None, ClosureView(ideal, newton_polyhedron(ideal), n))
+    facets = _positive_facets(ideal)
+    rows = tuple(w for w, _ in facets)
+    rhs = tuple(n * c for _, c in facets)
+    box = tuple(n * max(column) for column in zip(*ideal.generators))
+    return MonomialIdeal(ideal.nvars, None, RegionView(rows, rhs, box, "closure", ideal, n))
 
 
 @dataclass(frozen=True)
@@ -57,14 +73,7 @@ class ReesValuationSet:
 def rees_valuations(ideal: MonomialIdeal) -> ReesValuationSet:
     if ideal.is_zero() or ideal.is_unit():
         raise DomainError("Rees valuations need a nonzero proper ideal")
-    poly = newton_polyhedron(ideal)
-    vals = []
-    for hs in poly.halfspaces:
-        if hs.offset > 0:
-            if any(w < 0 for w in hs.normal):  # cannot happen for a Newton polyhedron
-                raise AssertionError("Newton polyhedron facet with a negative normal entry")
-            vals.append((hs.normal, int(hs.offset)))
-    return ReesValuationSet(ideal, tuple(sorted(vals)))
+    return ReesValuationSet(ideal, _positive_facets(ideal))
 
 
 def minimal_covers(ideal: MonomialIdeal) -> Tuple[Monomial, ...]:
@@ -109,7 +118,10 @@ def symbolic_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     if any(e > 1 for g in ideal.generators for e in g):
         raise CapabilityError("symbolic powers are implemented for squarefree ideals only")
     covers = ideal.cached("covers", lambda: minimal_covers(ideal))
-    return MonomialIdeal(ideal.nvars, None, SymbolicView(covers, n))
+    # A minimal generator never needs an exponent above n: decrementing a
+    # coordinate > n keeps every cover sum >= n.
+    view = RegionView(covers, (n,) * len(covers), (n,) * ideal.nvars, "symbolic")
+    return MonomialIdeal(ideal.nvars, None, view)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,12 @@ A monomial is an exponent tuple of integers; `check_monomial` rejects any
 exponent that is not integral, so no float is ever truncated into one.  A
 MonomialIdeal stores its divisibility-minimal generators sorted
 lexicographically (deterministic reports, bit-stable goldens).  An ideal may
-instead carry a membership *view* (SymbolicView, ClosureView): a small typed
-object that answers `contains` without expanding generators and states the
-lattice region its generators are materialized from.
+instead carry a membership *view*, a RegionView: the integer rows W,
+right-hand sides m and box of the lattice region {a >= 0 : W a >= m}.  Its
+`contains` is one integer row test, and its generators are materialized
+from the region by the walk of `minimal_lattice_points` only when read.
+Symbolic powers, integral closures and m^d in three or more variables are
+views.
 
 Containment has one primitive, `witness_not_in`: it orients explicit
 generators on the left and a membership test on the right, and returns the
@@ -24,10 +27,9 @@ decreases (Miller & Sturmfels, Combinatorial Commutative Algebra, ch. 1-3).
 from __future__ import annotations
 
 import bisect
-import itertools
 from math import comb
-from operator import itemgetter, lt
-from typing import Any, Iterable, NamedTuple, Optional, Sequence, Tuple
+from operator import itemgetter, lt, mul as _times
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapabilityError, DimensionError, DomainError
 
@@ -122,41 +124,25 @@ def minimize_monomials(gens: Iterable[Monomial]) -> Tuple[Monomial, ...]:
     return tuple(sorted(kept))
 
 
-class SymbolicView(NamedTuple):
-    """Membership means every stored cover C satisfies sum_{i in C} m_i >= n."""
+class RegionView(NamedTuple):
+    """Membership in the lattice region {a >= 0 : <w_r, a> >= rhs_r for all r}.
 
-    covers: Tuple[Monomial, ...]
-    n: int
-    kind = "symbolic"
+    `rows` are nonnegative integer weight vectors and `box` bounds the
+    coordinates of the region's minimal points, the walk's input.  `kind`
+    names the ideal: "symbolic" (rows are minimal vertex covers, rhs n),
+    "closure" (rows are the positive-offset facets of the Newton polyhedron
+    of `base`, rhs offset * scale) or "degree" (one row of ones, rhs d: m^d).
+    """
 
-    def contains(self, m: Monomial) -> bool:
-        return all(sum(m[i] for i, on in enumerate(c) if on) >= self.n for c in self.covers)
-
-    def region(self, nvars: int):
-        # A minimal generator of the symbolic region never needs an exponent
-        # above n: decrementing a coordinate > n keeps every cover sum >= n.
-        return [tuple(c) for c in self.covers], [self.n] * len(self.covers), [self.n] * nvars
-
-
-class ClosureView(NamedTuple):
-    """Membership means m lies in scale * NP(base), NP the Newton polyhedron."""
-
-    base: "MonomialIdeal"
-    polyhedron: Any
-    scale: int
-    kind = "closure"
+    rows: Tuple[Tuple[int, ...], ...]
+    rhs: Tuple[int, ...]
+    box: Tuple[int, ...]
+    kind: str
+    base: Optional["MonomialIdeal"] = None
+    scale: int = 1
 
     def contains(self, m: Monomial) -> bool:
-        return self.polyhedron.contains(m, scale=self.scale)
-
-    def region(self, nvars: int):
-        rows, rhs = [], []
-        for hs in self.polyhedron.halfspaces:
-            if all(w >= 0 for w in hs.normal) and hs.offset > 0:
-                rows.append(tuple(int(w) for w in hs.normal))
-                rhs.append(int(hs.offset) * self.scale)
-        box = [self.scale * max(g[j] for g in self.base.generators) for j in range(nvars)]
-        return rows, rhs, box
+        return all(sum(map(_times, w, m)) >= r for w, r in zip(self.rows, self.rhs))
 
 
 class MonomialIdeal:
@@ -218,11 +204,9 @@ class MonomialIdeal:
     def generators(self) -> Tuple[Monomial, ...]:
         """Minimal generators, materializing a view on first access."""
         if self._gens is None:
-            self._gens = self._materialize()
+            view = self.view
+            self._gens = minimal_lattice_points(view.rows, view.rhs, view.box)
         return self._gens
-
-    def _materialize(self) -> Tuple[Monomial, ...]:
-        return minimal_lattice_points(*self.view.region(self.nvars))
 
     def cached(self, key: str, compute):
         """compute() on the first call for `key`, the stored value afterwards."""
@@ -254,6 +238,8 @@ class MonomialIdeal:
         """d when the ideal is generated by ALL monomials of total degree d (the
         d-th power of the maximal ideal), so that membership is a degree test;
         None otherwise.  Built once per ideal through `cached`."""
+        if self.view is not None:
+            return self.view.rhs[0] if self.view.kind == "degree" else None
         gens = self._gens
         if not gens:
             return None
@@ -294,7 +280,7 @@ class MonomialIdeal:
             return self
         d = self.cached("complete_degree", self._complete_degree)
         if d is not None:
-            # (m^d)^n = m^(dn): generate all monomials of total degree dn.
+            # (m^d)^n = m^(dn), a degree view in three or more variables
             return complete_power_ideal(self.nvars, d * n)
         result = None
         base = self
@@ -375,22 +361,14 @@ def _staircase_witness(gens: Tuple[Monomial, ...], staircase: Tuple[Monomial, ..
 
 
 def complete_power_ideal(nvars: int, d: int) -> MonomialIdeal:
-    """The ideal generated by all monomials of total degree d (d-th power of the
-    homogeneous maximal ideal)."""
+    """m^d, generated by all monomials of total degree d.  In three or more
+    variables it is the degree view, whose generators the walk builds only
+    when read; in one or two it is explicit, for the staircase merge."""
     if d == 0:
         return MonomialIdeal.unit(nvars)
-    gens = []
-    for bars in itertools.combinations(range(d + nvars - 1), nvars - 1):
-        prev = -1
-        exps = []
-        for b in bars:
-            exps.append(b - prev - 1)
-            prev = b
-        exps.append(d + nvars - 2 - prev)
-        gens.append(tuple(exps))
-    ideal = MonomialIdeal(nvars, tuple(sorted(gens)))
-    ideal.cached("complete_degree", lambda: d)
-    return ideal
+    if nvars <= 2:  # the staircase x^i y^(d-i), or x^d
+        return MonomialIdeal(nvars, tuple((i, d - i) for i in range(d + 1)) if nvars == 2 else ((d,),))
+    return MonomialIdeal(nvars, None, RegionView(((1,) * nvars,), (d,), (d,) * nvars, "degree"))
 
 
 def minimal_lattice_points(rows, rhs, box) -> Tuple[Monomial, ...]:
@@ -476,5 +454,4 @@ def minimal_lattice_points(rows, rhs, box) -> Tuple[Monomial, ...]:
         point[j] = 0
 
     walk(0, ())
-    # a no-op on this input, kept so bench/tracer.py's minimize_monomials counts hold
-    return minimize_monomials(points)
+    return tuple(points)

@@ -120,11 +120,6 @@ class RationalPolyhedron:
             raise DimensionError(f"point has dimension {len(point)}, polyhedron {self.dim}")
         return all(h.satisfied_by(point, scale) for h in self.halfspaces)
 
-    def valuation_candidates(self) -> Tuple[HalfSpace, ...]:
-        """Facets whose normals are nonnegative weight vectors (the candidates
-        for monomial valuations; for a Newton polyhedron this is every facet)."""
-        return tuple(h for h in self.halfspaces if all(w >= 0 for w in h.normal))
-
 
 def _dual_description(generators: list[Tuple[int, ...]], dim: int):
     """Lineality basis and extreme rays of {z : <g, z> >= 0 for all g}.

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 from . import families as fam
 from .closures import minimal_covers
 from .errors import CapabilityError, DimensionError, DomainError
-from .monomials import ClosureView, Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal
 from .polyhedra import HalfSpace, LinearProgram, lp_minimize
 
 
@@ -54,7 +54,7 @@ class MonomialValuation:
             raise DimensionError("ideal and valuation dimensions differ")
         if ideal.is_zero():
             raise DomainError("the zero ideal has no valuation value")
-        if isinstance(ideal.view, ClosureView):
+        if ideal.view_kind == "closure":
             scale = ideal.view.scale
             value, arg = self.of_ideal_with_argmin(ideal.view.base)
             return scale * value, tuple(scale * e for e in arg)

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and self-contained: set arithmetic on
 exponent tuples, subset enumeration, the full box scan for minimal lattice
-points that the pruned walk of `minimal_lattice_points` replaced, exhaustive
+points that the pruned walk of `minimal_lattice_points` replaced, the
+stars-and-bars loop that built m^d before its degree view, exhaustive
 facet checks, basic-feasible-point enumeration for LPs, and the rational
 two-phase simplex that the integer tableau of `lp_minimize` replaced.  None
 of it calls the code paths it is used to check: `halfspace_redundant` checks
@@ -75,6 +76,21 @@ def minimal_covers(gens, nvars):
 
 def symbolic_member(m, gens, n, nvars):
     return all(sum(m[i] for i in c) >= n for c in minimal_covers(gens, nvars))
+
+
+def complete_power_generators(nvars, d):
+    """All monomials of total degree d in lex order, by stars and bars: the
+    loop that built the generators of m^d before the degree view."""
+    gens = []
+    for bars in itertools.combinations(range(d + nvars - 1), nvars - 1):
+        prev = -1
+        exps = []
+        for b in bars:
+            exps.append(b - prev - 1)
+            prev = b
+        exps.append(d + nvars - 2 - prev)
+        gens.append(tuple(exps))
+    return tuple(sorted(gens))
 
 
 def box_minimal_lattice_points(rows, rhs, box):

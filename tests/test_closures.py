@@ -54,14 +54,17 @@ class TestNewtonPolyhedron:
         with pytest.raises(DomainError):
             newton_polyhedron(MonomialIdeal.zero(2))
 
-    def test_valuation_candidates_flagged(self):
-        poly = newton_polyhedron(ideal(2, (2, 0), (0, 3)))
-        assert poly.valuation_candidates() == poly.halfspaces
-        from resurgence import hull_with_recession
-        mixed = hull_with_recession([(0, 0), (1, 0)], [(0, 1)])
-        flagged = mixed.valuation_candidates()
-        assert all(all(w >= 0 for w in h.normal) for h in flagged)
-        assert len(flagged) < len(mixed.halfspaces)
+    def test_closure_rows_are_the_positive_offset_facets(self):
+        # every Newton facet normal is >= 0; the closure view keeps exactly
+        # the positive-offset facets, scaled by its exponent, as its rows
+        I = ideal(2, (2, 0), (0, 3))
+        poly = newton_polyhedron(I)
+        assert all(all(w >= 0 for w in h.normal) for h in poly.halfspaces)
+        view = integral_closure(I, 2).view
+        assert view.rows == ((3, 2),) and view.rhs == (12,) and view.box == (4, 6)
+        kept = sorted((h.normal, h.offset) for h in poly.halfspaces if h.offset > 0)
+        assert list(zip(view.rows, (r // 2 for r in view.rhs))) == kept
+        assert len(kept) < len(poly.halfspaces)
 
 
 class TestIntegralClosure:

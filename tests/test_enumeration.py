@@ -4,11 +4,12 @@
 box scan `oracles.box_minimal_lattice_points` on random weight systems and on
 the regions of symbolic and closure views; `minimal_covers` (Berge's method)
 is compared with the exhaustive subset search `oracles.minimal_covers`, order
-included.  The budgets of both functions are tested at their edges.
+included.  The budgets of both functions are tested at their edges.  The
+generators of m^d are compared with the stars-and-bars loop
+`oracles.complete_power_generators`, order included.
 """
 
 import itertools
-from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -29,6 +30,11 @@ from resurgence.invariants import beta
 from resurgence.monomials import complete_power_ideal, minimal_lattice_points
 
 SEEDED = settings(max_examples=150, deadline=None, database=None)
+
+
+def view_region(ideal):
+    view = ideal.view
+    return view.rows, view.rhs, view.box
 
 
 def cycle(nvars):
@@ -90,25 +96,25 @@ class TestMinimalLatticePoints:
     @SEEDED
     @given(squarefree_ideals(), st.integers(1, 3))
     def test_symbolic_regions_match_box_scan(self, ideal, n):
-        region = symbolic_power(ideal, n).view.region(ideal.nvars)
+        region = view_region(symbolic_power(ideal, n))
         assert minimal_lattice_points(*region) == oracles.box_minimal_lattice_points(*region)
 
     @seed(103)
     @settings(max_examples=60, deadline=None, database=None)
     @given(closure_ideals())
     def test_closure_regions_match_box_scan(self, view):
-        region = view.view.region(view.nvars)
+        region = view_region(view)
         assert minimal_lattice_points(*region) == oracles.box_minimal_lattice_points(*region)
 
     @seed(104)
     @SEEDED
     @given(weight_systems())
     def test_walk_emits_only_minimal_points(self, system):
-        # the final minimization pass receives the minimal points, sorted
-        seen = []
-        with mock.patch.object(monomials, "minimize_monomials", lambda pts: seen.append(tuple(pts))):
-            minimal_lattice_points(*system)
-        assert seen == [oracles.box_minimal_lattice_points(*system)]
+        # no minimization pass follows the walk: its own output is the answer
+        points = minimal_lattice_points(*system)
+        assert points == oracles.box_minimal_lattice_points(*system)
+        assert list(points) == sorted(set(points))
+        assert not any(p != q and oracles.divides(p, q) for p in points for q in points)
 
     def test_cap_counts_leaves(self, monkeypatch):
         # x + y + z >= d visits the prefixes (x, y) with x + y <= d: 10 for d = 3
@@ -153,15 +159,32 @@ class TestMinimalCovers:
 
 
 class TestCompletePower:
-    def test_degree_is_stored(self):
-        def compute():
-            raise AssertionError("complete_degree recomputed")
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
+    def test_generators_match_stars_and_bars_in_order(self, nvars):
+        # every degree d <= 8; in three or more variables the walk builds them
+        for d in range(9):
+            ideal = complete_power_ideal(nvars, d)
+            assert ideal.is_explicit == (nvars <= 2 or d == 0)
+            assert ideal.generators == oracles.complete_power_generators(nvars, d)
 
-        for nvars, d in ((1, 3), (3, 4), (7, 5)):
-            assert complete_power_ideal(nvars, d).cached("complete_degree", compute) == d
+    def test_probe_leaves_power_unmaterialized(self):
+        ideal = complete_power_ideal(7, 5).power(3)
+        assert ideal.view_kind == "degree" and ideal.view.rhs == (15,)
+        inside = MonomialIdeal.from_generators(7, [(15, 0, 0, 0, 0, 0, 0), (3, 3, 3, 3, 3, 0, 0)])
+        short = MonomialIdeal.from_generators(7, [(2,) * 7, (3, 3, 3, 3, 3, 0, 0)])
+        assert inside.is_subset_of(ideal)
+        assert short.witness_not_in(ideal) == (2,) * 7
+        assert not ideal.is_explicit
+
+    def test_generators_over_the_cap_raise(self):
+        # m^17 in 7 variables has C(23, 6) = 100,947 generators, one per leaf
+        ideal = complete_power_ideal(7, 17)
+        assert ideal.contains((17, 0, 0, 0, 0, 0, 0)) and not ideal.contains((2,) * 7)
+        with pytest.raises(CapabilityError, match=f"{monomials.MATERIALIZE_CAP} .*MATERIALIZE_CAP"):
+            ideal.generators
 
     def test_membership_matches_all_monomials_of_degree_d(self):
-        for nvars, d in ((2, 3), (3, 4), (4, 2)):
+        for nvars, d in itertools.product((2, 3, 4), (1, 2, 3, 4)):
             ideal = complete_power_ideal(nvars, d)
             box = list(itertools.product(range(d + 2), repeat=nvars))
             gens = [m for m in box if sum(m) == d]
