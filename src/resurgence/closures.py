@@ -106,7 +106,8 @@ def minimal_covers(ideal: MonomialIdeal) -> Tuple[Monomial, ...]:
 
 
 def symbolic_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
-    """n-th symbolic power of a squarefree monomial ideal, as a membership view.
+    """n-th symbolic power of a squarefree monomial ideal, as a membership view
+    cached on `ideal`.
 
     I^(n) is the intersection of the n-th powers of the minimal primes; a
     monomial belongs iff each minimal cover C satisfies sum_{i in C} m_i >= n.
@@ -121,7 +122,8 @@ def symbolic_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     # A minimal generator never needs an exponent above n: decrementing a
     # coordinate > n keeps every cover sum >= n.
     view = RegionView(covers, (n,) * len(covers), (n,) * ideal.nvars, "symbolic")
-    return MonomialIdeal(ideal.nvars, None, view)
+    # one view per (ideal, n), so its generators are materialized at most once
+    return ideal.cached(("symbolic", n), lambda: MonomialIdeal(ideal.nvars, None, view))
 
 
 @dataclass(frozen=True)

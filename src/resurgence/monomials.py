@@ -208,7 +208,7 @@ class MonomialIdeal:
             self._gens = minimal_lattice_points(view.rows, view.rhs, view.box)
         return self._gens
 
-    def cached(self, key: str, compute):
+    def cached(self, key, compute):
         """compute() on the first call for `key`, the stored value afterwards."""
         value = self._cache.get(key, _MISSING)
         if value is _MISSING:
@@ -326,11 +326,22 @@ class MonomialIdeal:
     # -- equality / ordering / rendering -----------------------------------------
 
     def __eq__(self, other) -> bool:
+        """Equal minimal generators.  An ideal equals itself, and two region
+        views of one kind with equal rows and right-hand sides are one region,
+        so neither case materializes; every other pair compares generators."""
+        if self is other:
+            return True
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        return self.nvars == other.nvars and self.generators == other.generators
+        if self.nvars != other.nvars:
+            return False
+        a, b = self.view, other.view
+        if a is not None and b is not None and (a.kind, a.rows, a.rhs) == (b.kind, b.rows, b.rhs):
+            return True
+        return self.generators == other.generators
 
     def __hash__(self):
+        """Hash of the minimal generators: hashing a view materializes it."""
         return hash((self.nvars, self.generators))
 
     def __repr__(self):

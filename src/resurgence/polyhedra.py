@@ -2,15 +2,17 @@
 
 H-representations are produced by a fraction-free incremental
 double-description pass over the dual cone of the homogenized generators: the
-generators enter as primitive integer vectors, rays are combined by integer
-cross-multiplication and extremality is a Bareiss rank test, so the pass uses
-Python ints only.  Every facet normal is stored as a primitive integer vector,
-so Newton-polyhedron facets (and hence Rees valuations) are canonical across
-runs.  The LP solver is a dense two-phase simplex with Bland's anti-cycling
-rule on one integer tableau whose last row holds the reduced costs: it stores
-M = D*T for the rational tableau T and D = |det B| of the basis B, and pivots
-fraction-free (Edmonds), so only the read-out builds Fractions and no floating
-point enters any decision.
+generators enter as primitive integer vectors, and two rays are combined, by
+integer cross-multiplication, only when they are adjacent.  Adjacency is the
+combinatorial test on bitmasks of the constraints each ray is tight on
+(Fukuda & Prodon, Double description method revisited, 1996), so the pass
+makes no rank test and uses Python ints only.  Every facet normal is stored
+as a primitive integer vector, so Newton-polyhedron facets (and hence Rees
+valuations) are canonical across runs.  The LP solver is a dense two-phase
+simplex with Bland's anti-cycling rule on one integer tableau whose last row
+holds the reduced costs: it stores M = D*T for the rational tableau T and
+D = |det B| of the basis B, and pivots fraction-free (Edmonds), so only the
+read-out builds Fractions and no floating point enters any decision.
 """
 
 from __future__ import annotations
@@ -124,27 +126,28 @@ class RationalPolyhedron:
 def _dual_description(generators: list[Tuple[int, ...]], dim: int):
     """Lineality basis and extreme rays of {z : <g, z> >= 0 for all g}.
 
-    Incremental double description over the integers: the lineality space
-    starts as all of Z^dim and is cut down whenever a constraint sees it;
-    sign-split ray pairs are combined on the constraint hyperplane and
-    non-extreme combinations are discarded by an exact rank test on their
-    tight sets.  Every update is a cross-multiplication `pval*x - c*pivot`,
-    a positive multiple of `x - (c/pval)*pivot`, so all vectors stay integer
-    and reduce to the same primitive representatives as over the rationals.
+    Incremental double description over the integers with the combinatorial
+    adjacency test (Fukuda & Prodon, Double description method revisited,
+    1996).  Each ray carries the bitmask of the processed constraints it is
+    tight on.  The lineality space starts as all of Z^dim; a constraint that
+    sees it is cut down by one pivot direction, which becomes a ray tight on
+    every earlier constraint, and every other ray is projected onto the new
+    hyperplane.  Any other constraint sets its bit on the rays it vanishes
+    on, keeps the rays it is positive on, and combines a sign-split pair
+    (p, m) on its hyperplane iff p and m are adjacent: their common tight set
+    zp & zm has at least dim - len(lineality) - 2 members and no third ray is
+    tight on all of it.  So every new ray is extreme, no rank test or filter
+    pass follows, and a constraint no ray violates only sets bits.  Every
+    update is a cross-multiplication `pval*x - c*pivot`, a positive multiple
+    of `x - (c/pval)*pivot`, so all vectors stay integer and reduce to the
+    same primitive representatives as over the rationals.
     """
     lineality: list[Tuple[int, ...]] = [
         tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
     ]
-    rays: list[Tuple[int, ...]] = []
-    processed: list[Tuple[int, ...]] = []
-
-    def is_extreme(ray) -> bool:
-        if all(v == 0 for v in ray):
-            return False
-        tight = [g for g in processed if _dot(g, ray) == 0]
-        return _rank(tight) >= dim - len(lineality) - 1
-
-    for g in generators:
+    rays: list[Tuple[Tuple[int, ...], int]] = []  # (ray, tight-set bitmask)
+    for k, g in enumerate(generators):
+        bit = 1 << k
         lvals = [_dot(g, l) for l in lineality]
         pivot_idx = next((i for i, v in enumerate(lvals) if v != 0), None)
         if pivot_idx is not None:
@@ -157,26 +160,22 @@ def _dual_description(generators: list[Tuple[int, ...]], dim: int):
                 _reduced([pval * x - c * p for x, p in zip(l, pivot)])
                 for i, (l, c) in enumerate(zip(lineality, lvals)) if i != pivot_idx
             ]
-            rays = [_reduced([pval * x - _dot(g, r) * p for x, p in zip(r, pivot)]) for r in rays]
-            rays.append(_reduced(pivot))
-        else:
-            valued = [(r, _dot(g, r)) for r in rays]
-            plus = [(r, v) for r, v in valued if v > 0]
-            minus = [(r, v) for r, v in valued if v < 0]
-            combos = [_reduced([vp * x - vm * y for x, y in zip(m, p)])
-                      for p, vp in plus for m, vm in minus]
-            rays = [r for r, _ in plus] + [r for r, v in valued if v == 0] + combos
-        processed.append(g)
-        seen = set()
-        filtered = []
-        for r in rays:
-            if r in seen:
-                continue
-            seen.add(r)
-            if all(_dot(g2, r) >= 0 for g2 in processed) and is_extreme(r):
-                filtered.append(r)
-        rays = filtered
-    return lineality, rays
+            rays = [(_reduced([pval * x - _dot(g, r) * p for x, p in zip(r, pivot)]), z | bit)
+                    for r, z in rays]
+            rays.append((_reduced(pivot), bit - 1))
+            continue
+        valued = [(r, z, _dot(g, r)) for r, z in rays]
+        plus = [(r, z, v) for r, z, v in valued if v > 0]
+        minus = [(r, z, v) for r, z, v in valued if v < 0]
+        masks = [z for _, z, _ in valued]
+        need = dim - len(lineality) - 2
+        combos = [(_reduced([vp * x - vm * y for x, y in zip(m, p)]), common | bit)
+                  for p, zp, vp in plus for m, zm, vm in minus
+                  if (common := zp & zm).bit_count() >= need
+                  and not any(z & common == common and z != zp and z != zm for z in masks)]
+        rays = ([(r, z) for r, z, _ in plus] + [(r, z | bit) for r, z, v in valued if v == 0]
+                + combos)
+    return lineality, [r for r, _ in rays]
 
 
 def hull_with_recession(
@@ -204,8 +203,8 @@ def hull_with_recession(
     if dim == 2 and set(rs) == {(1, 0), (0, 1)}:
         return _staircase_hull_2d(raw)
 
-    pts = [tuple(Fraction(x) for x in p) for p in raw]
-    homogenized = [_primitive(p + (1,)) for p in pts]
+    ints = all(type(x) is int for p in raw for x in p)  # then (p, 1) is already primitive
+    homogenized = [p + (1,) for p in raw] if ints else [_primitive(p + (1,)) for p in raw]
     lineality, extreme = _dual_description(homogenized + [r + (0,) for r in rs], dim + 1)
 
     halfspaces = set()
@@ -222,12 +221,12 @@ def hull_with_recession(
         halfspaces.add(HalfSpace(tuple(-v for v in z[:-1]), z[-1]))
 
     ordered = tuple(sorted(halfspaces))
-    vertices = []
-    for p, q in zip(pts, homogenized):
+    vertices = set()
+    for p, q in zip(raw, homogenized):
         # <h.normal, p> == h.offset, scaled by the homogenizing coordinate of q
         tight = [h.normal for h in ordered if _dot(h.normal, q) == h.offset * q[-1]]
-        if tight and _rank(tight) == dim and p not in vertices:
-            vertices.append(p)
+        if tight and _rank(tight) == dim:
+            vertices.add(tuple(Fraction(x) for x in p))  # Fractions only for the vertices
     return RationalPolyhedron(dim, ordered, tuple(sorted(vertices)), tuple(sorted(set(rs))))
 
 

@@ -4,11 +4,12 @@ Everything here is deliberately naive and self-contained: set arithmetic on
 exponent tuples, subset enumeration, the full box scan for minimal lattice
 points that the pruned walk of `minimal_lattice_points` replaced, the
 stars-and-bars loop that built m^d before its degree view, exhaustive
-facet checks, basic-feasible-point enumeration for LPs, and the rational
-two-phase simplex that the integer tableau of `lp_minimize` replaced.  None
-of it calls the code paths it is used to check: `halfspace_redundant` checks
-hulls with the library's LP, which is itself checked against
-`brute_lp_minimum` and `fraction_lp_minimize`.
+facet checks, the rank-filtered double description that the adjacency test
+of `hull_with_recession` replaced, basic-feasible-point enumeration for LPs,
+and the rational two-phase simplex that the integer tableau of `lp_minimize`
+replaced.  None of it calls the code paths it is used to check:
+`halfspace_redundant` checks hulls with the library's LP, which is itself
+checked against `brute_lp_minimum` and `fraction_lp_minimize`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import itertools
 from fractions import Fraction
 
 from resurgence import HalfSpace, LinearProgram, LPResult, lp_minimize
+from resurgence.polyhedra import _rank
 
 
 def divides(a, b):
@@ -194,6 +196,69 @@ def null_vector(rows, dim):
     for i, pc in enumerate(pivots):
         vec[pc] = -mat[i][fc]
     return vec
+
+
+def _reduced(vec):
+    g = 0
+    for v in vec:
+        g = _gcd(g, abs(v))
+    return tuple(v // g for v in vec) if g > 1 else tuple(vec)
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def rank_filtered_dual_description(generators, dim):
+    """Lineality basis and extreme rays of {z : <g, z> >= 0 for all g}: the
+    incremental double description that the adjacency-tested one of
+    `polyhedra._dual_description` replaced.  Each constraint combines every
+    sign-split pair of rays, then every ray is kept iff it is new, feasible
+    and extreme by the rank of its tight set (the library's Bareiss `_rank`,
+    which tests check against `rank`; the new pass makes no rank test)."""
+    lineality = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+    rays = []
+    processed = []
+
+    def is_extreme(ray):
+        if all(v == 0 for v in ray):
+            return False
+        tight = [g for g in processed if _dot(g, ray) == 0]
+        return _rank(tight) >= dim - len(lineality) - 1
+
+    for g in generators:
+        lvals = [_dot(g, l) for l in lineality]
+        pivot_idx = next((i for i, v in enumerate(lvals) if v != 0), None)
+        if pivot_idx is not None:
+            pivot = lineality[pivot_idx]
+            pval = lvals[pivot_idx]
+            if pval < 0:
+                pivot = tuple(-x for x in pivot)
+                pval = -pval
+            lineality = [
+                _reduced([pval * x - c * p for x, p in zip(l, pivot)])
+                for i, (l, c) in enumerate(zip(lineality, lvals)) if i != pivot_idx
+            ]
+            rays = [_reduced([pval * x - _dot(g, r) * p for x, p in zip(r, pivot)]) for r in rays]
+            rays.append(_reduced(pivot))
+        else:
+            valued = [(r, _dot(g, r)) for r in rays]
+            plus = [(r, v) for r, v in valued if v > 0]
+            minus = [(r, v) for r, v in valued if v < 0]
+            combos = [_reduced([vp * x - vm * y for x, y in zip(m, p)])
+                      for p, vp in plus for m, vm in minus]
+            rays = [r for r, _ in plus] + [r for r, v in valued if v == 0] + combos
+        processed.append(g)
+        seen = set()
+        filtered = []
+        for r in rays:
+            if r in seen:
+                continue
+            seen.add(r)
+            if all(_dot(g2, r) >= 0 for g2 in processed) and is_extreme(r):
+                filtered.append(r)
+        rays = filtered
+    return lineality, rays
 
 
 def brute_facets(points, rays):

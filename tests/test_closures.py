@@ -16,6 +16,7 @@ from resurgence import (
     newton_polyhedron,
     powers,
     rees_valuations,
+    symbolic,
     symbolic_power,
 )
 
@@ -207,6 +208,15 @@ class TestSymbolicPowers:
                 assert plain.is_subset_of(closed)
                 assert MonomialIdeal.from_generators(3, closed.generators).is_subset_of(
                     symbolic_power(I, n))
+
+    def test_each_power_is_one_view_on_its_ideal(self):
+        # the symbolic_power op and the symbolic family share it, so its
+        # generators are materialized once
+        pentagon = ideal(5, *[tuple(int(j in (i, (i + 1) % 5)) for j in range(5)) for i in range(5)])
+        third = symbolic_power(pentagon, 3)
+        assert symbolic_power(pentagon, 3) is third
+        assert symbolic(pentagon).member(3) is third
+        assert symbolic_power(pentagon, 2) is not third
 
     def test_non_squarefree_rejected(self):
         with pytest.raises(CapabilityError):

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from resurgence import DimensionError, DomainError, MonomialIdeal, minimize_monomials
+from resurgence import CapabilityError, DimensionError, DomainError, MonomialIdeal, minimize_monomials
 from resurgence.closures import integral_closure, symbolic_power
+from resurgence.monomials import complete_power_ideal
 
 
 def ideal(nvars, *gens):
@@ -195,6 +196,24 @@ class TestViews:
     def test_symbolic_left_of_containment(self):
         tri = ideal(3, (1, 1, 0), (1, 0, 1), (0, 1, 1))
         assert symbolic_power(tri, 1).is_subset_of(tri)
+
+    def test_equal_regions_compare_without_materializing(self):
+        # m^500 in 3 variables has 125,751 generators, past MATERIALIZE_CAP
+        big, twin = complete_power_ideal(3, 500), complete_power_ideal(3, 500)
+        assert big == big and big == twin
+        tri = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
+        assert symbolic_power(ideal(3, *tri), 9) == symbolic_power(ideal(3, *reversed(tri)), 9)
+        assert not big.is_explicit and not twin.is_explicit
+        with pytest.raises(CapabilityError):
+            hash(big)  # hashing a view materializes it
+
+    def test_other_pairs_compare_generators(self):
+        small = complete_power_ideal(3, 2)
+        assert small == ideal(3, *oracles.complete_power_generators(3, 2))
+        assert small != complete_power_ideal(3, 3)
+        # a closure and a symbolic power that are the same ideal
+        tri = ideal(3, (1, 1, 0), (1, 0, 1), (0, 1, 1))
+        assert integral_closure(tri, 1) == symbolic_power(tri, 1) == tri
 
     def test_staircase_index_matches_scan(self):
         rng = random.Random(6)

@@ -15,6 +15,7 @@ from resurgence import (
     hull_with_recession,
     lp_minimize,
 )
+from resurgence import polyhedra
 from resurgence.polyhedra import _rank
 
 
@@ -168,6 +169,42 @@ class TestHull:
         }
         assert poly.vertices == ((0, 16, 24), (8, 0, 32), (24, 8, 0))
 
+    def test_adjacency_double_description_matches_rank_filtered_oracle(self, monkeypatch):
+        answers = {}
+
+        def oracle(gens, dim):  # memoized: the patched hull asks for the same cone
+            key = (tuple(gens), dim)
+            if key not in answers:
+                answers.clear()
+                answers[key] = oracles.rank_filtered_dual_description(gens, dim)
+            return answers[key]
+
+        rng = random.Random(18)
+        for _ in range(2000):
+            pts, rays = _random_hull_input(rng)
+            dim = len(pts[0])
+            gens = [p + (1,) for p in pts] + [polyhedra._primitive(r) + (0,) for r in rays]
+            lineality, extreme = polyhedra._dual_description(gens, dim + 1)
+            want_lineality, want_extreme = oracle(gens, dim + 1)
+            assert lineality == want_lineality
+            assert len(extreme) == len(set(extreme))
+            assert sorted(extreme) == sorted(want_extreme)
+            poly = hull_with_recession(pts, rays)
+            with monkeypatch.context() as patched:
+                patched.setattr(polyhedra, "_dual_description", oracle)
+                assert poly == hull_with_recession(pts, rays)
+            # the integer homogenization emits what the rational one does
+            assert poly == hull_with_recession([tuple(map(Fraction, p)) for p in pts], rays)
+            if not (dim == 2 and set(rays) == {(1, 0), (0, 1)}):  # the chain keeps ints
+                assert all(type(x) is Fraction for v in poly.vertices for x in v)
+
+    def test_powers_scale_the_newton_offsets(self):
+        ideal = MonomialIdeal.from_generators(3, [[3, 1, 0], [0, 2, 3], [1, 0, 4], [2, 2, 1]])
+        base = hs_set(hull_with_recession(ideal.generators, unit_rays(3)))
+        for n in range(1, 6):
+            poly = hull_with_recession(ideal.power(n).generators, unit_rays(3))
+            assert hs_set(poly) == {(normal, n * offset) for normal, offset in base}
+
     def test_dimension_cap(self):
         with pytest.raises(CapabilityError):
             hull_with_recession([tuple(range(9))], unit_rays(9))
@@ -175,6 +212,30 @@ class TestHull:
     def test_empty_points(self):
         with pytest.raises(Exception):
             hull_with_recession([], unit_rays(2))
+
+
+def _random_hull_input(rng):
+    """Points and rays in 1-6 dimensions: orthant, partial, random signed or
+    no rays, with repeated points and hulls inside a hyperplane."""
+    dim = rng.randint(1, 6)
+    top = rng.choice((1, 3, 6))
+    pts = [tuple(rng.randint(0, top) for _ in range(dim)) for _ in range(rng.randint(1, 7))]
+    pts += rng.sample(pts, rng.randint(0, len(pts) // 2))
+    shape = rng.choice(("orthant", "partial", "random", "none", "flat"))
+    if shape == "orthant":
+        rays = unit_rays(dim)
+    elif shape == "partial":
+        rays = rng.sample(unit_rays(dim), rng.randint(1, dim))
+    elif shape == "random":
+        rays = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 4))]
+        rays = [r for r in rays if any(r)]
+    else:
+        rays = []
+    if shape == "flat" and dim > 1:
+        # x_i = x_j + 1 on every point: a hull of lower dimension
+        i, j = rng.sample(range(dim), 2)
+        pts = [p[:i] + (p[j] + 1,) + p[i + 1:] for p in pts]
+    return pts, rays
 
 
 def _membership_lp(q, pts, rays):
