@@ -281,7 +281,7 @@ class GradedFamily:
             base, fn, _closed = self.power
             if base.is_zero():
                 return None
-            v_base = min(sum(w * e for w, e in zip(weights, g)) for g in base.generators)
+            v_base, _ = base.weighted_min(weights)
             return lambda n: fn(n) * v_base
         inner = None if self.inner is None else self.inner.value_rule(weights)
         if inner is None:

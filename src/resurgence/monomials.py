@@ -22,6 +22,16 @@ finds that generator for a single monomial, and one linear merge of the two
 staircases decides containment.  The same invariant makes two-variable
 minimization one sort plus a sweep that keeps each entry whose y strictly
 decreases (Miller & Sturmfels, Combinatorial Commutative Algebra, ch. 1-3).
+
+Corner rule.  Every view's rows W are >= 0, so its real region
+{a >= 0 : W a >= m} is convex and closed upwards.  A set G of monomials then
+lies in it iff the vertices of its Newton polyhedron conv(G) + R^n_{>=0} do,
+and a nonnegative weight vector attains its minimum over G at such a vertex.
+In two variables those vertices are the corners of the staircase (the lower
+convex chain, `polyhedra.staircase_corners`), cached on the ideal: a view on
+the right is first tested on the left side's corners, and only if one fails
+does the scan look for the lex-first witness; `weighted_min` scans only the
+corners.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from operator import itemgetter, lt, mul as _times
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapabilityError, DimensionError, DomainError
+from .polyhedra import staircase_corners
 
 Monomial = Tuple[int, ...]
 
@@ -215,6 +226,35 @@ class MonomialIdeal:
             value = self._cache[key] = compute()
         return value
 
+    def corners(self) -> Tuple[Monomial, ...]:
+        """Two variables: the vertices of conv(generators) + R^2_{>=0}, the
+        strict corners of the staircase in lex order, cached on the ideal.
+        The generators are already a minimal staircase in lex order, so the
+        chain runs on them without a sort."""
+        return self.cached("corners", lambda: tuple(staircase_corners(self.generators)))
+
+    def weighted_min(self, weights: Sequence[int]) -> Tuple[int, Monomial]:
+        """(min <w, g>, lex-first minimizing g) over the minimal generators g of
+        a nonzero ideal, for a nonnegative weight vector w.
+
+        A closure view of base^n gives n times the base's pair, and m^d gives
+        d * min(w) at d on the last of the lightest variables (the lex-first
+        monomial of degree d among the minimizers), neither materializing.  In
+        two variables the minimum is taken over the corners (see the module
+        docstring): the minimizers form a face of the Newton polygon, and the
+        lex-first of them is its left end, a corner.
+        """
+        view = self.view
+        if view is not None and view.kind == "closure":
+            value, arg = view.base.weighted_min(weights)
+            return view.scale * value, tuple(view.scale * e for e in arg)
+        if view is not None and view.kind == "degree":
+            d, low = view.rhs[0], min(weights)
+            last = max(k for k, w in enumerate(weights) if w == low)
+            return d * low, tuple(d if k == last else 0 for k in range(self.nvars))
+        gens = self.corners() if self.nvars == 2 else self.generators
+        return min((sum(map(_times, weights, g)), g) for g in gens)
+
     # -- membership ----------------------------------------------------------
 
     def contains(self, m: Sequence[int]) -> bool:
@@ -311,16 +351,23 @@ class MonomialIdeal:
         """The lex-first minimal generator of self outside other, or None if
         self <= other.
 
-        A view on the right answers through its public `contains`.  An
+        A view on the right answers through its public `contains`; in two
+        variables it first tests only the corners of self (the corner rule of
+        the module docstring) and scans all generators only if one fails.  An
         explicit right side is trusted: in two variables one merge walks both
         staircases (see the module docstring), in more variables each
         generator goes through `_contains_explicit`.
         """
         self._require_same_ring(other)
         gens = self.generators
-        if other.view is None and self.nvars == 2:
-            return _staircase_witness(gens, other._gens)
-        has = other._contains_explicit if other.view is None else other.contains
+        if other.view is None:
+            if self.nvars == 2:
+                return _staircase_witness(gens, other._gens)
+            has = other._contains_explicit
+        else:
+            if self.nvars == 2 and all(map(other.contains, self.corners())):
+                return None
+            has = other.contains
         return next((g for g in gens if not has(g)), None)
 
     # -- equality / ordering / rendering -----------------------------------------

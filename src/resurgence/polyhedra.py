@@ -97,7 +97,8 @@ class HalfSpace:
 
     @classmethod
     def normalized(cls, normal: Sequence, offset) -> "HalfSpace":
-        joint = _primitive(tuple(normal) + (offset,))
+        joint = tuple(normal) + (offset,)
+        joint = _reduced(joint) if all(type(x) is int for x in joint) else _primitive(joint)
         if all(v == 0 for v in joint[:-1]):
             raise DomainError("halfspace normal must be nonzero")
         return cls(joint[:-1], joint[-1])
@@ -230,6 +231,24 @@ def hull_with_recession(
     return RationalPolyhedron(dim, ordered, tuple(sorted(vertices)), tuple(sorted(set(rs))))
 
 
+def staircase_corners(staircase: Sequence[Sequence]) -> list:
+    """Vertices of conv(staircase) + R^2_{>=0}, in lex order, for plane points
+    sorted lex with y strictly decreasing (a minimal staircase): a monotone
+    chain that keeps only the strict lower-left corners, so a point on an
+    edge between two corners is dropped."""
+    chain: list = []
+    for p in staircase:
+        while len(chain) >= 2:
+            (x0, y0), (x1, y1) = chain[-2], chain[-1]
+            # pop while the middle point is not a strict corner of the chain
+            if (x1 - x0) * (p[1] - y1) - (y1 - y0) * (p[0] - x1) <= 0:
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    return chain
+
+
 def _staircase_hull_2d(pts) -> RationalPolyhedron:
     """Plane case with the positive orthant as recession cone: the boundary is
     the lower-left convex chain of the dominance-minimal points, so a monotone
@@ -240,16 +259,7 @@ def _staircase_hull_2d(pts) -> RationalPolyhedron:
         if best_y is None or p[1] < best_y:
             minimal.append(p)
             best_y = p[1]
-    chain: list = []
-    for p in minimal:
-        while len(chain) >= 2:
-            (x0, y0), (x1, y1) = chain[-2], chain[-1]
-            # pop while the middle point is not a strict corner of the chain
-            if (x1 - x0) * (p[1] - y1) - (y1 - y0) * (p[0] - x1) <= 0:
-                chain.pop()
-            else:
-                break
-        chain.append(p)
+    chain = staircase_corners(minimal)
     halfspaces = {
         HalfSpace.normalized((1, 0), chain[0][0]),
         HalfSpace.normalized((0, 1), chain[-1][1]),
@@ -257,8 +267,7 @@ def _staircase_hull_2d(pts) -> RationalPolyhedron:
     for (x0, y0), (x1, y1) in zip(chain, chain[1:]):
         normal = (y0 - y1, x1 - x0)
         halfspaces.add(HalfSpace.normalized(normal, normal[0] * x0 + normal[1] * y0))
-    return RationalPolyhedron(2, tuple(sorted(halfspaces)), tuple(sorted(chain)),
-                              ((0, 1), (1, 0)))
+    return RationalPolyhedron(2, tuple(sorted(halfspaces)), tuple(chain), ((0, 1), (1, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -50,21 +50,22 @@ class MonomialValuation:
         return value
 
     def of_ideal_with_argmin(self, ideal: MonomialIdeal) -> Tuple[int, Monomial]:
+        """(v(ideal), the lex-first minimal generator attaining it).
+
+        Corner rule: the weights are >= 0, so <w, a> >= c is a region with
+        rows >= 0, convex and closed upwards, and the minimum over the
+        generators is attained at a vertex of their Newton polyhedron.  In two
+        variables `MonomialIdeal.weighted_min` therefore scans only the
+        staircase corners; the minimizers form an edge or a corner, and the
+        lex-first of them is the edge's left end, a corner, so the pair equals
+        the minimum over all generators.  A closure view and m^d are answered
+        without materializing their generators.
+        """
         if ideal.nvars != len(self.weights):
             raise DimensionError("ideal and valuation dimensions differ")
         if ideal.is_zero():
             raise DomainError("the zero ideal has no valuation value")
-        if ideal.view_kind == "closure":
-            scale = ideal.view.scale
-            value, arg = self.of_ideal_with_argmin(ideal.view.base)
-            return scale * value, tuple(scale * e for e in arg)
-        best = None
-        arg = None
-        for g in ideal.generators:
-            v = self.of_monomial(g)
-            if best is None or v < best:
-                best, arg = v, g
-        return best, arg
+        return ideal.weighted_min(self.weights)
 
 
 def degree_valuation(nvars: int) -> MonomialValuation:

@@ -1,13 +1,16 @@
 """Seeded property tests of the containment kernel and of minimization.
 
 `witness_not_in`/`is_subset_of` and `minimize_monomials` are compared with
-brute-force scans from `oracles` on random ideals in 2 and 3 variables.
+brute-force scans from `oracles` on random ideals in 2 and 3 variables.  The
+two-variable corner test against a view is compared with the full scan of
+the left side's generators, and the cached corners with the vertices of the
+Newton polygon from both hull paths.
 """
 
 from hypothesis import given, seed, settings, strategies as st
 
 import oracles
-from resurgence import MonomialIdeal, minimize_monomials
+from resurgence import MonomialIdeal, hull_with_recession, minimize_monomials
 from resurgence.closures import integral_closure, symbolic_power
 
 SEEDED = settings(max_examples=150, deadline=None, database=None)
@@ -86,6 +89,73 @@ class TestContainmentKernel:
         assert subset == (expected is None)
         if member is not None:
             assert expected == oracles.first_outside(left, member)
+
+
+@st.composite
+def staircases(draw):
+    """2-variable ideals: the zero and unit ideals, one generator, collinear
+    m^s shifted by a monomial, and powers of random ideals (long staircases
+    with generators strictly inside the Newton polygon's edges)."""
+    kind = draw(st.sampled_from(["zero", "unit", "one", "collinear", "power"]))
+    if kind == "zero":
+        return MonomialIdeal.zero(2)
+    if kind == "unit":
+        return MonomialIdeal.unit(2)
+    shift = draw(st.tuples(st.integers(0, 4), st.integers(0, 4)))
+    if kind == "one":
+        return MonomialIdeal.from_generators(2, [shift])
+    if kind == "collinear":
+        s = draw(st.integers(1, 9))
+        return MonomialIdeal.from_generators(2, [(shift[0] + i, shift[1] + s - i) for i in range(s + 1)])
+    base = draw(raw_generators(2, top=5).filter(bool))
+    return MonomialIdeal.from_generators(2, base).power(draw(st.integers(1, 3)))
+
+
+@st.composite
+def plane_views(draw):
+    """A 2-variable closure or symbolic-power view."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return symbolic_power(MonomialIdeal.from_generators(2, draw(squarefree_generators(2))), n)
+    base = draw(raw_generators(2, top=4).map(lambda g: MonomialIdeal.from_generators(2, g))
+                .filter(MonomialIdeal.is_proper))
+    return integral_closure(base, n)
+
+
+def unit_rays(n):
+    return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+
+
+class TestCornerRule:
+    @seed(65)
+    @SEEDED
+    @given(staircases(), plane_views())
+    def test_witness_matches_full_scan(self, I, view):
+        assert view.view is not None
+        expected = next((g for g in I.generators if not view.contains(g)), None)
+        assert I.witness_not_in(view) == expected
+        assert I.is_subset_of(view) == (expected is None)
+
+    @seed(66)
+    @SEEDED
+    @given(staircases(), st.integers(1, 4))
+    def test_own_closures_contain_the_staircase(self, I, n):
+        # I^n lies in the closure of I^n: every corner passes, no scan runs
+        if I.is_proper():
+            assert I.power(n).witness_not_in(integral_closure(I, n)) is None
+
+    @seed(67)
+    @SEEDED
+    @given(staircases().filter(lambda I: not I.is_zero()))
+    def test_corners_are_the_newton_polygon_vertices(self, I):
+        gens = I.generators
+        chain = hull_with_recession(gens, unit_rays(2))
+        # the ray (1, 1) lies in the orthant, so the polygon is the same, but
+        # the double description computes it
+        described = hull_with_recession(gens, unit_rays(2) + [(1, 1)])
+        assert I.corners() == chain.vertices == described.vertices
+        assert set(I.corners()) <= set(gens)
+        assert I.corners() is I.corners()
 
 
 class TestMinimizeOracle:

@@ -9,6 +9,7 @@ import pytest
 import oracles
 from resurgence import (
     CapabilityError,
+    DomainError,
     HalfSpace,
     LinearProgram,
     MonomialIdeal,
@@ -212,6 +213,34 @@ class TestHull:
     def test_empty_points(self):
         with pytest.raises(Exception):
             hull_with_recession([], unit_rays(2))
+
+
+class TestHalfSpaceNormalized:
+    def test_integer_and_rational_inputs_match_the_fraction_path(self):
+        # all-int input is reduced by its gcd; any Fraction sends it through
+        # _primitive, which must give the same halfspace
+        rng = random.Random(15)
+        for _ in range(400):
+            dim = rng.randint(1, 5)
+            scale = rng.choice((1, 2, 6, 30))
+            normal = [scale * rng.randint(-4, 4) for _ in range(dim)]
+            if not any(normal):
+                normal[0] = scale
+            offset = scale * rng.randint(-5, 5)
+            if rng.random() < 0.5:
+                k = rng.randrange(dim + 1)
+                den = rng.randint(2, 7)
+                entries = normal + [offset]
+                entries[k] = Fraction(entries[k], den)
+                normal, offset = entries[:-1], entries[-1]
+            joint = polyhedra._primitive(tuple(normal) + (offset,))
+            h = HalfSpace.normalized(normal, offset)
+            assert h == HalfSpace(joint[:-1], joint[-1])
+            assert all(type(x) is int for x in (*h.normal, h.offset))
+
+    def test_zero_normal_rejected(self):
+        with pytest.raises(DomainError):
+            HalfSpace.normalized((0, 0), 3)
 
 
 def _random_hull_input(rng):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+
 from resurgence import (
     DomainError,
     MonomialIdeal,
@@ -19,7 +21,9 @@ from resurgence import (
     table,
     validate_graded,
 )
+from resurgence.closures import integral_closure, symbolic_power
 from resurgence.families import Environment
+from resurgence.monomials import complete_power_ideal
 import resurgence.families as fam
 
 
@@ -65,6 +69,88 @@ class TestValues:
         I = ideal(2, (2, 0), (0, 3))
         v = MonomialValuation((3, 2))
         assert v.of_ideal(integral_closure(I, 4)) == 4 * v.of_ideal(I)
+
+
+def full_scan(weights, gens):
+    """(min <w, g>, lex-first minimizing g) over every generator."""
+    return min((sum(w * e for w, e in zip(weights, g)), g) for g in gens)
+
+
+def random_plane_ideals(rng, count):
+    """Nonzero 2-variable ideals: the unit ideal, one generator, collinear
+    m^s shifted by a monomial, powers of random ideals, closure views and
+    symbolic-power views."""
+    for _ in range(count):
+        kind = rng.choice(("unit", "one", "collinear", "power", "closure", "symbolic"))
+        shift = (rng.randint(0, 4), rng.randint(0, 4))
+        if kind == "unit":
+            yield MonomialIdeal.unit(2)
+        elif kind == "one":
+            yield ideal(2, shift)
+        elif kind == "collinear":
+            s = rng.randint(1, 9)
+            yield ideal(2, *[(shift[0] + i, shift[1] + s - i) for i in range(s + 1)])
+        elif kind == "symbolic":
+            base = rng.choice([[(1, 1)], [(1, 0), (0, 1)], [(1, 0)], [(1, 0), (1, 1)]])
+            yield symbolic_power(ideal(2, *base), rng.randint(1, 4))
+        else:
+            gens = [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(rng.randint(1, 5))]
+            base = ideal(2, *gens)
+            if kind == "power" or not base.is_proper():
+                yield base.power(rng.randint(1, 3))
+            else:
+                yield integral_closure(base, rng.randint(1, 3))
+
+
+class TestCornerMinimum:
+    def test_plane_minimum_matches_full_scan(self):
+        rng = random.Random(71)
+        for I in random_plane_ideals(rng, 300):
+            weights = (rng.randint(0, 4), rng.randint(0, 4))
+            if not any(weights):
+                weights = (rng.randint(1, 4), 0)
+            expected = full_scan(weights, I.generators)
+            assert MonomialValuation(weights).of_ideal_with_argmin(I) == expected
+            assert I.weighted_min(weights) == expected
+
+    def test_ties_give_the_left_end_of_the_edge(self):
+        # (0,3), (1,2), (2,1), (3,0) all have degree 3; (0,3) is lex-first
+        I = complete_power_ideal(2, 3)
+        assert I.corners() == ((0, 3), (3, 0))
+        assert MonomialValuation((1, 1)).of_ideal_with_argmin(I) == (3, (0, 3))
+        assert MonomialValuation((1, 0)).of_ideal_with_argmin(I) == (0, (0, 3))
+        assert MonomialValuation((0, 1)).of_ideal_with_argmin(I) == (0, (3, 0))
+
+    @pytest.mark.parametrize("nvars", [3, 4, 5])
+    def test_degree_view_matches_materialized(self, nvars):
+        rng = random.Random(72 + nvars)
+        for d in range(1, 7):
+            view = complete_power_ideal(nvars, d)
+            gens = oracles.complete_power_generators(nvars, d)
+            for _ in range(6):
+                weights = tuple(rng.randint(0, 3) for _ in range(nvars))
+                if not any(weights):
+                    weights = (1,) * nvars
+                expected = full_scan(weights, gens)
+                assert MonomialValuation(weights).of_ideal_with_argmin(view) == expected
+                assert expected == full_scan(weights, view.generators)
+
+    def test_degree_view_past_the_materialization_cap(self):
+        # m^17 in 7 variables has more minimal generators than MATERIALIZE_CAP
+        m17 = complete_power_ideal(7, 17)
+        value, arg = MonomialValuation((1, 2, 3, 1, 1, 1, 1)).of_ideal_with_argmin(m17)
+        assert (value, arg) == (17, (0, 0, 0, 0, 0, 0, 17))
+        assert not m17.is_explicit
+
+    def test_value_rule_uses_the_same_minimum(self):
+        rng = random.Random(73)
+        for I in random_plane_ideals(rng, 60):
+            if not I.is_proper():
+                continue
+            weights = (rng.randint(1, 4), rng.randint(0, 4))
+            rule = powers(I).value_rule(weights)
+            assert rule(1) == full_scan(weights, I.generators)[0]
+            assert rule(3) == 3 * rule(1)
 
 
 class TestSkewWaldschmidt:
