@@ -228,9 +228,7 @@ class MonomialIdeal:
 
     def corners(self) -> Tuple[Monomial, ...]:
         """Two variables: the vertices of conv(generators) + R^2_{>=0}, the
-        strict corners of the staircase in lex order, cached on the ideal.
-        The generators are already a minimal staircase in lex order, so the
-        chain runs on them without a sort."""
+        strict corners of the staircase in lex order, cached on the ideal."""
         return self.cached("corners", lambda: tuple(staircase_corners(self.generators)))
 
     def weighted_min(self, weights: Sequence[int]) -> Tuple[int, Monomial]:

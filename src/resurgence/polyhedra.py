@@ -231,13 +231,20 @@ def hull_with_recession(
     return RationalPolyhedron(dim, ordered, tuple(sorted(vertices)), tuple(sorted(set(rs))))
 
 
-def staircase_corners(staircase: Sequence[Sequence]) -> list:
-    """Vertices of conv(staircase) + R^2_{>=0}, in lex order, for plane points
-    sorted lex with y strictly decreasing (a minimal staircase): a monotone
-    chain that keeps only the strict lower-left corners, so a point on an
+def staircase_corners(points: Iterable[Sequence]) -> list:
+    """Vertices of conv(points) + R^2_{>=0}, in lex order: the lower-left
+    convex chain of the plane points.  The dominance-minimal points, swept in
+    lex order, form a staircase (x increases, y strictly decreases), and a
+    monotone chain over it keeps only the strict corners, so a point on an
     edge between two corners is dropped."""
+    minimal: list = []
+    best_y = None
+    for p in sorted(set(points)):  # x ascending, y ascending within equal x
+        if best_y is None or p[1] < best_y:
+            minimal.append(p)
+            best_y = p[1]
     chain: list = []
-    for p in staircase:
+    for p in minimal:
         while len(chain) >= 2:
             (x0, y0), (x1, y1) = chain[-2], chain[-1]
             # pop while the middle point is not a strict corner of the chain
@@ -251,15 +258,9 @@ def staircase_corners(staircase: Sequence[Sequence]) -> list:
 
 def _staircase_hull_2d(pts) -> RationalPolyhedron:
     """Plane case with the positive orthant as recession cone: the boundary is
-    the lower-left convex chain of the dominance-minimal points, so a monotone
-    chain replaces the double-description pass (staircases can be large)."""
-    minimal: list = []
-    best_y = None
-    for p in sorted(set(pts)):  # x ascending, y ascending within equal x
-        if best_y is None or p[1] < best_y:
-            minimal.append(p)
-            best_y = p[1]
-    chain = staircase_corners(minimal)
+    the chain of `staircase_corners`, so a monotone chain replaces the
+    double-description pass (staircases can be large)."""
+    chain = staircase_corners(pts)
     halfspaces = {
         HalfSpace.normalized((1, 0), chain[0][0]),
         HalfSpace.normalized((0, 1), chain[-1][1]),
