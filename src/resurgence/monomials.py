@@ -25,13 +25,11 @@ decreases (Miller & Sturmfels, Combinatorial Commutative Algebra, ch. 1-3).
 
 Corner rule.  Every view's rows W are >= 0, so its real region
 {a >= 0 : W a >= m} is convex and closed upwards.  A set G of monomials then
-lies in it iff the vertices of its Newton polyhedron conv(G) + R^n_{>=0} do,
-and a nonnegative weight vector attains its minimum over G at such a vertex.
+lies in it iff the vertices of its Newton polyhedron conv(G) + R^n_{>=0} do.
 In two variables those vertices are the corners of the staircase (the lower
 convex chain, `polyhedra.staircase_corners`), cached on the ideal: a view on
 the right is first tested on the left side's corners, and only if one fails
-does the scan look for the lex-first witness; `weighted_min` scans only the
-corners.
+does the scan look for the lex-first witness.
 """
 
 from __future__ import annotations
@@ -237,10 +235,7 @@ class MonomialIdeal:
 
         A closure view of base^n gives n times the base's pair, and m^d gives
         d * min(w) at d on the last of the lightest variables (the lex-first
-        monomial of degree d among the minimizers), neither materializing.  In
-        two variables the minimum is taken over the corners (see the module
-        docstring): the minimizers form a face of the Newton polygon, and the
-        lex-first of them is its left end, a corner.
+        monomial of degree d among the minimizers), neither materializing.
         """
         view = self.view
         if view is not None and view.kind == "closure":
@@ -250,8 +245,7 @@ class MonomialIdeal:
             d, low = view.rhs[0], min(weights)
             last = max(k for k, w in enumerate(weights) if w == low)
             return d * low, tuple(d if k == last else 0 for k in range(self.nvars))
-        gens = self.corners() if self.nvars == 2 else self.generators
-        return min((sum(map(_times, weights, g)), g) for g in gens)
+        return min((sum(map(_times, weights, g)), g) for g in self.generators)
 
     # -- membership ----------------------------------------------------------
 

@@ -71,6 +71,8 @@ def _reduced(vec: Sequence[int]) -> Tuple[int, ...]:
 
 def _primitive(vec: Sequence) -> Tuple[int, ...]:
     """Scale a rational vector by a positive factor to coprime integers."""
+    if all(type(x) is int for x in vec):
+        return _reduced(vec)
     fracs = [Fraction(x) for x in vec]
     denom = lcm(*(f.denominator for f in fracs))
     return _reduced([int(f * denom) for f in fracs])
@@ -97,8 +99,7 @@ class HalfSpace:
 
     @classmethod
     def normalized(cls, normal: Sequence, offset) -> "HalfSpace":
-        joint = tuple(normal) + (offset,)
-        joint = _reduced(joint) if all(type(x) is int for x in joint) else _primitive(joint)
+        joint = _primitive(tuple(normal) + (offset,))
         if all(v == 0 for v in joint[:-1]):
             raise DomainError("halfspace normal must be nonzero")
         return cls(joint[:-1], joint[-1])

@@ -52,14 +52,8 @@ class MonomialValuation:
     def of_ideal_with_argmin(self, ideal: MonomialIdeal) -> Tuple[int, Monomial]:
         """(v(ideal), the lex-first minimal generator attaining it).
 
-        Corner rule: the weights are >= 0, so <w, a> >= c is a region with
-        rows >= 0, convex and closed upwards, and the minimum over the
-        generators is attained at a vertex of their Newton polyhedron.  In two
-        variables `MonomialIdeal.weighted_min` therefore scans only the
-        staircase corners; the minimizers form an edge or a corner, and the
-        lex-first of them is the edge's left end, a corner, so the pair equals
-        the minimum over all generators.  A closure view and m^d are answered
-        without materializing their generators.
+        `MonomialIdeal.weighted_min` scans the minimal generators; a closure
+        view and m^d are answered without materializing theirs.
         """
         if ideal.nvars != len(self.weights):
             raise DimensionError("ideal and valuation dimensions differ")

@@ -217,8 +217,8 @@ class TestHull:
 
 class TestHalfSpaceNormalized:
     def test_integer_and_rational_inputs_match_the_fraction_path(self):
-        # all-int input is reduced by its gcd; any Fraction sends it through
-        # _primitive, which must give the same halfspace
+        # _primitive reduces all-int input by its gcd; the same entries as
+        # Fractions take the lcm-of-denominators path, which must agree
         rng = random.Random(15)
         for _ in range(400):
             dim = rng.randint(1, 5)
@@ -233,9 +233,11 @@ class TestHalfSpaceNormalized:
                 entries = normal + [offset]
                 entries[k] = Fraction(entries[k], den)
                 normal, offset = entries[:-1], entries[-1]
-            joint = polyhedra._primitive(tuple(normal) + (offset,))
+            joint = tuple(normal) + (offset,)
+            expected = polyhedra._primitive([Fraction(x) for x in joint])
+            assert polyhedra._primitive(joint) == expected
             h = HalfSpace.normalized(normal, offset)
-            assert h == HalfSpace(joint[:-1], joint[-1])
+            assert h == HalfSpace(expected[:-1], expected[-1])
             assert all(type(x) is int for x in (*h.normal, h.offset))
 
     def test_zero_normal_rejected(self):
