@@ -147,19 +147,20 @@ def bequiv_constant(ideal: MonomialIdeal, horizon: int = 8) -> EquivalenceConsta
 
     The Briancon-Skoda bound k = vars - 1 certifies closure(I^(i+k)) <= I^i;
     the tightening pass then decrements k while the containment verifies on
-    the window.  (Plain powers need no pass: their shift is 0 exactly.)
+    the window.  (Plain powers need no pass: their shift is 0 exactly.)  The
+    result is cached on `ideal` per horizon, so the pass runs once.
     """
     if ideal.is_zero() or ideal.is_unit():
         raise DomainError("equivalence constants need a nonzero proper ideal")
-    bound = ideal.nvars - 1
-    k = bound
-    while k > 0:
-        candidate = k - 1
-        ok = all(
-            integral_closure(ideal, i + candidate).is_subset_of(ideal.power(i))
+
+    def tighten():
+        bound = ideal.nvars - 1
+        k = bound
+        while k > 0 and all(
+            integral_closure(ideal, i + k - 1).is_subset_of(ideal.power(i))
             for i in range(1, horizon + 1)
-        )
-        if not ok:
-            break
-        k = candidate
-    return EquivalenceConstant(k, bound, k == bound, horizon)
+        ):
+            k -= 1
+        return EquivalenceConstant(k, bound, k == bound, horizon)
+
+    return ideal.cached(("bequiv", horizon), tighten)

@@ -252,11 +252,6 @@ class GradedFamily:
             self._cache[n] = got
         return got
 
-    def power_semantics(self):
-        """(base ideal, exponent rule, closed?) when members are I^e(n) or
-        their integral closures; None otherwise."""
-        return self.power
-
     def base_equivalence(self) -> Optional[Tuple[MonomialIdeal, closures.EquivalenceConstant]]:
         """(base ideal b, shift certificate) when the family is structurally
         b-equivalent: ordinary powers (k = 0) or closures of powers

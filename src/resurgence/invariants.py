@@ -84,7 +84,7 @@ def _power_pair_tests(a: fam.GradedFamily, b: fam.GradedFamily):
     same proper base (a Rees valuation of the base separates the powers;
     a closure on the left only cannot be decided by exponents alone).
     """
-    sa, sb = a.power_semantics(), b.power_semantics()
+    sa, sb = a.power, b.power
     if sa is None or sb is None:
         return None
     base_a, fa, closed_a = sa
@@ -677,7 +677,7 @@ def _disprove_or_fail_hypothesis_i(b, horizon):
 def _closure_gap(b, horizon, assertions) -> EquivalenceConstant:
     if b.integrally_closed:
         return EquivalenceConstant(0, 0, True, horizon)
-    sem = b.power_semantics()
+    sem = b.power
     if sem is not None and sem[1] == fam.affine(1):
         return bequiv_constant(sem[0], horizon)
     for text in assertions:

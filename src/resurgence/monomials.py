@@ -17,9 +17,9 @@ lex-first left generator outside the right side.  Stored generators are
 trusted, so an explicit right side is tested without re-validation.  In two
 variables a minimal generating set sorted lex is a staircase: x strictly
 increases while y strictly decreases.  Hence (gx, gy) lies in an explicit
-ideal iff the last of its generators with x <= gx has y <= gy: one bisect
-finds that generator for a single monomial, and one linear merge of the two
-staircases decides containment.  The same invariant makes two-variable
+ideal iff the last of its generators with x <= gx has y <= gy, so one
+linear merge of two staircases (a single monomial being a staircase of one
+step) decides containment.  The same invariant makes two-variable
 minimization one sort plus a sweep that keeps each entry whose y strictly
 decreases (Miller & Sturmfels, Combinatorial Commutative Algebra, ch. 1-3).
 
@@ -34,9 +34,8 @@ does the scan look for the lex-first witness.
 
 from __future__ import annotations
 
-import bisect
 from math import comb
-from operator import itemgetter, lt, mul as _times
+from operator import lt, mul as _times
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapabilityError, DimensionError, DomainError
@@ -49,7 +48,6 @@ Monomial = Tuple[int, ...]
 MATERIALIZE_CAP = 100_000
 
 _MISSING = object()
-_first = itemgetter(0)
 
 
 def monomial(*exponents: int) -> Monomial:
@@ -255,12 +253,8 @@ class MonomialIdeal:
 
     def _contains_explicit(self, m: Monomial) -> bool:
         gens = self._gens
-        if not gens:
-            return False
         if self.nvars == 2:
-            # the last staircase step with x <= m_x has the least y of those steps
-            k = bisect.bisect_right(gens, m[0], key=_first) - 1
-            return k >= 0 and gens[k][1] <= m[1]
+            return _staircase_witness((m,), gens) is None
         d = self.cached("complete_degree", self._complete_degree)
         if d is not None:
             return degree(m) >= d

@@ -6,7 +6,10 @@ generators enter as primitive integer vectors, and two rays are combined, by
 integer cross-multiplication, only when they are adjacent.  Adjacency is the
 combinatorial test on bitmasks of the constraints each ray is tight on
 (Fukuda & Prodon, Double description method revisited, 1996), so the pass
-makes no rank test and uses Python ints only.  Every facet normal is stored
+makes no rank test and uses Python ints only.  The same bitmasks give the
+vertices: a point p is one iff every generator tight on all the facets
+through (p, 1) is a copy of (p, 1) or zero, since those generators span the
+least face of the cone containing (p, 1).  Every facet normal is stored
 as a primitive integer vector, so Newton-polyhedron facets (and hence Rees
 valuations) are canonical across runs.  The LP solver is a dense two-phase
 simplex with Bland's anti-cycling rule on one integer tableau whose last row
@@ -37,32 +40,6 @@ def _dot(a: Sequence, b: Sequence):
     return sum(map(mul, a, b))
 
 
-def _rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by Bareiss fraction-free elimination: after
-    each step every entry is a minor of the input, so the division by the
-    previous pivot is exact and entries stay integers of bounded size."""
-    mat = [list(row) for row in rows]
-    cols = len(mat[0]) if mat else 0
-    rank = 0
-    prev = 1
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        top = mat[rank]
-        pv = top[col]
-        for r in range(rank + 1, len(mat)):
-            row = mat[r]
-            f = row[col]
-            mat[r] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
-        prev = pv
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
 def _reduced(vec: Sequence[int]) -> Tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries."""
     g = gcd(*vec)
@@ -76,13 +53,6 @@ def _primitive(vec: Sequence) -> Tuple[int, ...]:
     fracs = [Fraction(x) for x in vec]
     denom = lcm(*(f.denominator for f in fracs))
     return _reduced([int(f * denom) for f in fracs])
-
-
-def _primitive_signed(vec: Sequence) -> Tuple[int, ...]:
-    """Primitive integer vector with the first nonzero entry positive."""
-    p = _primitive(vec)
-    first = next((v for v in p if v != 0), 0)
-    return tuple(-v for v in p) if first < 0 else p
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +96,9 @@ class RationalPolyhedron:
 
 
 def _dual_description(generators: list[Tuple[int, ...]], dim: int):
-    """Lineality basis and extreme rays of {z : <g, z> >= 0 for all g}.
+    """Lineality basis and extreme rays of {z : <g, z> >= 0 for all g}, each
+    ray paired with its tight set: the bitmask of the generators it vanishes
+    on (bit k for generators[k]).
 
     Incremental double description over the integers with the combinatorial
     adjacency test (Fukuda & Prodon, Double description method revisited,
@@ -177,19 +149,25 @@ def _dual_description(generators: list[Tuple[int, ...]], dim: int):
                   and not any(z & common == common and z != zp and z != zm for z in masks)]
         rays = ([(r, z) for r, z, _ in plus] + [(r, z | bit) for r, z, v in valued if v == 0]
                 + combos)
-    return lineality, [r for r, _ in rays]
+    return lineality, rays
 
 
 def hull_with_recession(
     points: Iterable[Sequence], rays: Iterable[Sequence] = ()
 ) -> RationalPolyhedron:
-    """Irredundant H-representation of conv(points) + cone(rays).
+    """Irredundant H-representation of conv(points) + cone(rays), with vertices.
 
-    Works in the homogenization cone: a facet <a, y> >= b corresponds to an
-    extreme ray (a, -b) of the dual cone of {(p, 1)} u {(r, 0)}; a lineality
-    direction of that dual cone is an affine-hull equation, emitted as an
-    opposite pair of halfspaces.  Each generator enters as its primitive
+    Works in the homogenization cone C = cone{(p, 1)} + cone{(r, 0)}: a facet
+    <a, y> >= b corresponds to an extreme ray (a, -b) of the dual cone; a
+    lineality direction of that dual cone is an affine-hull equation, emitted
+    as an opposite pair of halfspaces.  Each generator enters as its primitive
     integer multiple, which leaves the dual cone unchanged.
+
+    Vertex rule: p is a vertex iff (p, 1) spans an extreme ray of C, iff every
+    generator tight on all the facets tight on (p, 1) is a copy of it or zero.
+    Proof: those generators span the least face of C containing (p, 1), and a
+    face is generated by the generators in it.  So the AND of the tight sets
+    of the facets through p decides it, with no rank computation.
     """
     raw = [tuple(p) for p in points]
     if not raw:
@@ -205,31 +183,30 @@ def hull_with_recession(
     if dim == 2 and set(rs) == {(1, 0), (0, 1)}:
         return _staircase_hull_2d(raw)
 
-    ints = all(type(x) is int for p in raw for x in p)  # then (p, 1) is already primitive
-    homogenized = [p + (1,) for p in raw] if ints else [_primitive(p + (1,)) for p in raw]
-    lineality, extreme = _dual_description(homogenized + [r + (0,) for r in rs], dim + 1)
+    generators = [_primitive(p + (1,)) for p in raw] + [r + (0,) for r in rs]
+    lineality, extreme = _dual_description(generators, dim + 1)
 
-    halfspaces = set()
-    for z in extreme:
-        normal, last = z[:-1], z[-1]
-        if all(v == 0 for v in normal):
-            continue  # homogenization facet "1 >= 0"
-        halfspaces.add(HalfSpace(normal, -last))
+    # every ray and lineality vector is already primitive; (0, ..., 0, 1) is
+    # the homogenization facet "1 >= 0", and an equation gives two halfspaces
+    halfspaces = {HalfSpace(z[:-1], -z[-1]) for z, _ in extreme if any(z[:-1])}
     for l in lineality:
-        if not any(l[:-1]):
-            continue
-        z = _primitive_signed(l)
-        halfspaces.add(HalfSpace(z[:-1], -z[-1]))
-        halfspaces.add(HalfSpace(tuple(-v for v in z[:-1]), z[-1]))
+        if any(l[:-1]):
+            halfspaces |= {HalfSpace(l[:-1], -l[-1]), HalfSpace(tuple(-v for v in l[:-1]), l[-1])}
 
-    ordered = tuple(sorted(halfspaces))
+    copies: dict = {}  # generator -> bitmask of its indices
+    for k, g in enumerate(generators):
+        copies[g] = copies.get(g, 0) | 1 << k
+    allowed = copies.get((0,) * (dim + 1), 0)  # zero rays lie on every facet
     vertices = set()
-    for p, q in zip(raw, homogenized):
-        # <h.normal, p> == h.offset, scaled by the homogenizing coordinate of q
-        tight = [h.normal for h in ordered if _dot(h.normal, q) == h.offset * q[-1]]
-        if tight and _rank(tight) == dim:
+    for k, p in enumerate(raw):
+        face = (1 << len(generators)) - 1
+        for _, mask in extreme:
+            if mask >> k & 1:
+                face &= mask
+        if not face & ~(allowed | copies[generators[k]]):
             vertices.add(tuple(Fraction(x) for x in p))  # Fractions only for the vertices
-    return RationalPolyhedron(dim, ordered, tuple(sorted(vertices)), tuple(sorted(set(rs))))
+    return RationalPolyhedron(dim, tuple(sorted(halfspaces)), tuple(sorted(vertices)),
+                              tuple(sorted(set(rs))))
 
 
 def staircase_corners(points: Iterable[Sequence]) -> list:

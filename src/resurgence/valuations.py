@@ -101,7 +101,7 @@ def skew_waldschmidt(v: MonomialValuation, family: fam.GradedFamily, window: int
     """
     if window < 1:
         raise DomainError("window must be positive")
-    sem = family.power_semantics()
+    sem = family.power
     if sem is not None and sem[1].subadditive and not sem[0].is_zero():
         base, fn, _closed = sem
         if base.is_unit():

@@ -5,7 +5,8 @@ exponent tuples, subset enumeration, the full box scan for minimal lattice
 points that the pruned walk of `minimal_lattice_points` replaced, the
 stars-and-bars loop that built m^d before its degree view, exhaustive
 facet checks, the rank-filtered double description that the adjacency test
-of `hull_with_recession` replaced, basic-feasible-point enumeration for LPs,
+of `hull_with_recession` replaced, the rank test for vertices that its
+tight-set rule replaced, basic-feasible-point enumeration for LPs,
 and the rational two-phase simplex that the integer tableau of `lp_minimize`
 replaced.  None of it calls the code paths it is used to check:
 `halfspace_redundant` checks hulls with the library's LP, which is itself
@@ -18,7 +19,6 @@ import itertools
 from fractions import Fraction
 
 from resurgence import HalfSpace, LinearProgram, LPResult, lp_minimize
-from resurgence.polyhedra import _rank
 
 
 def divides(a, b):
@@ -150,21 +150,32 @@ def solve_square(rows, rhs):
 
 
 def rank(rows):
-    if not rows:
-        return 0
-    mat = [[Fraction(x) for x in row] for row in rows]
-    cols = len(mat[0])
+    """Rank by forward elimination over the integers: each row is scaled to
+    integers, and each update pv*row - f*pivot_row is divided by its gcd."""
+    mat = []
+    for row in rows:
+        if all(type(x) is int for x in row):
+            mat.append(list(row))
+            continue
+        fracs = [Fraction(x) for x in row]
+        denom = 1
+        for x in fracs:
+            denom = denom * x.denominator // _gcd(denom, x.denominator)
+        mat.append([int(x * denom) for x in fracs])
     r = 0
-    for col in range(cols):
+    for col in range(len(mat[0]) if mat else 0):
+        if r == len(mat):
+            break
         pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][col]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col] / pv
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        top = mat[r]
+        pv = top[col]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][col]
+            if f != 0:
+                mat[i] = list(_reduced([pv * x - f * y for x, y in zip(mat[i], top)]))
         r += 1
     return r
 
@@ -214,8 +225,8 @@ def rank_filtered_dual_description(generators, dim):
     incremental double description that the adjacency-tested one of
     `polyhedra._dual_description` replaced.  Each constraint combines every
     sign-split pair of rays, then every ray is kept iff it is new, feasible
-    and extreme by the rank of its tight set (the library's Bareiss `_rank`,
-    which tests check against `rank`; the new pass makes no rank test)."""
+    and extreme by the `rank` of its tight set (the library makes no rank
+    test)."""
     lineality = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
     rays = []
     processed = []
@@ -224,7 +235,7 @@ def rank_filtered_dual_description(generators, dim):
         if all(v == 0 for v in ray):
             return False
         tight = [g for g in processed if _dot(g, ray) == 0]
-        return _rank(tight) >= dim - len(lineality) - 1
+        return rank(tight) >= dim - len(lineality) - 1
 
     for g in generators:
         lvals = [_dot(g, l) for l in lineality]
@@ -259,6 +270,25 @@ def rank_filtered_dual_description(generators, dim):
                 filtered.append(r)
         rays = filtered
     return lineality, rays
+
+
+def tight_mask(generators, ray):
+    """Bitmask of the generators orthogonal to `ray` (bit k for generators[k])."""
+    return sum(1 << k for k, g in enumerate(generators) if _dot(g, ray) == 0)
+
+
+def rank_vertices(points, halfspaces):
+    """The points of a polyhedron that are its vertices, as sorted Fraction
+    tuples: a point is a vertex iff the normals of the halfspaces tight on it
+    have full rank, the test the tight-set rule of `hull_with_recession`
+    replaced."""
+    dim = len(points[0])
+    vertices = set()
+    for p in points:
+        tight = [h.normal for h in halfspaces if _dot(h.normal, p) == h.offset]
+        if rank(tight) == dim:
+            vertices.add(tuple(Fraction(x) for x in p))
+    return tuple(sorted(vertices))
 
 
 def brute_facets(points, rays):

@@ -236,6 +236,12 @@ class TestEquivalenceConstant:
         got = bequiv_constant(ideal(2, (2, 0), (0, 3)))
         assert (got.k, got.certified) == (1, True)
 
+    def test_cached_on_the_ideal_per_horizon(self):
+        I = ideal(2, (2, 0), (0, 3))
+        short, full = bequiv_constant(I, 1), bequiv_constant(I, 8)
+        assert (short.horizon, full.horizon) == (1, 8)
+        assert bequiv_constant(I, 8) is full and bequiv_constant(I) is full
+
     def test_briancon_skoda_window(self):
         # the certified bound really does contain on the window
         rng = random.Random(28)

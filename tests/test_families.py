@@ -186,7 +186,7 @@ class TestValidators:
 class TestStructureFlags:
     def test_power_semantics(self):
         I = ideal(2, (2, 0), (0, 3))
-        base, fn, closed = closure_powers(I).power_semantics()
+        base, fn, closed = closure_powers(I).power
         assert base == I and closed and fn(3) == 3
 
     def test_eventually_constant(self):
@@ -256,7 +256,7 @@ def fact_families():
 
 
 def family_facts(family):
-    sem = family.power_semantics()
+    sem = family.power
     ec = family.eventually_constant()
     beq = family.base_equivalence()
     sw = skew_waldschmidt(degree_valuation(family.nvars), family)

@@ -242,6 +242,22 @@ class TestEmit:
         blob = emit(run(config), "json", "r")["r.json"].decode()
         assert '"num": "2"' in blob and '"den": "3"' in blob
 
+    def test_csv_summary_cells(self):
+        # a value task gives its value and certificate, a `holds` task its
+        # verdict with no certificate, and an error task its error text
+        job = dict(SQRT_JOB, tasks=[
+            {"op": "rho_window", "a": "a", "b": "b", "s_max": 4, "r_max": 4},
+            {"op": "validate_filtration", "family": "b", "horizon": 4},
+            {"op": "symbolic_power", "ideal": "m", "n": 0},
+        ])
+        files = emit(run(parse_config(json.dumps(job))), "csv", "cells")
+        assert files == {"cells.csv": (
+            b"index,op,status,value,certified\n"
+            b"0,rho_window,ok,1/2,False\n"
+            b"1,validate_filtration,ok,True,\n"
+            b"2,symbolic_power,error,DomainError: symbolic exponent must be positive,\n"
+        )}
+
     def test_byte_stability(self):
         config = parse_config(json.dumps(SQRT_JOB))
         first = emit(run(config), "csv", "s")
@@ -259,6 +275,21 @@ class TestCLI:
         written = json.loads((tmp_path / "out" / "run.json").read_text())
         assert written["tasks"][0]["result"]["value"] == {"num": "2", "den": "3"}
         assert written["config_digest"]
+
+    def test_report_goes_to_stdout_without_an_output_path(self, tmp_path, capsys):
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps({k: v for k, v in TRIANGLE_JOB.items() if k != "output"}))
+        assert main(["--config", str(config_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["tasks"][0]["result"]["value"] == {"num": "2", "den": "3"}
+        # csv: the summary, then each table file, in file-name order
+        config_path.write_text(json.dumps({k: v for k, v in SQRT_JOB.items() if k != "output"}))
+        assert main(["--config", str(config_path), "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert lines[:3] == ["index,op,status,value,certified", "0,beta_table,ok,table[10],",
+                             "index,value,tag"]
+        assert lines[3] == "1,2,"
+        assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
 
     def test_csv_output(self, tmp_path):
         config_path = tmp_path / "job.json"

@@ -17,7 +17,6 @@ from resurgence import (
     lp_minimize,
 )
 from resurgence import polyhedra
-from resurgence.polyhedra import _rank
 
 
 def unit_rays(n):
@@ -145,19 +144,6 @@ class TestHull:
             assert all(isinstance(x, Fraction) for v in poly.vertices for x in v)
             assert poly.recession_rays == tuple(sorted(rays))
 
-    def test_bareiss_rank_matches_fraction_rank(self):
-        rng = random.Random(17)
-        for _ in range(200):
-            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-            mat = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-            if rng.random() < 0.5 and rows > 1:
-                # a dependent row: an integer combination of two others
-                i, j = rng.randrange(rows), rng.randrange(rows)
-                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
-                mat.append([a * x + b * y for x, y in zip(mat[i], mat[j])])
-            assert _rank(mat) == oracles.rank(mat)
-        assert _rank([[0, 0], [0, 0]]) == 0
-
     def test_power_of_four_generator_ideal(self):
         # I^8 has 109 generators but only 7 facets and 3 vertices
         ideal = MonomialIdeal.from_generators(3, [[3, 1, 0], [0, 2, 3], [1, 0, 4], [2, 2, 1]])
@@ -177,7 +163,8 @@ class TestHull:
             key = (tuple(gens), dim)
             if key not in answers:
                 answers.clear()
-                answers[key] = oracles.rank_filtered_dual_description(gens, dim)
+                lineality, extreme = oracles.rank_filtered_dual_description(gens, dim)
+                answers[key] = lineality, [(r, oracles.tight_mask(gens, r)) for r in extreme]
             return answers[key]
 
         rng = random.Random(18)
@@ -188,7 +175,8 @@ class TestHull:
             lineality, extreme = polyhedra._dual_description(gens, dim + 1)
             want_lineality, want_extreme = oracle(gens, dim + 1)
             assert lineality == want_lineality
-            assert len(extreme) == len(set(extreme))
+            assert len(extreme) == len({r for r, _ in extreme})
+            # each ray's tight set is the one its dot products give
             assert sorted(extreme) == sorted(want_extreme)
             poly = hull_with_recession(pts, rays)
             with monkeypatch.context() as patched:
@@ -198,6 +186,15 @@ class TestHull:
             assert poly == hull_with_recession([tuple(map(Fraction, p)) for p in pts], rays)
             if not (dim == 2 and set(rays) == {(1, 0), (0, 1)}):  # the chain keeps ints
                 assert all(type(x) is Fraction for v in poly.vertices for x in v)
+
+    def test_vertices_match_the_rank_oracle(self):
+        rng = random.Random(19)
+        for _ in range(2400):
+            pts, rays = _random_hull_input(rng, rational=True, zero_ray=True)
+            poly = hull_with_recession(pts, rays)
+            assert poly.vertices == oracles.rank_vertices(pts, poly.halfspaces)
+        # the one point of R^0 is its own vertex
+        assert hull_with_recession([()]).vertices == ((),)
 
     def test_powers_scale_the_newton_offsets(self):
         ideal = MonomialIdeal.from_generators(3, [[3, 1, 0], [0, 2, 3], [1, 0, 4], [2, 2, 1]])
@@ -245,9 +242,11 @@ class TestHalfSpaceNormalized:
             HalfSpace.normalized((0, 0), 3)
 
 
-def _random_hull_input(rng):
+def _random_hull_input(rng, rational=False, zero_ray=False):
     """Points and rays in 1-6 dimensions: orthant, partial, random signed or
-    no rays, with repeated points and hulls inside a hyperplane."""
+    no rays, with repeated points and hulls inside a hyperplane.  `rational`
+    gives about 30% of the points Fraction coordinates, and `zero_ray` adds
+    the zero ray to about one input in ten."""
     dim = rng.randint(1, 6)
     top = rng.choice((1, 3, 6))
     pts = [tuple(rng.randint(0, top) for _ in range(dim)) for _ in range(rng.randint(1, 7))]
@@ -266,6 +265,11 @@ def _random_hull_input(rng):
         # x_i = x_j + 1 on every point: a hull of lower dimension
         i, j = rng.sample(range(dim), 2)
         pts = [p[:i] + (p[j] + 1,) + p[i + 1:] for p in pts]
+    if rational:
+        pts = [tuple(Fraction(x, rng.randint(1, 4)) for x in p) if rng.random() < 0.3 else p
+               for p in pts]
+    if zero_ray and rng.random() < 0.1:
+        rays = rays + [(0,) * dim]
     return pts, rays
 
 
