@@ -105,6 +105,12 @@ def minimal_covers(ideal: MonomialIdeal) -> Tuple[Monomial, ...]:
     return tuple(tuple(1 if i in v else 0 for i in range(nvars)) for v in vertices)
 
 
+def cover_rows(ideal: MonomialIdeal) -> Tuple[Monomial, ...]:
+    """`minimal_covers(ideal)` cached on the ideal: the rows of its symbolic
+    power views and of its fractional-cover LP."""
+    return ideal.cached("covers", lambda: minimal_covers(ideal))
+
+
 def symbolic_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     """n-th symbolic power of a squarefree monomial ideal, as a membership view
     cached on `ideal`.
@@ -118,7 +124,7 @@ def symbolic_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
         raise DomainError("symbolic powers need a nonzero proper ideal")
     if any(e > 1 for g in ideal.generators for e in g):
         raise CapabilityError("symbolic powers are implemented for squarefree ideals only")
-    covers = ideal.cached("covers", lambda: minimal_covers(ideal))
+    covers = cover_rows(ideal)
     # A minimal generator never needs an exponent above n: decrementing a
     # coordinate > n keeps every cover sum >= n.
     view = RegionView(covers, (n,) * len(covers), (n,) * ideal.nvars, "symbolic")

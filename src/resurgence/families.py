@@ -408,7 +408,8 @@ def from_function(nvars: int, func: Callable[[int], MonomialIdeal], name=None) -
 class ValidationReport:
     """Outcome of a finite-window hypothesis check.
 
-    holds=False always carries an independently checkable counterexample;
+    holds=False carries an independently checkable counterexample, except
+    the 'not found' report of `find_standard_veronese`, which carries none;
     holds=True is either 'structural' (true by construction) or a 'window'
     certificate valid up to `horizon` only.
     """
@@ -421,34 +422,32 @@ class ValidationReport:
     counterexample: Optional[dict] = None
 
 
+def _first_counterexample(property: str, horizon: int, params: dict, cases) -> ValidationReport:
+    """The report on a lazy stream of cases (indices, witness, extra): the
+    first case with a witness is the counterexample (the stream is not read
+    further), and a stream without one gives the window certificate."""
+    for indices, witness, extra in cases:
+        if witness is not None:
+            return ValidationReport(property, horizon, False, "window", params,
+                                    counterexample={"indices": indices, "witness": witness, **extra})
+    return ValidationReport(property, horizon, True, "window", params)
+
+
 def validate_graded(family: GradedFamily, horizon: int) -> ValidationReport:
     """Check a_p a_q <= a_(p+q) for all p + q <= horizon."""
     if family.graded:
         return ValidationReport("graded", horizon, True, "structural")
-    for p in range(1, horizon):
-        for q in range(p, horizon - p + 1):
-            product = family.member(p).multiply(family.member(q))
-            witness = product.witness_not_in(family.member(p + q))
-            if witness is not None:
-                return ValidationReport(
-                    "graded", horizon, False,
-                    counterexample={"indices": (p, q), "witness": witness},
-                )
-    return ValidationReport("graded", horizon, True)
+    return _first_counterexample("graded", horizon, {}, (
+        ((p, q), family.member(p).multiply(family.member(q)).witness_not_in(family.member(p + q)), {})
+        for p in range(1, horizon) for q in range(p, horizon - p + 1)))
 
 
 def validate_filtration(family: GradedFamily, horizon: int) -> ValidationReport:
     """Check a_(p+1) <= a_p for all p < horizon."""
     if family.filtration:
         return ValidationReport("filtration", horizon, True, "structural")
-    for p in range(1, horizon):
-        witness = family.member(p + 1).witness_not_in(family.member(p))
-        if witness is not None:
-            return ValidationReport(
-                "filtration", horizon, False,
-                counterexample={"indices": (p + 1, p), "witness": witness},
-            )
-    return ValidationReport("filtration", horizon, True)
+    return _first_counterexample("filtration", horizon, {}, (
+        ((p + 1, p), family.member(p + 1).witness_not_in(family.member(p)), {}) for p in range(1, horizon)))
 
 
 def is_standard_veronese(family: GradedFamily, k: int, horizon: int) -> ValidationReport:
@@ -458,16 +457,14 @@ def is_standard_veronese(family: GradedFamily, k: int, horizon: int) -> Validati
     if sk is not None and k % sk == 0:
         return ValidationReport("standard_veronese", horizon, True, "structural", params)
     bk = family.member(k)
-    for n in range(1, horizon + 1):
-        left = family.member(k * n)
-        right = bk.power(n)
-        if left != right:
-            witness = left.witness_not_in(right) or right.witness_not_in(left)
-            return ValidationReport(
-                "standard_veronese", horizon, False, "window", params,
-                counterexample={"indices": (k * n, n), "witness": witness},
-            )
-    return ValidationReport("standard_veronese", horizon, True, "window", params)
+
+    def cases():
+        for n in range(1, horizon + 1):
+            left, right = family.member(k * n), bk.power(n)
+            # one generator compare is cheaper than two witness scans
+            witness = None if left == right else left.witness_not_in(right) or right.witness_not_in(left)
+            yield (k * n, n), witness, {}
+    return _first_counterexample("standard_veronese", horizon, params, cases())
 
 
 def find_standard_veronese(family: GradedFamily, kmax: int, horizon: int):
@@ -475,12 +472,10 @@ def find_standard_veronese(family: GradedFamily, kmax: int, horizon: int):
 
     Noetherian families admit some such k but no bound is known a priori;
     a miss up to kmax is reported as a failure to find, never as evidence
-    of non-Noetherianity.
+    of non-Noetherianity.  A structural index k <= kmax is the only one tried.
     """
     sk = family.veronese_k
-    if sk is not None and sk <= kmax:
-        return sk, ValidationReport("standard_veronese", horizon, True, "structural", {"k": sk})
-    for k in range(1, kmax + 1):
+    for k in (sk,) if sk is not None and sk <= kmax else range(1, kmax + 1):
         report = is_standard_veronese(family, k, horizon)
         if report.holds:
             return k, report
@@ -489,19 +484,10 @@ def find_standard_veronese(family: GradedFamily, kmax: int, horizon: int):
 
 def is_b_equivalent(family: GradedFamily, base: MonomialIdeal, k: int, horizon: int) -> ValidationReport:
     """Check member(i+k) <= base^i <= member(i) for i <= horizon."""
-    params = {"k": k}
-    for i in range(1, horizon + 1):
-        bi = base.power(i)
-        witness = family.member(i + k).witness_not_in(bi)
-        if witness is not None:
-            return ValidationReport(
-                "b_equivalent", horizon, False, "window", params,
-                counterexample={"indices": (i + k, i), "witness": witness, "side": "family_in_power"},
-            )
-        witness = bi.witness_not_in(family.member(i))
-        if witness is not None:
-            return ValidationReport(
-                "b_equivalent", horizon, False, "window", params,
-                counterexample={"indices": (i, i), "witness": witness, "side": "power_in_family"},
-            )
-    return ValidationReport("b_equivalent", horizon, True, "window", params)
+
+    def cases():
+        for i in range(1, horizon + 1):
+            bi = base.power(i)
+            yield (i + k, i), family.member(i + k).witness_not_in(bi), {"side": "family_in_power"}
+            yield (i, i), bi.witness_not_in(family.member(i)), {"side": "power_in_family"}
+    return _first_counterexample("b_equivalent", horizon, {"k": k}, cases())

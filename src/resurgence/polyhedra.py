@@ -158,10 +158,11 @@ def hull_with_recession(
     """Irredundant H-representation of conv(points) + cone(rays), with vertices.
 
     Works in the homogenization cone C = cone{(p, 1)} + cone{(r, 0)}: a facet
-    <a, y> >= b corresponds to an extreme ray (a, -b) of the dual cone; a
-    lineality direction of that dual cone is an affine-hull equation, emitted
-    as an opposite pair of halfspaces.  Each generator enters as its primitive
-    integer multiple, which leaves the dual cone unchanged.
+    <a, y> >= b corresponds to an extreme ray (a, -b) of the dual cone that is
+    tight on some (p, 1); a lineality direction of that dual cone is an
+    affine-hull equation, emitted as an opposite pair of halfspaces.  Each
+    generator enters as its primitive integer multiple, which leaves the dual
+    cone unchanged.
 
     Vertex rule: p is a vertex iff (p, 1) spans an extreme ray of C, iff every
     generator tight on all the facets tight on (p, 1) is a copy of it or zero.
@@ -186,9 +187,11 @@ def hull_with_recession(
     generators = [_primitive(p + (1,)) for p in raw] + [r + (0,) for r in rs]
     lineality, extreme = _dual_description(generators, dim + 1)
 
-    # every ray and lineality vector is already primitive; (0, ..., 0, 1) is
-    # the homogenization facet "1 >= 0", and an equation gives two halfspaces
-    halfspaces = {HalfSpace(z[:-1], -z[-1]) for z, _ in extreme if any(z[:-1])}
+    # every ray and lineality vector is already primitive; a ray tight on no
+    # point is the face at infinity, "1 >= 0" modulo the equations, and an
+    # equation gives two halfspaces
+    point_bits = (1 << len(raw)) - 1
+    halfspaces = {HalfSpace(z[:-1], -z[-1]) for z, mask in extreme if mask & point_bits}
     for l in lineality:
         if any(l[:-1]):
             halfspaces |= {HalfSpace(l[:-1], -l[-1]), HalfSpace(tuple(-v for v in l[:-1]), l[-1])}

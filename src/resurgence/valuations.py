@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import families as fam
-from .closures import minimal_covers
+from .closures import cover_rows
 from .errors import CapabilityError, DimensionError, DomainError
 from .monomials import Monomial, MonomialIdeal
 from .polyhedra import HalfSpace, LinearProgram, lp_minimize
@@ -134,8 +134,7 @@ def skew_waldschmidt(v: MonomialValuation, family: fam.GradedFamily, window: int
 def _symbolic_waldschmidt(v: MonomialValuation, ideal: MonomialIdeal) -> WaldschmidtResult:
     """Exact constant for symbolic powers: minimize <w, y> over the fractional
     vertex covers {y >= 0 : sum_{i in C} y_i >= 1 for every minimal cover C}."""
-    covers = minimal_covers(ideal)
-    constraints = tuple(HalfSpace(tuple(c), 1) for c in covers)
+    constraints = tuple(HalfSpace(c, 1) for c in cover_rows(ideal))
     lp = LinearProgram(tuple(Fraction(w) for w in v.weights), constraints)
     res = lp_minimize(lp)
     if not res.is_optimal:  # pragma: no cover - the cover LP is always feasible & bounded

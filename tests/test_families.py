@@ -174,6 +174,15 @@ class TestValidators:
         witness = report.counterexample["witness"]
         assert witness is not None
 
+    def test_b_equivalent_power_in_family_counterexample(self):
+        # a_1 = m^2 lies in m, but m does not lie in a_1
+        m = ideal(2, (1, 0), (0, 1))
+        report = is_b_equivalent(powers(m.power(2)), m, 0, 4)
+        assert not report.holds and report.params == {"k": 0}
+        assert report.counterexample == {"indices": (1, 1), "witness": (0, 1),
+                                         "side": "power_in_family"}
+        assert m.contains((0, 1)) and not m.power(2).contains((0, 1))
+
     def test_failure_to_find_veronese(self):
         I = ideal(2, (1, 0), (0, 1))
         family = fam.power_pattern(I, fam.ceil_sqrt())
@@ -181,6 +190,17 @@ class TestValidators:
         assert k is None
         assert not report.holds
         assert report.params["kmax"] == 4
+
+    def test_find_standard_veronese_tries_only_a_structural_index(self):
+        # I^ceil(3n/2) has structural index 2; with kmax = 1 the window search
+        # tries k = 1, where a_2 = m^3 differs from a_1^2 = m^4
+        family = ceiling(ideal(2, (1, 0), (0, 1)), Fraction(3, 2))
+        k, report = find_standard_veronese(family, 6, 6)
+        assert k == 2 and report == fam.ValidationReport(
+            "standard_veronese", 6, True, "structural", {"k": 2})
+        k, report = find_standard_veronese(family, 1, 6)
+        assert k is None and report.params == {"k": None, "kmax": 1}
+        assert report.counterexample is None
 
 
 class TestStructureFlags:
@@ -197,6 +217,18 @@ class TestStructureFlags:
                               env=fam.Environment({"I": I}))
         d0, value = prefix_family.eventually_constant()
         assert (d0, value) == (2, I)
+
+    @pytest.mark.parametrize("tail", [
+        fam.Ref("f"),
+        fam.Product((fam.Base("I"), fam.Ref("f", 1))),
+        fam.Sum((fam.Base("x"), fam.Ref("f"))),
+    ])
+    def test_tail_referencing_a_family_is_not_constant(self, tail):
+        I = ideal(2, (1, 0), (0, 1))
+        env = fam.Environment({"I": I, "x": ideal(2, (1, 0))}, {"f": powers(I)})
+        family = table(2, [I], tail=tail, env=env)
+        assert family.eventually_constant() is None
+        assert family.member(3) != family.member(4)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_veronese_keeps_the_constant_tail(self, k):

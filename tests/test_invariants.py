@@ -37,12 +37,13 @@ from resurgence import (
     rho_lim_estimate,
     rho_n,
     rho_window,
+    rees_valuations,
     symbolic,
     table,
     veronese_scaling_check,
 )
 import resurgence.families as fam
-from resurgence.invariants import _first_index, _lambda_search
+from resurgence.invariants import LinearlyFinerResult, SequenceValue, _first_index, _lambda_search
 from resurgence.rationals import ceil_frac
 
 
@@ -58,6 +59,12 @@ def maximal(nvars):
 def sqrt_pair():
     I = maximal(2)
     return powers(I), power_pattern(I, ceil_sqrt())
+
+
+def shifted_powers(I):
+    """a_n = I^(n+1): no standard Veronese index (a_(2k) != a_k^2), so its
+    skew Waldschmidt constants are window bounds, never exact."""
+    return fam.from_function(I.nvars, lambda n: I.power(n + 1))
 
 
 def strict_veronese_pair():
@@ -88,6 +95,12 @@ def staircase_filtration():
 
 
 class TestBeta:
+    def test_closure_left_against_plain_powers_compares_ideals(self):
+        # closure(I) = (x^2, xy, y^2) is not inside I = (x^2, y^2), so beta_1 = 1;
+        # comparing exponents alone (1 < d first at d = 2) would give 2
+        I = ideal(2, (2, 0), (0, 2))
+        assert beta(closure_powers(I), powers(I), 1, 10) == SequenceValue("finite", 1)
+
     def test_sqrt_family(self):
         a, b = sqrt_pair()
         for s in range(1, 11):
@@ -392,6 +405,16 @@ class TestRhoHatRees:
 
 
 class TestRhoHatBetaLimit:
+    def test_first_rees_valuation_without_exact_left_constant(self):
+        # the left family has no exact skew Waldschmidt constant, so v0 is the
+        # first Rees valuation of b_1 = I and no valuation rows are reported
+        I = ideal(2, (3, 0), (1, 1), (0, 3))
+        rep = rho_hat_beta_limit(shifted_powers(I), powers(I), 4, 10)
+        assert rep.details["v0"] == rees_valuations(I).weights()[0] == (1, 2)
+        assert rep.details["valuations"] == ()
+        assert any(note.startswith("v0 defaulted to the first Rees valuation") for note in rep.notes)
+        assert rep.value == finite(Fraction(4, 6))  # a_4 = I^5 escapes first from I^6
+
     def test_triangle_convergence(self):
         tri = ideal(3, (1, 1, 0), (1, 0, 1), (0, 1, 1))
         rep = rho_hat_beta_limit(symbolic(tri), powers(maximal(3)), 60, 200)
@@ -414,6 +437,14 @@ class TestRhoHatBetaLimit:
 
 
 class TestRhoExact:
+    def test_infinite_rho_hat_is_returned_at_once(self):
+        # ceil(sqrt(n)) grows sublinearly: w^(a) = 0, so rho_hat = +inf
+        b, a = sqrt_pair()
+        rep = rho_exact_certified(a, b)
+        assert rep.value == POS_INFINITY and rep.certified
+        assert rep.claims == ("rho >= rho_hat = +inf",)
+        assert rep.witnesses == () and "region" not in rep.details
+
     def test_closure_right_family_certified(self):
         # rho(a, closure(b)) equals rho_hat for base-equivalent b
         I = ideal(2, (2, 0), (0, 3))
@@ -506,6 +537,13 @@ class TestRhoExact:
 
 
 class TestVeroneseScaling:
+    def test_exact_comparison_skipped_without_exact_left_constant(self):
+        I = ideal(2, (3, 0), (1, 1), (0, 3))
+        res = veronese_scaling_check(shifted_powers(I), powers(I), 2, 4)
+        assert res.exact_lhs is None and res.exact_rhs_scaled is None
+        assert len(res.notes) == 1 and res.notes[0].startswith("exact comparison skipped: ")
+        assert res.holds == (res.window_lhs <= res.window_rhs_scaled)
+
     def test_strict_inequality_instance(self):
         a, b = strict_veronese_pair()
         res = veronese_scaling_check(a, b, 2, 12)
@@ -522,6 +560,20 @@ class TestVeroneseScaling:
 
 
 class TestLinearlyFiner:
+    def test_undershooting_rho_star_reports_the_failure(self):
+        # rho(m^n, m^(2n)) = 2, but rho* = 1 gives f(i) = i + 1: m^3 is not in m^4
+        m = maximal(2)
+        res = linearly_finer_check(powers(m), powers(m.power(2)), 6, rho_star=finite(1))
+        assert not res.finer and res.f == (1, 1)
+        i, witness = res.failure
+        assert (i, witness) == (2, (0, 3))
+        assert powers(m).member(3).contains(witness) and not m.power(4).contains(witness)
+
+    def test_infinite_rho_star_has_no_linear_bound(self):
+        m = maximal(2)
+        res = linearly_finer_check(powers(m), powers(m), 6, rho_star=POS_INFINITY)
+        assert res == LinearlyFinerResult(False, None, POS_INFINITY)
+
     def test_same_powers(self):
         I = ideal(2, (2, 0), (1, 1), (0, 3))
         res = linearly_finer_check(powers(I), powers(I), 20)

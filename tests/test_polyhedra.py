@@ -83,6 +83,22 @@ class TestHull:
         for i in range(len(poly.halfspaces)):
             assert not oracles.halfspace_redundant(poly, i)
 
+    def test_flat_hulls_with_rays_have_no_face_at_infinity(self):
+        # a half-plane inside x3 = 3: the face at infinity would come out as
+        # x3 >= 0, implied by the equation
+        poly = hull_with_recession([(2, 3, 3, 2)], [(2, -1, 0, -1), (-2, 2, 0, 2)])
+        assert hs_set(poly) == {
+            ((0, -3, 1, 3), 0), ((0, 3, -1, -3), 0), ((0, 0, -1, 0), -3), ((0, 0, 1, 0), 3),
+            ((3, 3, -5, 0), 0), ((3, 6, -8, 0), 0),
+        }
+        rng = random.Random(20)
+        for _ in range(200):
+            pts, rays = _flat_hull_input(rng)
+            poly = hull_with_recession(pts, rays)
+            assert all(poly.contains(p) for p in pts)
+            for i in range(len(poly.halfspaces)):
+                assert not oracles.halfspace_redundant(poly, i)
+
     def test_degenerate_inputs(self):
         # all points equal: a translated orthant
         poly = hull_with_recession([(2, 2), (2, 2)], unit_rays(2))
@@ -271,6 +287,19 @@ def _random_hull_input(rng, rational=False, zero_ray=False):
     if zero_ray and rng.random() < 0.1:
         rays = rays + [(0,) * dim]
     return pts, rays
+
+
+def _flat_hull_input(rng):
+    """Points on x_i = x_j + 1 and nonzero rays with r_i = r_j in 2-5
+    dimensions: a hull inside that hyperplane that has rays."""
+    dim = rng.randint(2, 5)
+    i, j = rng.sample(range(dim), 2)
+
+    def on_plane(v, shift):
+        return v[:i] + (v[j] + shift,) + v[i + 1:]
+    pts = [on_plane(tuple(rng.randint(0, 4) for _ in range(dim)), 1) for _ in range(rng.randint(1, 4))]
+    rays = [on_plane(tuple(rng.randint(-2, 2) for _ in range(dim)), 0) for _ in range(rng.randint(1, 3))]
+    return pts, [r for r in rays if any(r)]
 
 
 def _membership_lp(q, pts, rays):
