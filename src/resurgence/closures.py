@@ -23,8 +23,7 @@ def newton_polyhedron(ideal: MonomialIdeal) -> RationalPolyhedron:
     """conv(exponents) + positive orthant, cached on the ideal (written once)."""
     if ideal.is_zero():
         raise DomainError("the zero ideal has no Newton polyhedron")
-    rays = [tuple(1 if i == j else 0 for j in range(ideal.nvars)) for i in range(ideal.nvars)]
-    return ideal.cached("newton", lambda: hull_with_recession(ideal.generators, rays))
+    return ideal.cached("newton", lambda: hull_with_recession(ideal.generators))
 
 
 def _positive_facets(ideal: MonomialIdeal) -> Tuple[Tuple[Tuple[int, ...], int], ...]:

@@ -1,21 +1,21 @@
 """Exact rational polyhedra and linear programming.
 
-H-representations are produced by a fraction-free incremental
-double-description pass over the dual cone of the homogenized generators: the
-generators enter as primitive integer vectors, and two rays are combined, by
-integer cross-multiplication, only when they are adjacent.  Adjacency is the
-combinatorial test on bitmasks of the constraints each ray is tight on
-(Fukuda & Prodon, Double description method revisited, 1996), so the pass
-makes no rank test and uses Python ints only.  The same bitmasks give the
-vertices: a point p is one iff every generator tight on all the facets
-through (p, 1) is a copy of (p, 1) or zero, since those generators span the
-least face of the cone containing (p, 1).  Every facet normal is stored
-as a primitive integer vector, so Newton-polyhedron facets (and hence Rees
-valuations) are canonical across runs.  The LP solver is a dense two-phase
-simplex with Bland's anti-cycling rule on one integer tableau whose last row
-holds the reduced costs: it stores M = D*T for the rational tableau T and
-D = |det B| of the basis B, and pivots fraction-free (Edmonds), so only the
-read-out builds Fractions and no floating point enters any decision.
+The one hull built here is the Newton polyhedron conv(points) + R^n_{>=0} of
+integer points.  A fraction-free incremental double-description pass finds
+the dual of the cone of the homogenized generators (p, 1) and (e_i, 0).  That
+dual is pointed, so the pass starts at the simplicial cone of the first point
+and the e_i, whose dual rays are known in closed form.  Two rays are combined,
+by integer cross-multiplication, only when they are adjacent by the
+combinatorial test on bitmasks of the generators each ray is tight on (Fukuda
+& Prodon, Double description method revisited, 1996), so the pass makes no
+rank test and uses Python ints only.  The same bitmasks give the vertices.
+Every facet normal is stored as a primitive integer vector, so
+Newton-polyhedron facets (and hence Rees valuations) are canonical across
+runs.  The LP solver is a dense two-phase simplex with Bland's anti-cycling
+rule on one integer tableau whose last row holds the reduced costs: it stores
+M = D*T for the rational tableau T and D = |det B| of the basis B, and pivots
+fraction-free (Edmonds), so only the read-out builds Fractions and no
+floating point enters any decision.
 """
 
 from __future__ import annotations
@@ -95,77 +95,66 @@ class RationalPolyhedron:
         return all(h.satisfied_by(point, scale) for h in self.halfspaces)
 
 
-def _dual_description(generators: list[Tuple[int, ...]], dim: int):
-    """Lineality basis and extreme rays of {z : <g, z> >= 0 for all g}, each
-    ray paired with its tight set: the bitmask of the generators it vanishes
-    on (bit k for generators[k]).
+def _dual_description(points: list[Tuple[int, ...]]):
+    """Extreme rays of the dual cone {z : <g, z> >= 0 for all g} of the
+    homogenized Newton generators, each paired with its tight set: the
+    bitmask of the generators it vanishes on.  The generators are the (p, 1)
+    for the n-dimensional `points` (bit k for points[k]), then the (e_i, 0)
+    (bit len(points) + i).  They span a full-dimensional cone, so the dual
+    cone is pointed and has no lineality space.
 
-    Incremental double description over the integers with the combinatorial
-    adjacency test (Fukuda & Prodon, Double description method revisited,
-    1996).  Each ray carries the bitmask of the processed constraints it is
-    tight on.  The lineality space starts as all of Z^dim; a constraint that
-    sees it is cut down by one pivot direction, which becomes a ray tight on
-    every earlier constraint, and every other ray is projected onto the new
-    hyperplane.  Any other constraint sets its bit on the rays it vanishes
+    The pass starts at the simplicial cone of (p_0, 1) and the (e_i, 0),
+    whose dual rays are known: (e_i, -p_0,i) is tight on each of those
+    generators except (e_i, 0), and (0, ..., 0, 1) on each except (p_0, 1).
+    The other points enter one at a time (Fukuda & Prodon, Double description
+    method revisited, 1996).  A point sets its bit on the rays it vanishes
     on, keeps the rays it is positive on, and combines a sign-split pair
     (p, m) on its hyperplane iff p and m are adjacent: their common tight set
-    zp & zm has at least dim - len(lineality) - 2 members and no third ray is
-    tight on all of it.  So every new ray is extreme, no rank test or filter
-    pass follows, and a constraint no ray violates only sets bits.  Every
-    update is a cross-multiplication `pval*x - c*pivot`, a positive multiple
-    of `x - (c/pval)*pivot`, so all vectors stay integer and reduce to the
-    same primitive representatives as over the rationals.
+    zp & zm has at least dim - 2 = n - 1 members and no third ray is tight on
+    all of it.  So every new ray is extreme, no rank test or filter pass
+    follows, and a point no ray violates only sets bits.  Every update is a
+    cross-multiplication `vp*m - vm*p`, a positive combination, so all
+    vectors stay integer and reduce to the same primitive representatives as
+    over the rationals.
     """
-    lineality: list[Tuple[int, ...]] = [
-        tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
-    ]
-    rays: list[Tuple[Tuple[int, ...], int]] = []  # (ray, tight-set bitmask)
-    for k, g in enumerate(generators):
+    p0 = points[0]
+    n = len(p0)
+    orthant_bits = ((1 << n) - 1) << len(points)
+    rays: list[Tuple[Tuple[int, ...], int]] = [  # (ray, tight-set bitmask)
+        (tuple(1 if i == j else 0 for j in range(n)) + (-p0[i],),
+         1 | orthant_bits & ~(1 << len(points) + i))
+        for i in range(n)]
+    rays.append(((0,) * n + (1,), orthant_bits))
+    for k in range(1, len(points)):
+        g = points[k] + (1,)
         bit = 1 << k
-        lvals = [_dot(g, l) for l in lineality]
-        pivot_idx = next((i for i, v in enumerate(lvals) if v != 0), None)
-        if pivot_idx is not None:
-            pivot = lineality[pivot_idx]
-            pval = lvals[pivot_idx]
-            if pval < 0:
-                pivot = tuple(-x for x in pivot)
-                pval = -pval
-            lineality = [
-                _reduced([pval * x - c * p for x, p in zip(l, pivot)])
-                for i, (l, c) in enumerate(zip(lineality, lvals)) if i != pivot_idx
-            ]
-            rays = [(_reduced([pval * x - _dot(g, r) * p for x, p in zip(r, pivot)]), z | bit)
-                    for r, z in rays]
-            rays.append((_reduced(pivot), bit - 1))
-            continue
         valued = [(r, z, _dot(g, r)) for r, z in rays]
         plus = [(r, z, v) for r, z, v in valued if v > 0]
         minus = [(r, z, v) for r, z, v in valued if v < 0]
         masks = [z for _, z, _ in valued]
-        need = dim - len(lineality) - 2
         combos = [(_reduced([vp * x - vm * y for x, y in zip(m, p)]), common | bit)
                   for p, zp, vp in plus for m, zm, vm in minus
-                  if (common := zp & zm).bit_count() >= need
+                  if (common := zp & zm).bit_count() >= n - 1
                   and not any(z & common == common and z != zp and z != zm for z in masks)]
         rays = ([(r, z) for r, z, _ in plus] + [(r, z | bit) for r, z, v in valued if v == 0]
                 + combos)
-    return lineality, rays
+    return rays
 
 
-def hull_with_recession(
-    points: Iterable[Sequence], rays: Iterable[Sequence] = ()
-) -> RationalPolyhedron:
-    """Irredundant H-representation of conv(points) + cone(rays), with vertices.
+def hull_with_recession(points: Iterable[Sequence[int]]) -> RationalPolyhedron:
+    """Irredundant H-representation of the Newton polyhedron
+    conv(points) + R^n_{>=0} of integer points, with its vertices.
 
-    Works in the homogenization cone C = cone{(p, 1)} + cone{(r, 0)}: a facet
-    <a, y> >= b corresponds to an extreme ray (a, -b) of the dual cone that is
-    tight on some (p, 1); a lineality direction of that dual cone is an
-    affine-hull equation, emitted as an opposite pair of halfspaces.  Each
-    generator enters as its primitive integer multiple, which leaves the dual
-    cone unchanged.
+    The plane case reads the boundary off `staircase_corners`.  Every other
+    dimension works in the homogenization cone C = cone{(p, 1)} + cone{(e_i, 0)},
+    which is full-dimensional, so its dual cone is pointed: no affine-hull
+    equations arise.  A facet <a, y> >= b corresponds to an extreme ray
+    (a, -b) of the dual cone that is tight on some (p, 1); the one extreme
+    ray tight on no point, (0, ..., 0, 1), is the face at infinity "1 >= 0"
+    and gives no halfspace.
 
     Vertex rule: p is a vertex iff (p, 1) spans an extreme ray of C, iff every
-    generator tight on all the facets tight on (p, 1) is a copy of it or zero.
+    generator tight on all the facets tight on (p, 1) is a copy of it.
     Proof: those generators span the least face of C containing (p, 1), and a
     face is generated by the generators in it.  So the AND of the tight sets
     of the facets through p decides it, with no rank computation.
@@ -178,38 +167,36 @@ def hull_with_recession(
         raise CapabilityError(f"hull dimension {dim} exceeds the configured maximum {MAX_HULL_DIM}")
     if any(len(p) != dim for p in raw):
         raise DimensionError("hull points have mixed dimensions")
-    rs = [_primitive(r) for r in rays]
-    if any(len(r) != dim for r in rs):
-        raise DimensionError("hull rays have mixed dimensions")
-    if dim == 2 and set(rs) == {(1, 0), (0, 1)}:
+    if not all(isinstance(x, int) for p in raw for x in p):
+        raise DomainError("hull points must have integer coordinates")
+    if dim == 2:
         return _staircase_hull_2d(raw)
+    return _double_description_hull(raw)
 
-    generators = [_primitive(p + (1,)) for p in raw] + [r + (0,) for r in rs]
-    lineality, extreme = _dual_description(generators, dim + 1)
 
-    # every ray and lineality vector is already primitive; a ray tight on no
-    # point is the face at infinity, "1 >= 0" modulo the equations, and an
-    # equation gives two halfspaces
+def _double_description_hull(raw: list[Tuple[int, ...]]) -> RationalPolyhedron:
+    """The n-dimensional path of `hull_with_recession`; it also takes plane
+    points, where it must agree with the chain."""
+    dim = len(raw[0])
+    extreme = _dual_description(raw)
+    # every ray is already primitive
     point_bits = (1 << len(raw)) - 1
     halfspaces = {HalfSpace(z[:-1], -z[-1]) for z, mask in extreme if mask & point_bits}
-    for l in lineality:
-        if any(l[:-1]):
-            halfspaces |= {HalfSpace(l[:-1], -l[-1]), HalfSpace(tuple(-v for v in l[:-1]), l[-1])}
 
-    copies: dict = {}  # generator -> bitmask of its indices
-    for k, g in enumerate(generators):
-        copies[g] = copies.get(g, 0) | 1 << k
-    allowed = copies.get((0,) * (dim + 1), 0)  # zero rays lie on every facet
+    copies: dict = {}  # point -> bitmask of its indices
+    for k, p in enumerate(raw):
+        copies[p] = copies.get(p, 0) | 1 << k
     vertices = set()
     for k, p in enumerate(raw):
-        face = (1 << len(generators)) - 1
+        face = (1 << len(raw) + dim) - 1
         for _, mask in extreme:
             if mask >> k & 1:
                 face &= mask
-        if not face & ~(allowed | copies[generators[k]]):
+        if not face & ~copies[p]:
             vertices.add(tuple(Fraction(x) for x in p))  # Fractions only for the vertices
+    orthant = sorted(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
     return RationalPolyhedron(dim, tuple(sorted(halfspaces)), tuple(sorted(vertices)),
-                              tuple(sorted(set(rs))))
+                              tuple(orthant))
 
 
 def staircase_corners(points: Iterable[Sequence]) -> list:

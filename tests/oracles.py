@@ -5,10 +5,12 @@ exponent tuples, subset enumeration, the full box scan for minimal lattice
 points that the pruned walk of `minimal_lattice_points` replaced, the
 stars-and-bars loop that built m^d before its degree view, exhaustive
 facet checks, the rank-filtered double description that the adjacency test
-of `hull_with_recession` replaced, the rank test for vertices that its
-tight-set rule replaced, basic-feasible-point enumeration for LPs,
-and the rational two-phase simplex that the integer tableau of `lp_minimize`
-replaced.  None of it calls the code paths it is used to check:
+of `hull_with_recession` replaced (it starts from all of Z^dim with a
+lineality basis, where the library starts at a pointed simplicial cone, so
+on Newton inputs it also shows the lineality ends empty), the rank test for
+vertices that the tight-set rule replaced, basic-feasible-point enumeration
+for LPs, and the rational two-phase simplex that the integer tableau of
+`lp_minimize` replaced.  None of it calls the code paths it is used to check:
 `halfspace_redundant` checks hulls with the library's LP, which is itself
 checked against `brute_lp_minimum` and `fraction_lp_minimize`.
 """

@@ -229,6 +229,23 @@ class TestValuationSequences:
         for n in range(1, 9):
             assert beta_v(v, a, a, n, 100).value == n + 1
 
+    def test_beta_into_powers_of_m_is_beta_v_of_the_degree(self):
+        # a_s is not in m^d iff deg(a_s) < d, so the containment route and the
+        # valuation route must give the same escape index for every family
+        rng = random.Random(41)
+        for _ in range(60):
+            n = rng.randint(2, 5)
+            gens = [[rng.randint(0, 2) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+            # squarefree generators on nonempty supports, for the symbolic family
+            edges = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 4))]
+            I = ideal(n, *(g if any(g) else [1] * n for g in gens))
+            E = ideal(n, *([int(i in e) for i in range(n)] for e in edges))
+            alpha = Fraction(rng.randint(1, 7), rng.randint(1, 4))
+            b = powers(maximal(n))
+            for a in (powers(I), symbolic(E), closure_powers(I), ceiling(I, alpha)):
+                for s in range(1, 4):
+                    assert beta(a, b, s, 64) == beta_v(degree_valuation(n), a, b, s, 64)
+
     def test_beta_v_subadditive(self):
         # beta^v against powers of a fixed ideal is sub-additive
         tri = ideal(3, (1, 1, 0), (1, 0, 1), (0, 1, 1))

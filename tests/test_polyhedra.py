@@ -9,6 +9,7 @@ import pytest
 import oracles
 from resurgence import (
     CapabilityError,
+    DimensionError,
     DomainError,
     HalfSpace,
     LinearProgram,
@@ -29,49 +30,58 @@ def hs_set(poly):
 
 class TestHull:
     def test_two_var_staircase(self):
-        poly = hull_with_recession([(2, 0), (0, 3)], unit_rays(2))
+        poly = hull_with_recession([(2, 0), (0, 3)])
         assert hs_set(poly) == {((1, 0), 0), ((0, 1), 0), ((3, 2), 6)}
         assert hs_set(poly) == oracles.brute_facets([(2, 0), (0, 3)], unit_rays(2))
 
     def test_translate_of_orthant(self):
-        poly = hull_with_recession([(1, 0)], unit_rays(2))
+        poly = hull_with_recession([(1, 0)])
         assert hs_set(poly) == {((1, 0), 1), ((0, 1), 0)}
 
     def test_triangle_3d(self):
         pts = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
-        poly = hull_with_recession(pts, unit_rays(3))
+        poly = hull_with_recession(pts)
         expected = {
             ((1, 1, 1), 2), ((1, 1, 0), 1), ((1, 0, 1), 1), ((0, 1, 1), 1),
             ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
         }
         assert hs_set(poly) == expected
         assert hs_set(poly) == oracles.brute_facets(pts, unit_rays(3))
+        assert poly.recession_rays == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
         # membership by convex-combination feasibility on sampled points
         for q in itertools.product(range(3), repeat=3):
             lp = _membership_lp(q, pts, unit_rays(3))
             assert poly.contains(q) == (lp_minimize(lp).status == "optimal")
 
     def test_staircase_matches_double_description(self):
-        # a third ray inside the orthant forces the generic path; same cone
+        # the plane chain against the double description on the same points
         rng = random.Random(11)
         for _ in range(30):
             pts = [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(rng.randint(1, 5))]
-            fast = hull_with_recession(pts, unit_rays(2))
-            slow = hull_with_recession(pts, unit_rays(2) + [(1, 1)])
-            assert hs_set(fast) == hs_set(slow)
+            assert hull_with_recession(pts) == polyhedra._double_description_hull(pts)
 
     def test_brute_facets_random_3d(self):
         rng = random.Random(12)
         for _ in range(15):
             pts = sorted({tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(4)})
-            poly = hull_with_recession(pts, unit_rays(3))
+            poly = hull_with_recession(pts)
             assert hs_set(poly) == oracles.brute_facets(pts, unit_rays(3))
+
+    def test_brute_facets_match_on_newton_inputs(self):
+        # brute_facets tries every n-subset of the generators: 6 variables
+        # would take seconds per input, so they are left to the other oracles
+        rng = random.Random(16)
+        for _ in range(50):
+            pts = _newton_input(rng)
+            if len(pts[0]) < 6:
+                poly = hull_with_recession(pts)
+                assert hs_set(poly) == oracles.brute_facets(sorted(set(pts)), unit_rays(len(pts[0])))
 
     def test_defining_points_are_members(self):
         rng = random.Random(13)
         for _ in range(20):
             pts = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(4)]
-            poly = hull_with_recession(pts, unit_rays(3))
+            poly = hull_with_recession(pts)
             for p in pts:
                 assert poly.contains(p)
                 shifted = tuple(x + 2 * r for x, r in zip(p, (1, 0, 1)))
@@ -79,38 +89,20 @@ class TestHull:
 
     def test_irredundant_by_lp(self):
         pts = [(1, 1, 0), (1, 0, 1), (0, 1, 1), (3, 0, 0)]
-        poly = hull_with_recession(pts, unit_rays(3))
+        poly = hull_with_recession(pts)
         for i in range(len(poly.halfspaces)):
             assert not oracles.halfspace_redundant(poly, i)
 
-    def test_flat_hulls_with_rays_have_no_face_at_infinity(self):
-        # a half-plane inside x3 = 3: the face at infinity would come out as
-        # x3 >= 0, implied by the equation
-        poly = hull_with_recession([(2, 3, 3, 2)], [(2, -1, 0, -1), (-2, 2, 0, 2)])
-        assert hs_set(poly) == {
-            ((0, -3, 1, 3), 0), ((0, 3, -1, -3), 0), ((0, 0, -1, 0), -3), ((0, 0, 1, 0), 3),
-            ((3, 3, -5, 0), 0), ((3, 6, -8, 0), 0),
-        }
-        rng = random.Random(20)
-        for _ in range(200):
-            pts, rays = _flat_hull_input(rng)
-            poly = hull_with_recession(pts, rays)
-            assert all(poly.contains(p) for p in pts)
-            for i in range(len(poly.halfspaces)):
-                assert not oracles.halfspace_redundant(poly, i)
-
     def test_degenerate_inputs(self):
-        # all points equal: a translated orthant
-        poly = hull_with_recession([(2, 2), (2, 2)], unit_rays(2))
+        # all points equal: a translated orthant, in the plane and in 3-space
+        poly = hull_with_recession([(2, 2), (2, 2)])
         assert hs_set(poly) == {((1, 0), 2), ((0, 1), 2)}
-        # points on a line with no rays: affine-hull equations appear
-        segment = hull_with_recession([(0, 0), (2, 2)], [])
-        assert segment.contains((1, 1))
-        assert not segment.contains((1, 0))
-        assert not segment.contains((3, 3))
+        poly = hull_with_recession([(2, 0, 1), (2, 0, 1)])
+        assert hs_set(poly) == {((1, 0, 0), 2), ((0, 1, 0), 0), ((0, 0, 1), 1)}
+        assert poly.vertices == ((2, 0, 1),)
 
     def test_scaling_membership(self):
-        poly = hull_with_recession([(2, 0), (0, 3)], unit_rays(2))
+        poly = hull_with_recession([(2, 0), (0, 3)])
         rng = random.Random(14)
         for _ in range(40):
             n = rng.randint(1, 6)
@@ -118,54 +110,12 @@ class TestHull:
             scaled = tuple(n * c for c in y)
             assert poly.contains(scaled, scale=n) == poly.contains(y)
 
-    @pytest.mark.parametrize("dim", [3, 4])
-    def test_brute_facets_random_integer_and_rational(self, dim):
-        rng = random.Random(16 + dim)
-        for _ in range(12):
-            pts = [tuple(Fraction(rng.randint(0, 9), rng.choice((1, 1, 2, 3)))
-                         for _ in range(dim)) for _ in range(rng.randint(1, 6))]
-            poly = hull_with_recession(pts, unit_rays(dim))
-            assert hs_set(poly) == oracles.brute_facets(pts, unit_rays(dim))
-            assert set(poly.vertices) <= set(pts)
-
-    def test_lower_dimensional_and_partial_rays(self):
-        # exact outputs of the rational double description these inputs were
-        # first run through; brute_facets needs full-dimensional input
-        F = Fraction
-        cases = [
-            # no rays: a polytope
-            ([(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1), (1, 1, 1)], [],
-             (((-3, -2, -1), -6), ((-1, 1, -2), -2), ((0, 0, 1), 0), ((0, 1, 0), 0),
-              ((1, -1, -3), -3), ((1, 0, 0), 0)),
-             ((0, 0, 0), (0, 0, 1), (0, 3, 0), (1, 1, 1), (2, 0, 0))),
-            # one ray
-            ([(1, 0, 2), (0, 2, 1), (2, 1, 0)], [(1, 1, 0)],
-             (((-1, 1, 0), -1), ((1, -1, -3), -5), ((1, -1, 3), 1), ((1, 1, 1), 3)),
-             ((0, 2, 1), (1, 0, 2), (2, 1, 0))),
-            # a segment with rational endpoint
-            ([(1, 0, 2), (F(7, 2), 1, F(1, 3))], [],
-             (((-6, 20, 3), 0), ((-2, 5, 0), -2), ((0, 1, 0), 0), ((2, -7, 0), 0),
-              ((2, -5, 0), 2), ((6, -20, -3), 0)),
-             ((1, 0, 2), (F(7, 2), 1, F(1, 3)))),
-            # codimension 2: a plane in 4-space plus a ray inside it
-            ([(0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (2, 2, 2, 2)], [(1, 1, 1, 1)],
-             (((-1, 0, 1, 0), 0), ((-1, 1, 0, 0), -1), ((0, -1, 0, 1), 0), ((0, 1, 0, -1), 0),
-              ((0, 1, 0, 0), 0), ((1, -1, 0, 0), -1), ((1, 0, -1, 0), 0), ((1, 0, 0, 0), 0)),
-             ((0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0))),
-        ]
-        for pts, rays, halfspaces, vertices in cases:
-            poly = hull_with_recession(pts, rays)
-            assert tuple((h.normal, h.offset) for h in poly.halfspaces) == halfspaces
-            assert poly.vertices == tuple(tuple(Fraction(x) for x in v) for v in vertices)
-            assert all(isinstance(x, Fraction) for v in poly.vertices for x in v)
-            assert poly.recession_rays == tuple(sorted(rays))
-
     def test_power_of_four_generator_ideal(self):
         # I^8 has 109 generators but only 7 facets and 3 vertices
         ideal = MonomialIdeal.from_generators(3, [[3, 1, 0], [0, 2, 3], [1, 0, 4], [2, 2, 1]])
         gens = ideal.power(8).generators
         assert len(gens) == 109
-        poly = hull_with_recession(gens, unit_rays(3))
+        poly = hull_with_recession(gens)
         assert hs_set(poly) == {
             ((0, 0, 1), 0), ((0, 1, 0), 0), ((1, 0, 0), 0), ((0, 4, 1), 32),
             ((1, 0, 1), 24), ((2, 1, 0), 16), ((7, 6, 5), 216),
@@ -173,59 +123,59 @@ class TestHull:
         assert poly.vertices == ((0, 16, 24), (8, 0, 32), (24, 8, 0))
 
     def test_adjacency_double_description_matches_rank_filtered_oracle(self, monkeypatch):
-        answers = {}
-
-        def oracle(gens, dim):  # memoized: the patched hull asks for the same cone
-            key = (tuple(gens), dim)
-            if key not in answers:
-                answers.clear()
-                lineality, extreme = oracles.rank_filtered_dual_description(gens, dim)
-                answers[key] = lineality, [(r, oracles.tight_mask(gens, r)) for r in extreme]
-            return answers[key]
-
         rng = random.Random(18)
         for _ in range(2000):
-            pts, rays = _random_hull_input(rng)
+            pts = _newton_input(rng)
             dim = len(pts[0])
-            gens = [p + (1,) for p in pts] + [polyhedra._primitive(r) + (0,) for r in rays]
-            lineality, extreme = polyhedra._dual_description(gens, dim + 1)
-            want_lineality, want_extreme = oracle(gens, dim + 1)
-            assert lineality == want_lineality
+            gens = [p + (1,) for p in pts] + [r + (0,) for r in unit_rays(dim)]
+            extreme = polyhedra._dual_description(pts)
+            lineality, want = oracles.rank_filtered_dual_description(gens, dim + 1)
+            assert lineality == []  # the homogenized Newton cone is full-dimensional
+            described = [(r, oracles.tight_mask(gens, r)) for r in want]
             assert len(extreme) == len({r for r, _ in extreme})
             # each ray's tight set is the one its dot products give
-            assert sorted(extreme) == sorted(want_extreme)
-            poly = hull_with_recession(pts, rays)
+            assert sorted(extreme) == sorted(described)
+            poly = polyhedra._double_description_hull(pts)
             with monkeypatch.context() as patched:
-                patched.setattr(polyhedra, "_dual_description", oracle)
-                assert poly == hull_with_recession(pts, rays)
-            # the integer homogenization emits what the rational one does
-            assert poly == hull_with_recession([tuple(map(Fraction, p)) for p in pts], rays)
-            if not (dim == 2 and set(rays) == {(1, 0), (0, 1)}):  # the chain keeps ints
-                assert all(type(x) is Fraction for v in poly.vertices for x in v)
+                patched.setattr(polyhedra, "_dual_description", lambda _: described)
+                assert poly == polyhedra._double_description_hull(pts)
+            assert all(type(x) is Fraction for v in poly.vertices for x in v)
+            assert poly == hull_with_recession(pts)
 
     def test_vertices_match_the_rank_oracle(self):
         rng = random.Random(19)
         for _ in range(2400):
-            pts, rays = _random_hull_input(rng, rational=True, zero_ray=True)
-            poly = hull_with_recession(pts, rays)
+            pts = _newton_input(rng)
+            poly = hull_with_recession(pts)
             assert poly.vertices == oracles.rank_vertices(pts, poly.halfspaces)
+            assert poly.recession_rays == tuple(sorted(unit_rays(len(pts[0]))))
         # the one point of R^0 is its own vertex
         assert hull_with_recession([()]).vertices == ((),)
 
     def test_powers_scale_the_newton_offsets(self):
         ideal = MonomialIdeal.from_generators(3, [[3, 1, 0], [0, 2, 3], [1, 0, 4], [2, 2, 1]])
-        base = hs_set(hull_with_recession(ideal.generators, unit_rays(3)))
+        base = hs_set(hull_with_recession(ideal.generators))
         for n in range(1, 6):
-            poly = hull_with_recession(ideal.power(n).generators, unit_rays(3))
+            poly = hull_with_recession(ideal.power(n).generators)
             assert hs_set(poly) == {(normal, n * offset) for normal, offset in base}
 
     def test_dimension_cap(self):
         with pytest.raises(CapabilityError):
-            hull_with_recession([tuple(range(9))], unit_rays(9))
+            hull_with_recession([tuple(range(9))])
 
     def test_empty_points(self):
-        with pytest.raises(Exception):
-            hull_with_recession([], unit_rays(2))
+        with pytest.raises(DomainError):
+            hull_with_recession([])
+
+    def test_mixed_dimensions(self):
+        with pytest.raises(DimensionError):
+            hull_with_recession([(1, 0, 2), (0, 1)])
+
+    @pytest.mark.parametrize("coordinate", [Fraction(1, 2), Fraction(2), 0.5, 2.0, "2", None])
+    def test_non_integer_coordinate(self, coordinate):
+        for dim in (2, 3):
+            with pytest.raises(DomainError):
+                hull_with_recession([(1,) * dim, (coordinate,) + (0,) * (dim - 1)])
 
 
 class TestHalfSpaceNormalized:
@@ -258,48 +208,21 @@ class TestHalfSpaceNormalized:
             HalfSpace.normalized((0, 0), 3)
 
 
-def _random_hull_input(rng, rational=False, zero_ray=False):
-    """Points and rays in 1-6 dimensions: orthant, partial, random signed or
-    no rays, with repeated points and hulls inside a hyperplane.  `rational`
-    gives about 30% of the points Fraction coordinates, and `zero_ray` adds
-    the zero ray to about one input in ten."""
+def _newton_input(rng):
+    """Nonnegative integer points in 1-6 variables: repeated points, single
+    points, about half the points on a coordinate hyperplane, or every point
+    on x_i = x_j + 1."""
     dim = rng.randint(1, 6)
     top = rng.choice((1, 3, 6))
     pts = [tuple(rng.randint(0, top) for _ in range(dim)) for _ in range(rng.randint(1, 7))]
-    pts += rng.sample(pts, rng.randint(0, len(pts) // 2))
-    shape = rng.choice(("orthant", "partial", "random", "none", "flat"))
-    if shape == "orthant":
-        rays = unit_rays(dim)
-    elif shape == "partial":
-        rays = rng.sample(unit_rays(dim), rng.randint(1, dim))
-    elif shape == "random":
-        rays = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 4))]
-        rays = [r for r in rays if any(r)]
-    else:
-        rays = []
-    if shape == "flat" and dim > 1:
-        # x_i = x_j + 1 on every point: a hull of lower dimension
+    shape = rng.choice(("free", "axis", "shifted"))
+    if shape == "axis":
+        i = rng.randrange(dim)
+        pts = [p[:i] + (0,) + p[i + 1:] if rng.random() < 0.5 else p for p in pts]
+    elif shape == "shifted" and dim > 1:
         i, j = rng.sample(range(dim), 2)
         pts = [p[:i] + (p[j] + 1,) + p[i + 1:] for p in pts]
-    if rational:
-        pts = [tuple(Fraction(x, rng.randint(1, 4)) for x in p) if rng.random() < 0.3 else p
-               for p in pts]
-    if zero_ray and rng.random() < 0.1:
-        rays = rays + [(0,) * dim]
-    return pts, rays
-
-
-def _flat_hull_input(rng):
-    """Points on x_i = x_j + 1 and nonzero rays with r_i = r_j in 2-5
-    dimensions: a hull inside that hyperplane that has rays."""
-    dim = rng.randint(2, 5)
-    i, j = rng.sample(range(dim), 2)
-
-    def on_plane(v, shift):
-        return v[:i] + (v[j] + shift,) + v[i + 1:]
-    pts = [on_plane(tuple(rng.randint(0, 4) for _ in range(dim)), 1) for _ in range(rng.randint(1, 4))]
-    rays = [on_plane(tuple(rng.randint(-2, 2) for _ in range(dim)), 0) for _ in range(rng.randint(1, 3))]
-    return pts, [r for r in rays if any(r)]
+    return pts + rng.sample(pts, rng.randint(0, len(pts) // 2))
 
 
 def _membership_lp(q, pts, rays):
