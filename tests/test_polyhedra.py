@@ -1,6 +1,7 @@
 """Hull and LP solver against brute-force facet enumeration and vertex search."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -76,6 +77,22 @@ class TestHull:
             if len(pts[0]) < 6:
                 poly = hull_with_recession(pts)
                 assert hs_set(poly) == oracles.brute_facets(sorted(set(pts)), unit_rays(len(pts[0])))
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_brute_facets_random_integer_and_rational(self, dim):
+        # rational points are refused; cleared of their common denominator
+        # they are integer points, whose hull must match brute_facets
+        rng = random.Random(16 + dim)
+        for _ in range(12):
+            pts = [tuple(Fraction(rng.randint(0, 9), rng.choice((1, 1, 2, 3)))
+                         for _ in range(dim)) for _ in range(rng.randint(1, 6))]
+            with pytest.raises(DomainError):
+                hull_with_recession(pts)
+            den = math.lcm(*(x.denominator for p in pts for x in p))
+            ints = [tuple(int(x * den) for x in p) for p in pts]
+            poly = hull_with_recession(ints)
+            assert hs_set(poly) == oracles.brute_facets(sorted(set(ints)), unit_rays(dim))
+            assert set(poly.vertices) <= set(ints)
 
     def test_defining_points_are_members(self):
         rng = random.Random(13)
