@@ -289,10 +289,10 @@ def parse_config(text: str) -> JobConfig:
     for name in sorted(family_nodes):
         builder.build(name)
 
-    tasks = raw.get("tasks") or []
-    if not isinstance(tasks, list):
+    tasks = raw.get("tasks")  # absent or null means no tasks, as for the sections
+    if tasks is not None and not isinstance(tasks, list):
         errors.append("'tasks' must be a list")
-        tasks = []
+    tasks = tasks if isinstance(tasks, list) else []
     for i, task in enumerate(tasks):
         where = f"task {i}"
         if not isinstance(task, dict) or "op" not in task:

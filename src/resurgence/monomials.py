@@ -11,10 +11,9 @@ from the region by the walk of `minimal_lattice_points` only when read.
 Symbolic powers, integral closures and m^d in three or more variables are
 views.
 
-Containment has one primitive, `witness_not_in`: it orients explicit
-generators on the left and a membership test on the right, and returns the
-lex-first left generator outside the right side.  Stored generators are
-trusted, so an explicit right side is tested without re-validation.  In two
+Containment has two entry points: `is_subset_of` answers yes or no, and
+`witness_not_in` returns the lex-first left generator outside the right side.
+Stored generators are trusted, so no right side re-validates them.  In two
 variables a minimal generating set sorted lex is a staircase: x strictly
 increases while y strictly decreases.  Hence (gx, gy) lies in an explicit
 ideal iff the last of its generators with x <= gx has y <= gy, so one
@@ -23,13 +22,16 @@ step) decides containment.  The same invariant makes two-variable
 minimization one sort plus a sweep that keeps each entry whose y strictly
 decreases (Miller & Sturmfels, Combinatorial Commutative Algebra, ch. 1-3).
 
-Corner rule.  Every view's rows W are >= 0, so its real region
-{a >= 0 : W a >= m} is convex and closed upwards.  A set G of monomials then
-lies in it iff the vertices of its Newton polyhedron conv(G) + R^n_{>=0} do.
-In two variables those vertices are the corners of the staircase (the lower
-convex chain, `polyhedra.staircase_corners`), cached on the ideal: a view on
-the right is first tested on the left side's corners, and only if one fails
-does the scan look for the lex-first witness.
+View rules.  Every view's rows W are >= 0, so a set G of monomials lies in
+its region iff min over g in G of <w_r, g> >= m_r for every row r, and iff
+the vertices of the Newton polyhedron conv(G) + R^n_{>=0} do (the region is
+convex and closed upwards).  In two variables those vertices are the
+staircase's corners (`polyhedra.staircase_corners`), cached on the ideal and
+tested first.  In any other number of variables the row minima decide,
+cached on the left ideal per weight tuple, so the probes of one member
+against m, m^2, m^4, ... scan it once and a closure or degree view is never
+materialized.  Only when a rule fails is the left side scanned for the
+lex-first witness.
 """
 
 from __future__ import annotations
@@ -234,7 +236,10 @@ class MonomialIdeal:
         A closure view of base^n gives n times the base's pair, and m^d gives
         d * min(w) at d on the last of the lightest variables (the lex-first
         monomial of degree d among the minimizers), neither materializing.
+        `is_subset_of` caches the pair per weight tuple.
         """
+        if self.is_zero():
+            raise DomainError("the zero ideal has no weighted minimum")
         view = self.view
         if view is not None and view.kind == "closure":
             value, arg = view.base.weighted_min(weights)
@@ -329,32 +334,41 @@ class MonomialIdeal:
     def is_subset_of(self, other: "MonomialIdeal") -> bool:
         """Containment self <= other: every minimal generator is a member.
 
-        The left side must expand to generators; the right side may be any view.
+        A view on the right outside two variables is decided by the cached
+        row minima (module docstring); every other pair asks `witness_not_in`.
         """
-        return self.witness_not_in(other) is None
+        view = other.view
+        if view is None or self.nvars == 2:
+            return self.witness_not_in(other) is None
+        self._require_same_ring(other)
+        return self.is_zero() or all(self.cached(("weighted_min", w), lambda: self.weighted_min(w))[0] >= m
+                                     for w, m in zip(view.rows, view.rhs))
 
     def witness_not_in(self, other: "MonomialIdeal") -> Optional[Monomial]:
         """The lex-first minimal generator of self outside other, or None if
         self <= other.
 
-        A view on the right answers through its public `contains`; in two
-        variables it first tests only the corners of self (the corner rule of
-        the module docstring) and scans all generators only if one fails.  An
-        explicit right side is trusted: in two variables one merge walks both
-        staircases (see the module docstring), in more variables each
-        generator goes through `_contains_explicit`.
+        A view on the right is first asked by its rule (module docstring):
+        the corners of self through the view's public `contains` in two
+        variables, `is_subset_of` otherwise; only if it fails are all generators
+        scanned, by `contains` or by the trusted row test.  An explicit right
+        side is trusted: in two variables one merge walks both staircases, in
+        more each generator goes through `_contains_explicit`.
         """
         self._require_same_ring(other)
-        gens = self.generators
         if other.view is None:
             if self.nvars == 2:
-                return _staircase_witness(gens, other._gens)
+                return _staircase_witness(self.generators, other._gens)
             has = other._contains_explicit
-        else:
-            if self.nvars == 2 and all(map(other.contains, self.corners())):
+        elif self.nvars == 2:
+            if all(map(other.contains, self.corners())):
                 return None
             has = other.contains
-        return next((g for g in gens if not has(g)), None)
+        elif self.is_subset_of(other):
+            return None
+        else:
+            has = other.view.contains
+        return next((g for g in self.generators if not has(g)), None)
 
     # -- equality / ordering / rendering -----------------------------------------
 

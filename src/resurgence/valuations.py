@@ -134,9 +134,11 @@ def skew_waldschmidt(v: MonomialValuation, family: fam.GradedFamily, window: int
 def _symbolic_waldschmidt(v: MonomialValuation, ideal: MonomialIdeal) -> WaldschmidtResult:
     """Exact constant for symbolic powers: minimize <w, y> over the fractional
     vertex covers {y >= 0 : sum_{i in C} y_i >= 1 for every minimal cover C}."""
+    if ideal.is_zero():  # its one cover is empty, so the LP would be infeasible
+        raise DomainError("symbolic powers need a nonzero proper ideal")
     constraints = tuple(HalfSpace(c, 1) for c in cover_rows(ideal))
     lp = LinearProgram(tuple(Fraction(w) for w in v.weights), constraints)
     res = lp_minimize(lp)
-    if not res.is_optimal:  # pragma: no cover - the cover LP is always feasible & bounded
+    if not res.is_optimal:  # pragma: no cover - nonzero cover rows, weights >= 0: feasible, bounded
         raise AssertionError(f"cover LP returned {res.status}")
     return WaldschmidtResult(res.optimum, res.optimum, True, "lp", dual=res.dual)

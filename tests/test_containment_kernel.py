@@ -4,14 +4,32 @@
 brute-force scans from `oracles` on random ideals in 2 and 3 variables.  The
 two-variable corner test against a view is compared with the full scan of
 the left side's generators, and the cached corners with the vertices of the
-Newton polygon from both hull paths.
+Newton polygon from both hull paths.  The row-minimum rule (a view on the
+right in 3-5 variables, explicit or view left sides) is compared with the
+scan over both sides' materialized generators, and `beta` into powers of the
+maximal ideal with a scan of RegionView.contains over the escaping member's
+generators.
 """
+
+import random
+from fractions import Fraction
 
 from hypothesis import given, seed, settings, strategies as st
 
 import oracles
-from resurgence import MonomialIdeal, hull_with_recession, minimize_monomials
+from resurgence import (
+    MonomialIdeal,
+    SequenceValue,
+    beta,
+    ceiling,
+    closure_powers,
+    hull_with_recession,
+    minimize_monomials,
+    powers,
+    symbolic,
+)
 from resurgence.closures import integral_closure, symbolic_power
+from resurgence.monomials import complete_power_ideal
 from resurgence.polyhedra import _double_description_hull
 
 SEEDED = settings(max_examples=150, deadline=None, database=None)
@@ -90,6 +108,91 @@ class TestContainmentKernel:
         assert subset == (expected is None)
         if member is not None:
             assert expected == oracles.first_outside(left, member)
+
+
+@st.composite
+def region_views(draw, nvars):
+    """A symbolic power, integral closure or m^d view in `nvars` variables."""
+    kind = draw(st.sampled_from(["symbolic", "closure", "degree"]))
+    n = draw(st.integers(1, 3))
+    if kind == "symbolic":
+        return symbolic_power(MonomialIdeal.from_generators(nvars, draw(squarefree_generators(nvars))), n)
+    if kind == "closure":
+        mono = st.tuples(*[st.integers(0, 2)] * nvars).filter(any)
+        base = draw(st.lists(mono, min_size=1, max_size=4))
+        return integral_closure(MonomialIdeal.from_generators(nvars, base), n)
+    return complete_power_ideal(nvars, draw(st.integers(1, 5)))
+
+
+def wide_view_pairs(left):
+    """(left ideal, right view) in 3-5 variables, the left side drawn by `left(nvars)`."""
+    return st.sampled_from([3, 4, 5]).flatmap(lambda n: st.tuples(left(n), region_views(n)))
+
+
+def explicit_ideals(nvars):
+    """The zero ideal, the unit ideal or 1 to 9 monomials, minimized."""
+    return raw_generators(nvars, top=4).map(lambda g: MonomialIdeal.from_generators(nvars, g))
+
+
+class TestRowMinimumRule:
+    """Each side is asked before the scan materializes either side's generators."""
+
+    @staticmethod
+    def check(left, right):
+        subset = left.is_subset_of(right)
+        witness = left.witness_not_in(right)
+        materialized = right.generators
+        expected = oracles.first_outside(left.generators, lambda m: oracles.in_monomial_set(m, materialized))
+        assert witness == expected
+        assert subset == (witness is None)
+
+    @seed(68)
+    @SEEDED
+    @given(wide_view_pairs(explicit_ideals))
+    def test_explicit_left_matches_materialized_scan(self, case):
+        self.check(*case)
+
+    @seed(69)
+    @SEEDED
+    @given(wide_view_pairs(region_views))
+    def test_view_left_matches_materialized_scan(self, case):
+        self.check(*case)
+
+    def test_probes_of_a_closure_read_one_cached_minimum(self):
+        # the closure of I^3 for ROADMAP's ideal has least degree 3 * 4 = 12
+        I = MonomialIdeal.from_generators(3, [(3, 1, 0), (0, 2, 3), (1, 0, 4), (2, 2, 1)])
+        left = integral_closure(I, 3)
+        answers = [left.is_subset_of(complete_power_ideal(3, d)) for d in (1, 2, 4, 8, 12, 13, 16)]
+        assert answers == [True] * 5 + [False] * 2
+        assert not left.is_explicit
+
+        def recomputed():
+            raise AssertionError("the row minimum was not cached")
+
+        assert left.cached(("weighted_min", (1, 1, 1)), recomputed) == (12, (9, 3, 0))
+
+    def test_beta_into_powers_of_m_matches_a_row_scan(self):
+        # the least d with a generator of a_s outside m^d, by RegionView.contains
+        # over the materialized generators of a_s; beta reads row minima instead
+        def brute(member, nvars, cutoff):
+            gens = member.generators
+            hit = next((d for d in range(1, cutoff + 1)
+                        if not all(map(complete_power_ideal(nvars, d).view.contains, gens))), None)
+            return SequenceValue("exceeds", bound=cutoff) if hit is None else SequenceValue("finite", hit)
+
+        rng = random.Random(70)
+        for _ in range(40):
+            n = rng.randint(3, 5)
+            gens = [[rng.randint(0, 2) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+            edges = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 4))]
+            I = MonomialIdeal.from_generators(n, [g if any(g) else [1] * n for g in gens])
+            E = MonomialIdeal.from_generators(n, [[int(i in e) for i in range(n)] for e in edges])
+            alpha = Fraction(rng.randint(1, 7), rng.randint(1, 4))
+            m = MonomialIdeal.from_generators(n, [[int(i == j) for j in range(n)] for i in range(n)])
+            for make in (lambda: powers(I), lambda: symbolic(E), lambda: closure_powers(I),
+                         lambda: ceiling(I, alpha)):
+                for s in range(1, 4):
+                    assert beta(make(), powers(m), s, 64) == brute(make().member(s), n, 64)
 
 
 @st.composite

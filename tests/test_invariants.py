@@ -231,7 +231,9 @@ class TestValuationSequences:
 
     def test_beta_into_powers_of_m_is_beta_v_of_the_degree(self):
         # a_s is not in m^d iff deg(a_s) < d, so the containment route and the
-        # valuation route must give the same escape index for every family
+        # valuation route must give the same escape index for every family.
+        # Both read `weighted_min`; test_containment_kernel checks beta against
+        # a row scan of the materialized generators
         rng = random.Random(41)
         for _ in range(60):
             n = rng.randint(2, 5)

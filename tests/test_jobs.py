@@ -164,6 +164,21 @@ class TestRun:
         report = run(config)
         assert report["tasks"] == [] and exit_status(report) == 0
 
+    def test_missing_tasks_mean_no_tasks(self):
+        report = run(parse_config(json.dumps({"vars": 1, "ideals": {}})))
+        assert report["tasks"] == [] and exit_status(report) == 0
+
+    def test_waldschmidt_of_symbolic_zero_ideal_is_a_domain_error(self):
+        job = {
+            "vars": 3,
+            "ideals": {"zero": []},
+            "families": {"a": {"kind": "symbolic", "ideal": "zero"}},
+            "tasks": [{"op": "waldschmidt", "family": "a", "weights": [1, 1, 1]}],
+        }
+        (task,) = run(parse_config(json.dumps(job)))["tasks"]
+        assert task["status"] == "error"
+        assert task["error"] == "DomainError: symbolic powers need a nonzero proper ideal"
+
     def test_task_failure_recorded_not_fatal(self):
         job = dict(TRIANGLE_JOB)
         job["tasks"] = [
@@ -372,6 +387,11 @@ class TestConfigErrors:
     ])
     def test_names_must_be_strings(self, changes):
         assert len(_problems(**changes)) == 1
+
+    @pytest.mark.parametrize("value", [{}, 0, "", False, {"op": "rho_window"}])
+    def test_tasks_must_be_a_list(self, value):
+        # falsy values too: only an absent or null 'tasks' means no tasks
+        assert _problems(tasks=value) == ["'tasks' must be a list"]
 
     @pytest.mark.parametrize("section", ["ideals", "families", "output", "defaults"])
     def test_sections_must_be_objects(self, section):

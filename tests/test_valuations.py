@@ -141,6 +141,11 @@ class TestWeightedMinimum:
         assert (value, arg) == (17, (0, 0, 0, 0, 0, 0, 17))
         assert not m17.is_explicit
 
+    @pytest.mark.parametrize("nvars", [2, 3])
+    def test_zero_ideal_has_no_minimum(self, nvars):
+        with pytest.raises(DomainError):
+            MonomialIdeal.zero(nvars).weighted_min((1,) * nvars)
+
     def test_value_rule_uses_the_same_minimum(self):
         rng = random.Random(73)
         for I in random_plane_ideals(rng, 60):
