@@ -104,18 +104,14 @@ def minimal_covers(ideal: MonomialIdeal) -> Tuple[Monomial, ...]:
     return tuple(tuple(1 if i in v else 0 for i in range(nvars)) for v in vertices)
 
 
-def cover_rows(ideal: MonomialIdeal) -> Tuple[Monomial, ...]:
-    """`minimal_covers(ideal)` cached on the ideal: the rows of its symbolic
-    power views and of its fractional-cover LP."""
-    return ideal.cached("covers", lambda: minimal_covers(ideal))
-
-
 def symbolic_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     """n-th symbolic power of a squarefree monomial ideal, as a membership view
     cached on `ideal`.
 
     I^(n) is the intersection of the n-th powers of the minimal primes; a
     monomial belongs iff each minimal cover C satisfies sum_{i in C} m_i >= n.
+    This is the one scope check for symbolic powers: the view's rows, the
+    minimal covers cached on `ideal`, are also the rows of the cover LP.
     """
     if n < 1:
         raise DomainError("symbolic exponent must be positive")
@@ -123,12 +119,12 @@ def symbolic_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
         raise DomainError("symbolic powers need a nonzero proper ideal")
     if any(e > 1 for g in ideal.generators for e in g):
         raise CapabilityError("symbolic powers are implemented for squarefree ideals only")
-    covers = cover_rows(ideal)
+    covers = ideal.cached("covers", lambda: minimal_covers(ideal))
+    # One view per (ideal, n), so its generators are materialized at most once.
     # A minimal generator never needs an exponent above n: decrementing a
     # coordinate > n keeps every cover sum >= n.
-    view = RegionView(covers, (n,) * len(covers), (n,) * ideal.nvars, "symbolic")
-    # one view per (ideal, n), so its generators are materialized at most once
-    return ideal.cached(("symbolic", n), lambda: MonomialIdeal(ideal.nvars, None, view))
+    return ideal.cached(("symbolic", n), lambda: MonomialIdeal(ideal.nvars, None, RegionView(
+        covers, (n,) * len(covers), (n,) * ideal.nvars, "symbolic")))
 
 
 @dataclass(frozen=True)

@@ -277,7 +277,8 @@ def rho_window(a: fam.GradedFamily, b: fam.GradedFamily, s_max: int, r_max: int)
     """
     if s_max < 1:
         raise DomainError("rho_window needs s_max >= 1")
-    pairs, best = _escape_pairs(a, b, range(1, s_max + 1), r_max)
+    pairs = _escape_pairs(a, b, range(1, s_max + 1), r_max)
+    best = _best_escape(a, b, pairs)
     search = {"s_max": s_max, "r_max": r_max}
     details = {"noncontainment_pairs": tuple(pairs)}
     if best is None:
@@ -301,20 +302,18 @@ def rho_window(a: fam.GradedFamily, b: fam.GradedFamily, s_max: int, r_max: int)
 
 def _escape_pairs(a, b, s_range, cutoff):
     """The pairs (s, beta_s) for s in s_range with beta_s finite within the
-    cutoff, and (ratio, witness (s, r, m)) of the largest s/beta_s, or None."""
-    best = None
-    pairs = []
-    for s in s_range:
-        sv = beta(a, b, s, cutoff)
-        if sv.is_finite:
-            pairs.append((s, sv.value))
-            ratio = Fraction(s, sv.value)
-            if best is None or ratio > best[0]:
-                best = (ratio, s, sv.value)
-    if best is None:
-        return pairs, None
-    ratio, s, r = best
-    return pairs, (ratio, (s, r, a.member(s).witness_not_in(b.member(r))))
+    cutoff."""
+    values = ((s, beta(a, b, s, cutoff)) for s in s_range)
+    return [(s, sv.value) for s, sv in values if sv.is_finite]
+
+
+def _best_escape(a, b, pairs):
+    """(ratio, witness (s, r, m)) of the first pair with the largest s/r, or
+    None when there is no pair."""
+    if not pairs:
+        return None
+    s, r = max(pairs, key=lambda pair: Fraction(*pair))
+    return Fraction(s, r), (s, r, a.member(s).witness_not_in(b.member(r)))
 
 
 def _global_filtration_certificate(family, horizon) -> bool:
@@ -350,7 +349,8 @@ def rho_n(a: fam.GradedFamily, b: fam.GradedFamily, n: int, s_max: int, cutoff: 
     """sup { s / beta_s : n <= s <= s_max, beta_s finite within cutoff }."""
     if n < 1:
         raise DomainError("rho_n needs n >= 1")
-    pairs, best = _escape_pairs(a, b, range(n, s_max + 1), cutoff)
+    pairs = _escape_pairs(a, b, range(n, s_max + 1), cutoff)
+    best = _best_escape(a, b, pairs)
     search = {"n": n, "s_max": s_max, "cutoff": cutoff}
     details = {"noncontainment_pairs": tuple(pairs)}
     if best is None:
@@ -374,10 +374,9 @@ def rho_lim_estimate(a: fam.GradedFamily, b: fam.GradedFamily, n_grid: Sequence[
     if not grid or grid[0] < 1:
         raise DomainError("rho_lim needs a grid of indices >= 1")
     s_max = grid[-1] + tail
-    values = []
-    for n in grid:
-        rep = rho_n(a, b, n, s_max, cutoff)
-        values.append((n, rep.value))
+    pairs = _escape_pairs(a, b, range(grid[0], s_max + 1), cutoff)
+    values = [(n, max((finite(Fraction(s, r)) for s, r in pairs if s >= n), default=NEG_INFINITY))
+              for n in grid]
     details = {"grid_values": tuple(values)}
     notes = []
     certified = False
@@ -400,6 +399,11 @@ def rho_lim_estimate(a: fam.GradedFamily, b: fam.GradedFamily, n_grid: Sequence[
 # ---------------------------------------------------------------------------
 # asymptotic resurgence via Rees valuations
 # ---------------------------------------------------------------------------
+
+
+# The hypotheses a caller may assert by name (besides "closure_gap:<k>"); the
+# routes below read them from their `assertions`.
+ASSERTIONS = ("closure_module_finite", "waldschmidt_equals_v_b1")
 
 
 def rho_hat_rees(a: fam.GradedFamily, b: fam.GradedFamily, kmax: int = 6,

@@ -96,6 +96,9 @@ def _check_assertions(value, where, errors):
             gap = _parse_int(text.split(":", 1)[1], f"{where}: 'assert' {text!r}", errors)
             if gap is not _BAD and gap < 0:
                 errors.append(f"{where}: 'assert' {text!r} needs a gap >= 0")
+        elif text not in inv.ASSERTIONS:
+            known = ", ".join(map(repr, inv.ASSERTIONS + ("closure_gap:<k>",)))
+            errors.append(f"{where}: 'assert' {text!r} is not one of {known}")
 
 
 class _FamilyBuilder:
@@ -495,8 +498,6 @@ def encode(obj):
         return out
     if isinstance(obj, MonomialIdeal):
         return {"generators": [list(g) for g in obj.generators]}
-    if isinstance(obj, val.MonomialValuation):
-        return {"weights": list(obj.weights)}
     if isinstance(obj, closures.ReesValuationSet):
         return {"valuations": [{"weights": list(w), "value": v} for w, v in obj.valuations]}
     if is_dataclass(obj) and not isinstance(obj, type):
@@ -511,8 +512,6 @@ def encode(obj):
         return [encode(x) for x in obj]
     if isinstance(obj, (int, str, bool)) or obj is None:
         return obj
-    if isinstance(obj, fam.GradedFamily):
-        return {"family": obj.name or obj.kind}
     return str(obj)
 
 

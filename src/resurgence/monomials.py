@@ -52,10 +52,6 @@ MATERIALIZE_CAP = 100_000
 _MISSING = object()
 
 
-def monomial(*exponents: int) -> Monomial:
-    return tuple(int(e) for e in exponents)
-
-
 def check_monomial(m: Sequence[int], nvars: int) -> Monomial:
     given = tuple(m)
     try:
@@ -351,7 +347,7 @@ class MonomialIdeal:
         A view on the right is first asked by its rule (module docstring):
         the corners of self through the view's public `contains` in two
         variables, `is_subset_of` otherwise; only if it fails are all generators
-        scanned, by `contains` or by the trusted row test.  An explicit right
+        scanned, by the trusted row test `view.contains`.  An explicit right
         side is trusted: in two variables one merge walks both staircases, in
         more each generator goes through `_contains_explicit`.
         """
@@ -363,7 +359,7 @@ class MonomialIdeal:
         elif self.nvars == 2:
             if all(map(other.contains, self.corners())):
                 return None
-            has = other.contains
+            has = other.view.contains
         elif self.is_subset_of(other):
             return None
         else:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import families as fam
-from .closures import cover_rows
+from .closures import symbolic_power
 from .errors import CapabilityError, DimensionError, DomainError
 from .monomials import Monomial, MonomialIdeal
 from .polyhedra import HalfSpace, LinearProgram, lp_minimize
@@ -133,10 +133,9 @@ def skew_waldschmidt(v: MonomialValuation, family: fam.GradedFamily, window: int
 
 def _symbolic_waldschmidt(v: MonomialValuation, ideal: MonomialIdeal) -> WaldschmidtResult:
     """Exact constant for symbolic powers: minimize <w, y> over the fractional
-    vertex covers {y >= 0 : sum_{i in C} y_i >= 1 for every minimal cover C}."""
-    if ideal.is_zero():  # its one cover is empty, so the LP would be infeasible
-        raise DomainError("symbolic powers need a nonzero proper ideal")
-    constraints = tuple(HalfSpace(c, 1) for c in cover_rows(ideal))
+    vertex covers {y >= 0 : sum_{i in C} y_i >= 1 for every minimal cover C},
+    the rows of I^(1)'s view; `symbolic_power` raises for any other base."""
+    constraints = tuple(HalfSpace(c, 1) for c in symbolic_power(ideal, 1).view.rows)
     lp = LinearProgram(tuple(Fraction(w) for w in v.weights), constraints)
     res = lp_minimize(lp)
     if not res.is_optimal:  # pragma: no cover - nonzero cover rows, weights >= 0: feasible, bounded

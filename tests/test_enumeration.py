@@ -17,6 +17,7 @@ from hypothesis import given, seed, settings, strategies as st
 import oracles
 from resurgence import (
     CapabilityError,
+    DimensionError,
     MonomialIdeal,
     integral_closure,
     minimal_covers,
@@ -127,6 +128,10 @@ class TestMinimalLatticePoints:
         # m^500 in 3 variables has 125,751 minimal generators, one per leaf
         with pytest.raises(CapabilityError, match=f"{monomials.MATERIALIZE_CAP} .*MATERIALIZE_CAP"):
             minimal_lattice_points([(1, 1, 1)], [500], [500, 500, 500])
+
+    def test_empty_box_raises(self):
+        with pytest.raises(DimensionError):
+            minimal_lattice_points([()], [1], [])
 
     def test_seven_cycle_beta_table_to_seven(self):
         # s <= 5 are the box scan's values (it raised for s >= 6 under this

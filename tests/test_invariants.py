@@ -120,6 +120,8 @@ class TestBeta:
     def test_empty_for_constant_tail(self):
         I = maximal(2)
         assert beta(powers(I), constant(I), 3, 30).kind == "empty"
+        # a zero member a_s lies in every b_d
+        assert beta(powers(MonomialIdeal.zero(2)), powers(I), 3, 30).kind == "empty"
 
     def test_empty_for_constant_veronese_tail(self):
         I = maximal(2)

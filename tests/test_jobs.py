@@ -371,6 +371,12 @@ class TestConfigErrors:
         task = {"op": "rho_hat_rees", "a": "a", "b": "a", "assert": value}
         assert any("'assert'" in p for p in _problems(tasks=[task]))
 
+    @pytest.mark.parametrize("text", ["closure_module_finit", "closure_gap", ""])
+    def test_unknown_assertions_are_config_errors(self, text):
+        task = {"op": "rho_hat_rees", "a": "a", "b": "a", "assert": [text]}
+        (problem,) = _problems(tasks=[task])
+        assert problem.startswith(f"task 0: 'assert' {text!r} is not one of")
+
     def test_well_formed_assertions_pass(self):
         task = {"op": "rho_exact", "a": "a", "b": "a",
                 "assert": ["closure_module_finite", "closure_gap:0"]}
@@ -402,6 +408,7 @@ class TestConfigErrors:
         {"families": {"a": {"kind": "ceiling", "ideal": "m", "alpha": "1/0"}}},
         {"families": {"a": {"kind": "expression", "expr": {"product": 5}}}},
         {"families": {"a": {"kind": "expression", "expr": {"sum": []}}}},
+        {"ideals": {"m": [[-1, 0], [0, 1]]}},
     ])
     def test_malformed_values_are_collected(self, changes):
         assert _problems(**changes)

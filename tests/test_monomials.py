@@ -61,6 +61,10 @@ class TestMinimize:
         with pytest.raises(DomainError):
             ideal(2, (1, 0)).contains((exponent, 1))
 
+    def test_negative_exponents_are_rejected(self):
+        with pytest.raises(DomainError, match="negative exponent"):
+            MonomialIdeal.from_generators(2, [(1, -1)])
+
     def test_integral_values_are_accepted(self):
         assert ideal(2, (2.0, Fraction(3, 1))).generators == ((2, 3),)
 

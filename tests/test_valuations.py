@@ -8,6 +8,7 @@ import pytest
 import oracles
 
 from resurgence import (
+    CapabilityError,
     DomainError,
     MonomialIdeal,
     MonomialValuation,
@@ -162,6 +163,14 @@ class TestSkewWaldschmidt:
         tri = ideal(3, (1, 1, 0), (1, 0, 1), (0, 1, 1))
         res = skew_waldschmidt(degree_valuation(3), symbolic(tri))
         assert (res.value, res.certified, res.method) == (Fraction(3, 2), True, "lp")
+
+    def test_symbolic_lp_raises_where_symbolic_power_does(self):
+        # the LP reads the rows of I^(1)'s view, so its scope is symbolic_power's:
+        # (x^2, y^2) has constant 2, not the radical's 1, and the unit ideal none
+        with pytest.raises(CapabilityError, match="squarefree"):
+            skew_waldschmidt(degree_valuation(2), symbolic(ideal(2, (2, 0), (0, 2))))
+        with pytest.raises(DomainError, match="nonzero proper"):
+            skew_waldschmidt(degree_valuation(2), symbolic(MonomialIdeal.unit(2)))
 
     def test_powers_closed_form(self):
         m = ideal(2, (1, 0), (0, 1))
