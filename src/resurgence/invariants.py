@@ -401,9 +401,9 @@ def rho_lim_estimate(a: fam.GradedFamily, b: fam.GradedFamily, n_grid: Sequence[
 # ---------------------------------------------------------------------------
 
 
-# The hypotheses a caller may assert by name (besides "closure_gap:<k>"); the
-# routes below read them from their `assertions`.
-ASSERTIONS = ("closure_module_finite", "waldschmidt_equals_v_b1")
+# The hypotheses a caller may assert ("closure_gap:<k>" stands for every
+# integer k >= 0); the routes below read them from their `assertions`.
+ASSERTIONS = ("closure_module_finite", "waldschmidt_equals_v_b1", "closure_gap:<k>")
 
 
 def rho_hat_rees(a: fam.GradedFamily, b: fam.GradedFamily, kmax: int = 6,

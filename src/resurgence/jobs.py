@@ -87,18 +87,21 @@ def _section(raw, key, errors) -> dict:
     return value if isinstance(value, dict) else {}
 
 
-def _check_assertions(value, where, errors):
+def _check_assertions(value, op, where, errors):
+    """A list of known assertion names, each one that `op` reads."""
     if not isinstance(value, list) or not all(isinstance(text, str) for text in value):
         errors.append(f"{where}: 'assert' must be a list of strings, not {value!r}")
         return
     for text in value:
-        if text.startswith("closure_gap:"):
+        name = "closure_gap:<k>" if text.startswith("closure_gap:") else text
+        if name not in inv.ASSERTIONS:
+            errors.append(f"{where}: 'assert' {text!r} is not one of {', '.join(map(repr, inv.ASSERTIONS))}")
+        elif name not in OPS[op].asserts:
+            errors.append(f"{where}: 'assert' {text!r} is not read by op {op!r}")
+        elif text.startswith("closure_gap:"):
             gap = _parse_int(text.split(":", 1)[1], f"{where}: 'assert' {text!r}", errors)
             if gap is not _BAD and gap < 0:
                 errors.append(f"{where}: 'assert' {text!r} needs a gap >= 0")
-        elif text not in inv.ASSERTIONS:
-            known = ", ".join(map(repr, inv.ASSERTIONS + ("closure_gap:<k>",)))
-            errors.append(f"{where}: 'assert' {text!r} is not one of {known}")
 
 
 class _FamilyBuilder:
@@ -325,7 +328,7 @@ def parse_config(text: str) -> JobConfig:
             for item in task[key] if isinstance(task.get(key), list) else ():
                 _parse_int(item, f"{where}: {key!r}", errors)
         if "assert" in task:
-            _check_assertions(task["assert"], where, errors)
+            _check_assertions(task["assert"], task["op"], where, errors)
 
     output = _section(raw, "output", errors)
     out_format = output.get("format", "json")
@@ -425,6 +428,7 @@ def _table(config, task, func, index, fallback, *head):
 class Op(NamedTuple):
     keys: tuple  # task keys the op cannot run without
     run: Callable  # (config, task) -> result
+    asserts: tuple = ()  # the "assert" names the op reads
 
 
 # Every op.  Handlers look library functions up on their module at call time,
@@ -444,13 +448,14 @@ OPS = {
         *_pair(c, t), [int(n) for n in t["grid"]], _param(c, t, "cutoff"),
         tail=int(t.get("tail", 10)), **_bounds(c, t))),
     "rho_hat_rees": Op(("a", "b"), lambda c, t: inv.rho_hat_rees(
-        *_pair(c, t), **_bounds(c, t), assertions=tuple(t.get("assert", ())))),
+        *_pair(c, t), **_bounds(c, t), assertions=tuple(t.get("assert", ()))),
+        ("closure_module_finite",)),
     "rho_hat_beta": Op(("a", "b", "n_max"), lambda c, t: inv.rho_hat_beta_limit(
         *_pair(c, t), int(t["n_max"]), _param(c, t, "cutoff"),
         grid=[int(n) for n in t["grid"]] if "grid" in t else None, **_bounds(c, t))),
     "rho_exact": Op(("a", "b"), lambda c, t: inv.rho_exact_certified(
         *_pair(c, t), search_budget=int(t.get("budget", 60)), **_bounds(c, t),
-        assertions=tuple(t.get("assert", ())))),
+        assertions=tuple(t.get("assert", ()))), inv.ASSERTIONS),
     "waldschmidt": Op(("family", "weights"), lambda c, t: val.skew_waldschmidt(
         _valuation(t), c.families[t["family"]], window=_param(c, t, "window"),
         kmax=_param(c, t, "kmax"))),

@@ -28,9 +28,10 @@ the vertices of the Newton polyhedron conv(G) + R^n_{>=0} do (the region is
 convex and closed upwards).  In two variables those vertices are the
 staircase's corners (`polyhedra.staircase_corners`), cached on the ideal and
 tested first.  In any other number of variables the row minima decide,
-cached on the left ideal per weight tuple, so the probes of one member
-against m, m^2, m^4, ... scan it once and a closure or degree view is never
-materialized.  Only when a rule fails is the left side scanned for the
+cached on the left ideal per weight tuple and read by `weighted_min`
+without materializing a view (a symbolic one by the bounded walk
+`lightest_lattice_point`); an explicit m^d on the right is asked through its
+degree view.  Only when a rule fails is the left side scanned for the
 lex-first witness.
 """
 
@@ -209,8 +210,7 @@ class MonomialIdeal:
     def generators(self) -> Tuple[Monomial, ...]:
         """Minimal generators, materializing a view on first access."""
         if self._gens is None:
-            view = self.view
-            self._gens = minimal_lattice_points(view.rows, view.rhs, view.box)
+            self._gens = minimal_lattice_points(*self.view[:3])
         return self._gens
 
     def cached(self, key, compute):
@@ -229,10 +229,10 @@ class MonomialIdeal:
         """(min <w, g>, lex-first minimizing g) over the minimal generators g of
         a nonzero ideal, for a nonnegative weight vector w.
 
-        A closure view of base^n gives n times the base's pair, and m^d gives
+        A closure view of base^n gives n times the base's pair, m^d gives
         d * min(w) at d on the last of the lightest variables (the lex-first
-        monomial of degree d among the minimizers), neither materializing.
-        `is_subset_of` caches the pair per weight tuple.
+        monomial of degree d among the minimizers), and an unread symbolic
+        view the bounded walk `lightest_lattice_point`, cached; none materializes.
         """
         if self.is_zero():
             raise DomainError("the zero ideal has no weighted minimum")
@@ -244,6 +244,8 @@ class MonomialIdeal:
             d, low = view.rhs[0], min(weights)
             last = max(k for k, w in enumerate(weights) if w == low)
             return d * low, tuple(d if k == last else 0 for k in range(self.nvars))
+        if self._gens is None:  # the key `is_subset_of` caches under
+            return self.cached(("weighted_min", tuple(weights)), lambda: lightest_lattice_point(*view[:3], weights))
         return min((sum(map(_times, weights, g)), g) for g in self.generators)
 
     # -- membership ----------------------------------------------------------
@@ -331,12 +333,15 @@ class MonomialIdeal:
         """Containment self <= other: every minimal generator is a member.
 
         A view on the right outside two variables is decided by the cached
-        row minima (module docstring); every other pair asks `witness_not_in`.
+        row minima (module docstring), and so is an explicit m^d (d >= 1),
+        through the degree view; every other pair asks `witness_not_in`.
         """
+        self._require_same_ring(other)
         view = other.view
+        if view is None and self.nvars > 2 and (d := other.cached("complete_degree", other._complete_degree)):
+            view = complete_power_ideal(self.nvars, d).view  # d = 0, the unit ideal, is left to the scan
         if view is None or self.nvars == 2:
             return self.witness_not_in(other) is None
-        self._require_same_ring(other)
         return self.is_zero() or all(self.cached(("weighted_min", w), lambda: self.weighted_min(w))[0] >= m
                                      for w, m in zip(view.rows, view.rhs))
 
@@ -425,87 +430,136 @@ def complete_power_ideal(nvars: int, d: int) -> MonomialIdeal:
     return MonomialIdeal(nvars, None, RegionView(((1,) * nvars,), (d,), (d,) * nvars, "degree"))
 
 
+def _column_tables(rows, n):
+    """Per coordinate k: the rows that weigh k with those weights, and the rows
+    it closes (k is their last weighted coordinate) as (row, weight) pairs."""
+    cols = [([r for r, w in enumerate(rows) if w[k]], [w[k] for w in rows if w[k]]) for k in range(n)]
+    closing = [[(r, w[k]) for r, w in enumerate(rows) if w[k] and not any(w[k + 1:])] for k in range(n)]
+    return cols, closing
+
+
+def _shift(col, slack, times):
+    for r, w in zip(*col):
+        slack[r] += times * w
+
+
+def _least(closing, slack) -> int:
+    """The least value of a coordinate that meets the rows it closes."""
+    return max([-(slack[r] // w) for r, w in closing if slack[r] < 0], default=0)
+
+
+def _count_leaf(leaves: int) -> int:
+    if leaves >= MATERIALIZE_CAP:
+        raise CapabilityError(
+            f"materialization visits more than {MATERIALIZE_CAP} candidate lattice points (MATERIALIZE_CAP)")
+    return leaves + 1
+
+
 def minimal_lattice_points(rows, rhs, box) -> Tuple[Monomial, ...]:
     """Divisibility-minimal nonnegative lattice points of {a : W a >= m}.
 
     `rows` are nonnegative integer weight vectors, `rhs` their bounds, `box`
     componentwise upper bounds on the first n-1 coordinates of every minimal
     point.  With slack_r(p) = <w_r, p> - m_r, a feasible p is minimal iff
-    every k with p_k > 0 has a row r with w_r[k] > slack_r(p): the region is
-    closed upwards, so some point below p is feasible iff some p - e_k is.
-
-    A depth-first walk sets the first n-1 coordinates in order and updates the
-    slacks as it goes.  At a feasible point every slack is >= 0, so only rows
-    with w_r[k] > 0 can pass the test for k; slacks only grow along the walk,
-    so once a set coordinate fails the test on those rows at a prefix, every
-    extension of that prefix and every larger value of the current coordinate
-    fail it too, and the loop over that coordinate stops.  At each leaf the
-    last coordinate is the least feasible one, and the point is kept iff every
-    nonzero coordinate passes the test on the final slacks.  This is exact,
-    and the walk meets prefixes in lex order, so the points come out minimal
-    and sorted.  MATERIALIZE_CAP bounds the leaves visited, not the volume
-    of the box.
+    every k with p_k > 0 has a row r with w_r[k] > slack_r(p) (the region is
+    closed upwards).  A depth-first walk sets the coordinates in lex order,
+    each from `_least`, so every leaf is feasible and ends at its least last
+    coordinate.  Slacks only grow along the walk, so once a set coordinate
+    fails the test, every extension and every larger value of the current
+    coordinate fail it too, and the loop over that coordinate stops.  A leaf
+    is kept iff every nonzero coordinate passes, so the points come out
+    minimal and sorted.  MATERIALIZE_CAP bounds the leaves visited, not the
+    volume of the box.
     """
     n = len(box)
     if n == 0:
         raise DimensionError("empty ambient dimension")
+    if any(m > 0 and not any(w) for w, m in zip(rows, rhs)):
+        return ()  # a row that weighs no coordinate stays short
     last = n - 1
-    # column k: the rows that weigh coordinate k, and those weights
-    cols = []
-    for k in range(n):
-        used = [r for r, w in enumerate(rows) if w[k]]
-        cols.append((used, [rows[r][k] for r in used]))
-    unweighted = [r for r, w in enumerate(rows) if not w[last]]
-    slack = [-m for m in rhs]
+    cols, closing = _column_tables(rows, n)
+    slack, point, points, leaves = [-m for m in rhs], [0] * n, [], 0
     get = slack.__getitem__
-    point = [0] * n
-    points = []
-    leaves = 0
 
     def minimal_at(k) -> bool:
         used, weights = cols[k]
         return any(map(lt, map(get, used), weights))
 
-    def shift(k, times):
-        for r, w in zip(*cols[k]):
-            slack[r] += times * w
-
-    def leaf(support):
-        if unweighted and min(map(get, unweighted)) < 0:
-            return  # a row without weight on the last coordinate stays short
-        c = max([-(slack[r] // w) for r, w in zip(*cols[last]) if slack[r] < 0], default=0)
-        if c:
-            shift(last, c)
-            support += (last,)
-        if all(map(minimal_at, support)):
-            point[last] = c
-            points.append(tuple(point))
-        if c:
-            shift(last, -c)
-
     def walk(j, support):
         nonlocal leaves
+        v = _least(closing[j], slack)
         if j == last:
-            leaves += 1
-            if leaves > MATERIALIZE_CAP:
-                raise CapabilityError(
-                    f"materialization visits more than {MATERIALIZE_CAP} candidate lattice points "
-                    f"(MATERIALIZE_CAP)"
-                )
-            leaf(support)
+            leaves = _count_leaf(leaves)
+            _shift(cols[last], slack, v)
+            if all(map(minimal_at, support + (last,) if v else support)):
+                points.append(tuple(point[:last]) + (v,))
+            _shift(cols[last], slack, -v)
             return
-        walk(j + 1, support)
+        if not v:
+            walk(j + 1, support)
+            v = 1
         support += (j,)
-        v = 0
-        while v < box[j]:
-            v += 1
+        _shift(cols[j], slack, v)
+        while v <= box[j]:
             point[j] = v
-            shift(j, 1)
             if not all(map(minimal_at, support)):
                 break
             walk(j + 1, support)
-        shift(j, -v)
+            v += 1
+            _shift(cols[j], slack, 1)
+        _shift(cols[j], slack, -v)
         point[j] = 0
 
     walk(0, ())
     return tuple(points)
+
+
+def lightest_lattice_point(rows, rhs, box, weights) -> Optional[Tuple[int, Monomial]]:
+    """(least <weights, p>, lex-first p attaining it) over the lattice points p
+    of {a >= 0 : W a >= m}, for weights >= 0 and the arguments of
+    `minimal_lattice_points`, whose walk it bounds; None if the box has none.
+
+    A coordinate's loop stops once every row that weighs it is met.  A prefix
+    is pruned once its cost plus max_r ceil(deficit_r * min_k weights_k /
+    w_r[k]) over the unset k reaches the incumbent, which only a strictly
+    lighter leaf replaces.  Leaves come in lex order, so the answer is minimal
+    (a feasible p - e_k would be lex-smaller and no heavier).  MATERIALIZE_CAP
+    bounds the leaves.
+    """
+    n = len(box)
+    if any(m > 0 and not any(w) for w, m in zip(rows, rhs)):
+        return None
+    last = n - 1
+    cols, closing = _column_tables(rows, n)
+    # cheapest[j][r]: (weights[k], w_r[k]) of the least ratio over k >= j, None if w_r[k] = 0 there
+    cheapest = [[None] * len(rows) for _ in range(n + 1)]
+    for j in range(last, -1, -1):
+        for r, w in enumerate(rows):
+            c = cheapest[j + 1][r]
+            cheapest[j][r] = (weights[j], w[j]) if w[j] and (c is None or weights[j] * c[1] < c[0] * w[j]) else c
+    slack, point, best, leaves = [-m for m in rhs], [0] * n, None, 0
+
+    def walk(j, cost):
+        nonlocal best, leaves
+        v = _least(closing[j], slack)
+        if j == last:
+            leaves = _count_leaf(leaves)
+            if best is None or cost + v * weights[last] < best[0]:
+                best = (cost + v * weights[last], tuple(point[:last]) + (v,))
+            return
+        _shift(cols[j], slack, v)
+        while v <= box[j]:
+            point[j] = v
+            here = cost + v * weights[j]
+            if best is None or here + max([-((s * c[0]) // c[1]) for s, c in zip(slack, cheapest[j + 1]) if s < 0],
+                                          default=0) < best[0]:
+                walk(j + 1, here)
+            if all(slack[r] >= 0 for r in cols[j][0]):
+                break
+            v += 1
+            _shift(cols[j], slack, 1)
+        _shift(cols[j], slack, -v)
+        point[j] = 0
+
+    walk(0, 0)
+    return best

@@ -53,7 +53,8 @@ class MonomialValuation:
         """(v(ideal), the lex-first minimal generator attaining it).
 
         `MonomialIdeal.weighted_min` scans the minimal generators; a closure
-        view and m^d are answered without materializing theirs.
+        view and m^d are read off in closed form, and a symbolic view by a
+        bounded walk of its region, none materialized.
         """
         if ideal.nvars != len(self.weights):
             raise DimensionError("ideal and valuation dimensions differ")

@@ -8,19 +8,26 @@ Newton polygon from both hull paths.  The row-minimum rule (a view on the
 right in 3-5 variables, explicit or view left sides) is compared with the
 scan over both sides' materialized generators, and `beta` into powers of the
 maximal ideal with a scan of RegionView.contains over the escaping member's
-generators.
+generators.  The bounded walk that answers `weighted_min` on a symbolic view
+is compared with the minimum over `oracles.box_minimal_lattice_points`, and
+the row rule against an explicit m^d with `witness_not_in`.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import oracles
 from resurgence import (
+    CapabilityError,
     MonomialIdeal,
     SequenceValue,
     beta,
+    beta_v,
+    degree_valuation,
+    monomials,
     ceiling,
     closure_powers,
     hull_with_recession,
@@ -193,6 +200,63 @@ class TestRowMinimumRule:
                          lambda: ceiling(I, alpha)):
                 for s in range(1, 4):
                     assert beta(make(), powers(m), s, 64) == brute(make().member(s), n, 64)
+
+
+@st.composite
+def weighted_symbolic_views(draw):
+    """(an unmaterialized symbolic power in 2-7 variables, exponent 1-6, with
+    at most 4,096 prefixes in its box so the oracle's scan stays short;
+    weights 0-4, zeros included)."""
+    nvars = draw(st.integers(2, 7))
+    top = max(s for s in range(1, 7) if (s + 1) ** (nvars - 1) <= 4096)
+    base = MonomialIdeal.from_generators(nvars, draw(squarefree_generators(nvars)))
+    return symbolic_power(base, draw(st.integers(1, top))), draw(st.tuples(*[st.integers(0, 4)] * nvars))
+
+
+def seven_cycle():
+    return MonomialIdeal.from_generators(7, [[int(k in (i, (i + 1) % 7)) for k in range(7)] for i in range(7)])
+
+
+class TestBoundedWalk:
+    """`weighted_min` on a symbolic view walks the region, never materializing it."""
+
+    @seed(71)
+    @SEEDED
+    @given(weighted_symbolic_views())
+    def test_matches_the_minimum_over_the_box_scan(self, case):
+        ideal, weights = case
+        view = ideal.view
+        points = oracles.box_minimal_lattice_points(view.rows, view.rhs, view.box)
+        expected = min((sum(w * e for w, e in zip(weights, p)), p) for p in points)
+        assert ideal.weighted_min(weights) == expected
+        assert not ideal.is_explicit
+
+    @seed(72)
+    @SEEDED
+    @given(st.sampled_from([3, 4, 5]).flatmap(lambda n: st.tuples(
+        st.one_of(explicit_ideals(n), region_views(n)), st.integers(0, 4).map(
+            lambda d: MonomialIdeal.from_generators(n, oracles.complete_power_generators(n, d))))))
+    def test_explicit_complete_power_matches_witness(self, case):
+        left, right = case
+        assert right.is_explicit
+        assert left.is_subset_of(right) == (left.witness_not_in(right) is None)
+
+    def test_beta_into_powers_of_m_leaves_symbolic_members_unmaterialized(self):
+        # 1 + ceil(7s/4) up to s = 12; the 13th symbolic power of the 7-cycle
+        # is past MATERIALIZE_CAP when materialized
+        m = MonomialIdeal.from_generators(7, [[int(k == i) for k in range(7)] for i in range(7)])
+        a, b = symbolic(seven_cycle()), powers(m)
+        expected = [1 + -(-7 * s // 4) for s in range(1, 13)]
+        assert [beta(a, b, s, 40).value for s in range(1, 13)] == expected
+        assert [beta_v(degree_valuation(7), a, b, s, 40).value for s in range(1, 13)] == expected
+        assert all(a.member(s)._gens is None for s in range(1, 13))
+
+    def test_cap_bounds_the_walk(self, monkeypatch):
+        # the least degree of the 10th symbolic power takes three leaves
+        assert symbolic_power(seven_cycle(), 10).weighted_min((1,) * 7) == (18, (2, 2, 2, 2, 2, 4, 4))
+        monkeypatch.setattr(monomials, "MATERIALIZE_CAP", 2)
+        with pytest.raises(CapabilityError, match="MATERIALIZE_CAP"):
+            symbolic_power(seven_cycle(), 10).weighted_min((1,) * 7)
 
 
 @st.composite

@@ -2,7 +2,8 @@
 
 `minimal_lattice_points` (a pruned depth-first walk) is compared with the full
 box scan `oracles.box_minimal_lattice_points` on random weight systems and on
-the regions of symbolic and closure views; `minimal_covers` (Berge's method)
+the regions of symbolic and closure views, and `lightest_lattice_point` (its
+branch and bound) with the lightest point of that scan; `minimal_covers` (Berge's method)
 is compared with the exhaustive subset search `oracles.minimal_covers`, order
 included.  The budgets of both functions are tested at their edges.  The
 generators of m^d are compared with the stars-and-bars loop
@@ -10,6 +11,7 @@ generators of m^d are compared with the stars-and-bars loop
 """
 
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -28,7 +30,7 @@ from resurgence import (
 from resurgence.closures import MAX_COVER_VARS
 from resurgence.families import symbolic
 from resurgence.invariants import beta
-from resurgence.monomials import complete_power_ideal, minimal_lattice_points
+from resurgence.monomials import complete_power_ideal, lightest_lattice_point, minimal_lattice_points
 
 SEEDED = settings(max_examples=150, deadline=None, database=None)
 
@@ -86,6 +88,21 @@ class TestMinimalLatticePoints:
     @given(weight_systems())
     def test_random_weights_match_box_scan(self, system):
         assert minimal_lattice_points(*system) == oracles.box_minimal_lattice_points(*system)
+
+    @seed(106)
+    @SEEDED
+    @given(weight_systems().flatmap(lambda system: st.tuples(
+        st.just(system), st.tuples(*[st.integers(0, 4)] * len(system[2])))))
+    def test_lightest_point_matches_box_scan(self, case):
+        # ties broken lex-first; None where the box holds no region point
+        system, weights = case
+        points = oracles.box_minimal_lattice_points(*system)
+        expected = min(((sum(map(operator.mul, weights, p)), p) for p in points), default=None)
+        assert lightest_lattice_point(*system, weights) == expected
+
+    def test_ties_go_to_the_lex_first_point(self):
+        # 3y + 3z >= 5 weighed by 3y + 3z: (0, 0, 2) and (0, 1, 1) both weigh 6
+        assert lightest_lattice_point([(0, 3, 3)], [5], [2, 3, 1], (2, 3, 3)) == (6, (0, 0, 2))
 
     def test_row_without_last_weight(self):
         # x + y >= 2 and x >= 1: prefixes x = 0 have no feasible y at all

@@ -377,6 +377,13 @@ class TestConfigErrors:
         (problem,) = _problems(tasks=[task])
         assert problem.startswith(f"task 0: 'assert' {text!r} is not one of")
 
+    @pytest.mark.parametrize("op, text", [("beta_table", "closure_module_finite"),
+                                          ("rho_hat_rees", "waldschmidt_equals_v_b1"),
+                                          ("rho_hat_rees", "closure_gap:1")])
+    def test_assertions_the_op_does_not_read_are_config_errors(self, op, text):
+        task = {"op": op, "a": "a", "b": "a", "s_to": 2, "assert": [text]}
+        assert _problems(tasks=[task]) == [f"task 0: 'assert' {text!r} is not read by op {op!r}"]
+
     def test_well_formed_assertions_pass(self):
         task = {"op": "rho_exact", "a": "a", "b": "a",
                 "assert": ["closure_module_finite", "closure_gap:0"]}
