@@ -11,11 +11,13 @@ combinatorial test on bitmasks of the generators each ray is tight on (Fukuda
 rank test and uses Python ints only.  The same bitmasks give the vertices.
 Every facet normal is stored as a primitive integer vector, so
 Newton-polyhedron facets (and hence Rees valuations) are canonical across
-runs.  The LP solver is a dense two-phase simplex with Bland's anti-cycling
-rule on one integer tableau whose last row holds the reduced costs: it stores
-M = D*T for the rational tableau T and D = |det B| of the basis B, and pivots
-fraction-free (Edmonds), so only the read-out builds Fractions and no
-floating point enters any decision.
+runs.  The LP solver takes covering LPs only (min c.y over A y >= b, y >= 0,
+with A, b, c >= 0), the shape of the cover LP: a dense two-phase simplex
+with Bland's anti-cycling rule on one integer tableau whose last row holds
+the reduced costs, and no artificial columns.  It stores M = D*T for the
+rational tableau T and D = |det B| of the basis B, and pivots fraction-free
+(Edmonds), so only the read-out builds Fractions and no floating point
+enters any decision.
 """
 
 from __future__ import annotations
@@ -277,73 +279,61 @@ class LPResult:
 
 
 def lp_minimize(lp: LinearProgram) -> LPResult:
-    """Exact optimum with a verified dual certificate.
+    """Exact optimum of a covering LP, with a verified dual certificate.
 
-    Returns Infeasible / Unbounded as values.  For a finite optimum the dual
-    multipliers u satisfy u >= 0, A^T u <= c and b.u = optimum; these
-    conditions are re-checked exactly before returning.  A free variable is
-    written as the difference of two nonnegative ones by the caller.
+    A covering LP has objective c >= 0 and rows <A_i, y> >= b_i with A_i a
+    nonzero vector of ints >= 0 and b_i >= 0; any other LP raises
+    `DomainError`.  The duals u >= 0 satisfy A^T u <= c and b.u = optimum,
+    re-checked exactly before returning.
 
-    One tableau [y | slacks | artificials | rhs] serves both phases; its last
-    row holds the reduced costs and every pivot updates it.  Row i, negated
-    when offset_i < 0, reads <normal_i, y> - s_i + a_i = offset_i.  Phase 2
-    prices c - c_B T once, with the artificials barred.  They started as the
-    identity, so u_i = -(reduced cost of a_i), times the sign of row i.
+    Row i of the tableau [y | surplus | rhs] reads <A_i, y> - s_i + a_i = b_i;
+    the last row holds the reduced costs.  Phase 1 costs 1 on each a_i, and
+    phase 2 prices c - c_B T once.  The a_i are basis labels only, compared by
+    Bland's ties: under phase-1 prices pi, Bland's rule reaches an a_i only
+    when every y and s column prices >= 0, i.e. pi >= 0 and pi A <= 0.  A >= 0
+    then forces pi_i = 0 on every (nonzero) row, so a_i prices at 1 and never
+    enters, and none is basic at the end (it would price at 0).  So phase 1
+    ends at 0, the LP is feasible, and c >= 0 bounds phase 2.  The column of
+    a_i is minus that of s_i, so u_i is the reduced cost of s_i.
 
     The tableau is kept in ints as M = D*T, D = |det B| > 0 (Edmonds), and
     phase 2 scales its costs by the lcm of the objective's denominators.  So
     M has the signs of T and its row ratios, and Bland's pivots are those of
     the rational simplex; Fractions are built only to read out the result.
     """
+    if any(x < 0 for x in lp.objective):
+        raise DomainError(f"objective {lp.objective} has a negative entry; not a covering LP")
+    for h in lp.constraints:
+        if h.offset < 0 or not any(h.normal) or any(x < 0 for x in h.normal):
+            raise DomainError(f"constraint {h} is not a covering row")
     nvar = len(lp.objective)
     m = len(lp.constraints)
-    n_total = nvar + m
-    flips = [-1 if h.offset < 0 else 1 for h in lp.constraints]
-    M = [[f * x for x in h.normal] + [-f if j == i else 0 for j in range(m)]
-         + [1 if j == i else 0 for j in range(m)] + [f * h.offset]
-         for i, (h, f) in enumerate(zip(lp.constraints, flips))]
+    M = [list(h.normal) + [-1 if j == i else 0 for j in range(m)] + [h.offset]
+         for i, h in enumerate(lp.constraints)]
     # phase-1 costs: 1 on each artificial, priced against the artificial basis
-    M.append([-sum(row[j] for row in M) for j in range(n_total)] + [0] * m
-             + [-sum(row[-1] for row in M)])
-    basis = list(range(n_total, n_total + m))
-    D, bounded = _simplex(M, basis, n_total + m, 1)
-    if not bounded:
-        raise AssertionError("phase-1 objective is bounded below by zero")
-    if M[-1][-1] < 0:  # minus the phase-1 minimum
-        return LPResult("infeasible")
-    # pivot artificials out of the basis where possible (degenerate rows stay)
-    for i, bv in enumerate(basis):
-        if bv >= n_total:
-            entering = next((j for j in range(n_total) if M[i][j] != 0), None)
-            if entering is not None:
-                D = _pivot(M, i, entering, D)
-                basis[i] = entering
-    # phase 2 with artificials barred; its costs are priced once
+    M.append([-sum(row[j] for row in M) for j in range(nvar + m + 1)])
+    basis = list(range(nvar + m, nvar + 2 * m))
+    D = _simplex(M, basis, 1)
+    # phase 2, its costs priced once
     objective = [Fraction(x) for x in lp.objective]
     scale = lcm(*(x.denominator for x in objective))
-    c = [x.numerator * (scale // x.denominator) for x in objective] + [0] * (2 * m + 1)
+    c = [x.numerator * (scale // x.denominator) for x in objective] + [0] * (m + 1)
     M[-1] = [D * cj - sum(c[bv] * row[j] for bv, row in zip(basis, M)) for j, cj in enumerate(c)]
-    D, bounded = _simplex(M, basis, n_total, D)
-    if not bounded:
-        return LPResult("unbounded")
+    D = _simplex(M, basis, D)
     value = {bv: Fraction(M[i][-1], D) for i, bv in enumerate(basis)}
     y = tuple(value.get(j, Fraction(0)) for j in range(nvar))
     optimum = sum(ci * yi for ci, yi in zip(objective, y))
-    dual = tuple(Fraction(-f * M[-1][n_total + i], scale * D) for i, f in enumerate(flips))
+    dual = tuple(Fraction(M[-1][nvar + i], scale * D) for i in range(m))
     _verify_dual(lp, optimum, dual)
     return LPResult("optimal", optimum, y, dual)
 
 
 def _pivot(M, r, j, D) -> int:
-    """Pivot M = D*T on p = M[r][j] and return the new D = |p|.  Row r stays,
-    negated if p < 0 (only the artificial pivot-out meets that); every other
-    row becomes (p*row - row[j]*M[r]) / D, which is |p| times a row of the new
-    T and so an integer: every division is exact."""
+    """Pivot M = D*T on p = M[r][j] > 0 and return the new D = p.  Row r
+    stays; every other row becomes (p*row - row[j]*M[r]) / D, which is p
+    times a row of the new T and so an integer: every division is exact."""
     top = M[r]
     p = top[j]
-    if p < 0:
-        p = -p
-        top = M[r] = [-x for x in top]
     for i, row in enumerate(M):
         if i != r:
             f = row[j]
@@ -354,17 +344,17 @@ def _pivot(M, r, j, D) -> int:
     return p
 
 
-def _simplex(M, basis, columns, D) -> Tuple[int, bool]:
-    """Bland's rule from a feasible basis; returns the final D and whether the
-    LP is bounded.  The first of the first `columns` columns with a negative
-    reduced cost enters (basic ones have 0); the least ratio rhs/entry leaves,
-    ties to the least basis index.  Ratios are compared by cross-multiplying
-    positive entries, so no Fraction is built.
+def _simplex(M, basis, D) -> int:
+    """Bland's rule from a feasible basis; returns the final D.  The first
+    column with a negative reduced cost enters (basic ones have 0); the least
+    ratio rhs/entry leaves, ties to the least basis index.  Ratios are
+    compared by cross-multiplying positive entries, so no Fraction is built.
     """
     while True:
-        entering = next((j for j in range(columns) if M[-1][j] < 0), None)
+        cost = M[-1]
+        entering = next((j for j in range(len(cost) - 1) if cost[j] < 0), None)
         if entering is None:
-            return D, True
+            return D
         leaving = None
         for i in range(len(basis)):
             a = M[i][entering]
@@ -372,7 +362,7 @@ def _simplex(M, basis, columns, D) -> Tuple[int, bool]:
                           or (M[i][-1] * den, basis[i]) < (num * a, basis[leaving])):
                 leaving, num, den = i, M[i][-1], a
         if leaving is None:
-            return D, False
+            raise AssertionError("a covering LP is bounded below by 0")
         D = _pivot(M, leaving, entering, D)
         basis[leaving] = entering
 

@@ -105,10 +105,7 @@ def skew_waldschmidt(v: MonomialValuation, family: fam.GradedFamily, window: int
     sem = family.power
     if sem is not None and sem[1].subadditive and not sem[0].is_zero():
         base, fn, _closed = sem
-        if base.is_unit():
-            exact = Fraction(0)
-        else:
-            exact = fn.slope * v.of_ideal(base)
+        exact = fn.slope * v.of_ideal(base)
         return WaldschmidtResult(exact, exact, True, "closed-form")
     if family.symbolic_of is not None:
         return _symbolic_waldschmidt(v, family.symbolic_of)
@@ -139,6 +136,4 @@ def _symbolic_waldschmidt(v: MonomialValuation, ideal: MonomialIdeal) -> Waldsch
     constraints = tuple(HalfSpace(c, 1) for c in symbolic_power(ideal, 1).view.rows)
     lp = LinearProgram(tuple(Fraction(w) for w in v.weights), constraints)
     res = lp_minimize(lp)
-    if not res.is_optimal:  # pragma: no cover - nonzero cover rows, weights >= 0: feasible, bounded
-        raise AssertionError(f"cover LP returned {res.status}")
     return WaldschmidtResult(res.optimum, res.optimum, True, "lp", dual=res.dual)

@@ -9,10 +9,11 @@ of `hull_with_recession` replaced (it starts from all of Z^dim with a
 lineality basis, where the library starts at a pointed simplicial cone, so
 on Newton inputs it also shows the lineality ends empty), the rank test for
 vertices that the tight-set rule replaced, basic-feasible-point enumeration
-for LPs, and the rational two-phase simplex that the integer tableau of
-`lp_minimize` replaced.  None of it calls the code paths it is used to check:
-`halfspace_redundant` checks hulls with the library's LP, which is itself
-checked against `brute_lp_minimum` and `fraction_lp_minimize`.
+for LPs, and the general rational two-phase simplex that the integer
+tableau of `lp_minimize` replaced (the library now solves only covering
+LPs).  None of it calls the code paths it is used to check:
+`halfspace_redundant` checks hulls with `fraction_lp_minimize`, which is
+itself checked against `brute_lp_minimum`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from resurgence import HalfSpace, LinearProgram, LPResult, lp_minimize
+from resurgence import HalfSpace, LinearProgram, LPResult
 
 
 def divides(a, b):
@@ -376,12 +377,22 @@ def brute_lp_minimum(objective, constraints, nonneg=True):
     return ("unbounded-or-open", None) if any_feasible else ("infeasible", None)
 
 
+def is_covering(lp):
+    """True for the LPs `lp_minimize` takes: objective >= 0, every normal a
+    nonzero vector of entries >= 0, every offset >= 0."""
+    return all(x >= 0 for x in lp.objective) and all(
+        h.offset >= 0 and any(h.normal) and all(x >= 0 for x in h.normal)
+        for h in lp.constraints)
+
+
 def fraction_lp_minimize(lp):
-    """`lp_minimize` on a Fraction tableau: the same two phases, Bland's rule,
-    least-ratio leaving row (ties to the least basis index) and artificial
-    pivot-out, with each pivot row scaled to a 1.  Its pivot path, and hence
-    its argmin and dual on degenerate LPs, is the one the integer tableau must
-    reproduce.  The dual certificate is not re-checked here."""
+    """A general LP on a Fraction tableau [y | slacks | artificials | rhs]:
+    two phases, rows with a negative offset negated, Bland's rule, least-ratio
+    leaving row (ties to the least basis index) and artificial pivot-out,
+    with each pivot row scaled to a 1.  On a covering LP its pivot path, and
+    hence its argmin and dual on degenerate LPs, is the one the integer
+    tableau of `lp_minimize` must reproduce.  The dual certificate is not
+    re-checked here."""
     nvar = len(lp.objective)
     m = len(lp.constraints)
     n_total = nvar + m
@@ -416,11 +427,13 @@ def fraction_lp_minimize(lp):
 
 def _fraction_pivot(T, r, j):
     pv = T[r][j]
-    T[r] = [x / pv for x in T[r]]
+    top = T[r] = [x / pv if x else x for x in T[r]]
     for i, row in enumerate(T):
         if i != r and row[j] != 0:
             f = row[j]
-            T[i] = [x - f * y for x, y in zip(row, T[r])]
+            # zeros of the pivot row leave entries as they are; skipping them
+            # only saves Fraction arithmetic
+            T[i] = [x - f * y if y else x for x, y in zip(row, top)]
 
 
 def _fraction_simplex(T, basis, columns) -> bool:
@@ -444,7 +457,7 @@ def halfspace_redundant(poly, index):
     split = tuple(HalfSpace(h.normal + tuple(-x for x in h.normal), h.offset) for h in others)
     objective = tuple(Fraction(v) for v in target.normal)
     lp = LinearProgram(objective + tuple(-c for c in objective), split)
-    res = lp_minimize(lp)
+    res = fraction_lp_minimize(lp)
     if res.status == "unbounded":
         return False
     if res.status == "infeasible":

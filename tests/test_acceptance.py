@@ -9,8 +9,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 import oracles
 from resurgence import (
+    DomainError,
     MonomialIdeal,
     MonomialValuation,
     beta,
@@ -330,23 +333,33 @@ def test_criterion_08_property_suites():
             if not integral_closure(I, n + k).is_subset_of(I.power(n)):
                 failures.append(("briancon-skoda", I, n))
 
-    # (f) 200 cases: LP duality certificates verify exactly
+    # (f) 200 cases: LP duality certificates verify exactly.  Each case draws
+    # a general LP, solved by the oracle (lp_minimize refuses it unless it is
+    # covering), and a covering LP, solved by lp_minimize
     for _ in range(200):
         cases += 1
         n = rng.randint(1, 3)
-        constraints = []
-        for _ in range(rng.randint(1, 5)):
-            normal = tuple(rng.randint(-2, 3) for _ in range(n))
-            if not any(normal):
-                normal = (1,) * n
-            constraints.append(HalfSpace.normalized(normal, rng.randint(-2, 3)))
-        lp = LinearProgram(tuple(Fraction(rng.randint(0, 4)) for _ in range(n)),
-                           tuple(constraints))
-        res = lp_minimize(lp)  # raises internally if its certificate is wrong
-        if res.status == "optimal":
-            value = sum(u * c.offset for u, c in zip(res.dual, lp.constraints))
-            if value != res.optimum or any(u < 0 for u in res.dual):
-                failures.append(("lp-duality", lp))
+        for low in (-2, 0):
+            constraints = []
+            for _ in range(rng.randint(1, 5)):
+                normal = tuple(rng.randint(low, 3) for _ in range(n))
+                if not any(normal):
+                    normal = (1,) * n
+                constraints.append(HalfSpace.normalized(normal, rng.randint(low, 3)))
+            lp = LinearProgram(tuple(Fraction(rng.randint(0, 4)) for _ in range(n)),
+                               tuple(constraints))
+            if oracles.is_covering(lp):
+                res = lp_minimize(lp)  # raises internally if its certificate is wrong
+            else:
+                with pytest.raises(DomainError):
+                    lp_minimize(lp)
+                res = oracles.fraction_lp_minimize(lp)
+            if res.status == "optimal":
+                value = sum(u * c.offset for u, c in zip(res.dual, lp.constraints))
+                if value != res.optimum or any(u < 0 for u in res.dual) or any(
+                        sum(u * c.normal[j] for u, c in zip(res.dual, lp.constraints)) > lp.objective[j]
+                        for j in range(n)):
+                    failures.append(("lp-duality", lp))
 
     assert cases == 1000
     assert failures == []

@@ -341,6 +341,15 @@ class TestRhoWindow:
         assert rep.value == NEG_INFINITY
         assert rep.certified
 
+    def test_neg_infinity_uncertified_without_filtrations(self):
+        # m^s lies in every member of constant(m), but a custom family is not
+        # known to be a filtration, so -inf stays uncertified
+        m = maximal(2)
+        rep = rho_window(fam.from_function(2, m.power), constant(m), 4, 4)
+        assert (rep.value, rep.certified) == (NEG_INFINITY, False)
+        assert rep.notes == ("no noncontainment found on the window; -inf not certified "
+                             "(families not known filtrations)",)
+
     def test_witnesses_recheckable(self):
         a, b = strict_veronese_pair()
         rep = rho_window(a, b, 10, 10)

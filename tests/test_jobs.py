@@ -314,6 +314,10 @@ class TestCLI:
         assert (tmp_path / "sqrt.csv").exists()
         assert (tmp_path / "sqrt_task00_beta_table.csv").exists()
 
+    def test_unreadable_config_exits_two(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path / "missing.json")]) == 2
+        assert "error: cannot read config" in capsys.readouterr().err
+
     def test_config_errors_exit_two(self, tmp_path, capsys):
         config_path = tmp_path / "bad.json"
         config_path.write_text("{\"vars\": 0}")

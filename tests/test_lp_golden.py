@@ -1,6 +1,6 @@
 """The exact LP solver against recorded results of seeded LPs.
 
-`golden/lp_results.json` holds, for each LP, its input and the solver's
+`golden/lp_results.json` holds, for each LP, its input and its
 (status, optimum, argmin, dual).  Bland's rule fixes every pivot, so these
 records pin the whole pivot path: a different entering column, leaving row or
 tie-break moves an argmin or a dual of some degenerate LP here.  The LPs are:
@@ -11,6 +11,10 @@ tie-break moves an argmin or a dual of some degenerate LP here.  The LPs are:
   * symbolic-power cover LPs (one row per minimal vertex cover), as
     `valuations._symbolic_waldschmidt` builds them;
   * general LPs with offsets in -3..3, some infeasible and some unbounded.
+
+`lp_minimize` reproduces every covering record (the first 120 and the general
+ones that happen to be covering) and refuses the rest with a `DomainError`;
+`oracles.fraction_lp_minimize` reproduces every record.
 
 Re-record only on purpose, after checking that a change of results is meant:
 
@@ -23,8 +27,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from resurgence import HalfSpace, LinearProgram, MonomialIdeal, lp_minimize
+import pytest
+
+from resurgence import DomainError, HalfSpace, LinearProgram, MonomialIdeal, lp_minimize
 from resurgence.closures import minimal_covers
+
+import oracles
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "lp_results.json"
 
@@ -76,10 +84,13 @@ def generate():
     return lps
 
 
-def solve(objective, rows) -> dict:
-    lp = LinearProgram(tuple(Fraction(c) for c in objective),
-                       tuple(HalfSpace(tuple(normal), offset) for normal, offset in rows))
-    res = lp_minimize(lp)
+def _lp(objective, rows):
+    return LinearProgram(tuple(Fraction(c) for c in objective),
+                         tuple(HalfSpace(tuple(normal), offset) for normal, offset in rows))
+
+
+def solve(lp, solver) -> dict:
+    res = solver(lp)
     return {"status": res.status,
             "optimum": None if res.optimum is None else str(res.optimum),
             "argmin": _strings(res.argmin), "dual": _strings(res.dual)}
@@ -94,9 +105,12 @@ def _records():
 
 
 def record():
-    lines = [json.dumps({"objective": list(obj), "constraints": [[list(n), o] for n, o in rows],
-                         "result": solve(obj, rows)}, separators=(",", ":"))
-             for obj, rows in generate()]
+    lines = []
+    for obj, rows in generate():
+        lp = _lp(obj, rows)
+        solver = lp_minimize if oracles.is_covering(lp) else oracles.fraction_lp_minimize
+        lines.append(json.dumps({"objective": list(obj), "constraints": [[list(n), o] for n, o in rows],
+                                 "result": solve(lp, solver)}, separators=(",", ":")))
     GOLDEN.write_text("\n".join(lines) + "\n")
 
 
@@ -112,9 +126,17 @@ def test_inputs_match_the_generator():
 
 
 def test_results_match_golden():
+    covering = 0
     for i, rec in enumerate(_records()):
-        rows = [(tuple(n), o) for n, o in rec["constraints"]]
-        assert solve(rec["objective"], rows) == rec["result"], f"LP {i}"
+        lp = _lp(rec["objective"], rec["constraints"])
+        assert solve(lp, oracles.fraction_lp_minimize) == rec["result"], f"LP {i}"
+        if oracles.is_covering(lp):
+            covering += 1
+            assert solve(lp, lp_minimize) == rec["result"], f"LP {i}"
+        else:
+            with pytest.raises(DomainError):
+                lp_minimize(lp)
+    assert covering >= 120
 
 
 if __name__ == "__main__":

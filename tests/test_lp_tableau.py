@@ -1,12 +1,13 @@
 """The integer tableau of `lp_minimize` against the Fraction simplex it replaced.
 
-`oracles.fraction_lp_minimize` is the rational two-phase simplex with the
-same pivot rules.  The integer tableau must take the same pivots, so the
-`repr` of (status, optimum, argmin, dual) must match exactly, including the
-argmin and dual that a degenerate LP picks among several.  The seeded LPs add
-what `golden/lp_results.json` lacks: rational objectives, and general rows
-with coefficients up to 5 whose artificial pivot-out meets negative pivots
-and whose pivots leave rows with a zero in the pivot column to be rescaled.
+`oracles.fraction_lp_minimize` is the general rational two-phase simplex with
+the same pivot rules.  On a covering LP the integer tableau must take the
+same pivots, so the `repr` of (status, optimum, argmin, dual) must match
+exactly, including the argmin and dual that a degenerate LP picks among
+several.  The seeded LPs add what `golden/lp_results.json` lacks: rational
+objectives, and rows with coefficients up to 5, duplicated rows and offset-0
+rows, whose pivots leave rows with a zero in the pivot column to be rescaled.
+Every other LP is refused with a `DomainError`.
 """
 
 import random
@@ -27,12 +28,16 @@ def _objective(rng, n, low):
 
 
 def _covering_lp(rng):
-    n = rng.randint(2, 6)
-    rows = set()
+    n = rng.randint(1, 6)
+    rows = []
     for _ in range(rng.randint(1, 8)):
-        support = rng.sample(range(n), rng.randint(1, n))
-        rows.add(tuple(1 if j in support else 0 for j in range(n)))
-    return LinearProgram(_objective(rng, n, 0), tuple(HalfSpace(r, 1) for r in sorted(rows)))
+        normal = [rng.randint(0, 5) if rng.random() < 0.6 else 0 for _ in range(n)]
+        if not any(normal):
+            normal[rng.randrange(n)] = rng.randint(1, 5)
+        rows.append(HalfSpace(tuple(normal), rng.randint(0, 4) if rng.random() < 0.8 else 0))
+        if rng.random() < 0.2:
+            rows.append(rng.choice(rows))
+    return LinearProgram(_objective(rng, n, 0), tuple(rows))
 
 
 def _general_lp(rng):
@@ -48,36 +53,55 @@ def _general_lp(rng):
     return LinearProgram(_objective(rng, n, -2), tuple(rows))
 
 
-def _seeded_lps(count=2400):
-    rng = random.Random(909)
-    return [(_covering_lp if i % 3 == 0 else _general_lp)(rng) for i in range(count)]
-
-
 def _outcome(res):
     return repr((res.status, res.optimum, res.argmin, res.dual))
 
 
 def test_integer_tableau_matches_fraction_simplex(monkeypatch):
-    pivots = {"negative": 0, "rescaled": 0}
+    rescaled = 0
     pivot = polyhedra._pivot
 
     def counting(M, r, j, D):
-        p = M[r][j]
-        pivots["negative"] += p < 0
-        pivots["rescaled"] += abs(p) != D and any(row[j] == 0 for row in M)
+        nonlocal rescaled
+        rescaled += M[r][j] != D and any(row[j] == 0 for row in M)
         return pivot(M, r, j, D)
 
     monkeypatch.setattr(polyhedra, "_pivot", counting)
-    statuses = []
-    rational = 0
-    for i, lp in enumerate(_seeded_lps()):
+    rng = random.Random(909)
+    degenerate = rational = 0
+    for i in range(2400):
+        lp = _covering_lp(rng)
         expected = oracles.fraction_lp_minimize(lp)
         assert _outcome(lp_minimize(lp)) == _outcome(expected), f"LP {i}"
-        statuses.append(expected.status)
-        rational += expected.is_optimal and any(c.denominator > 1 for c in lp.objective)
+        degenerate += any(h.offset == 0 for h in lp.constraints) or len(set(lp.constraints)) < len(lp.constraints)
+        rational += any(c.denominator > 1 for c in lp.objective)
+    assert degenerate >= 300 and rational >= 300
+    assert rescaled >= 1000
+
+
+def test_general_lps_are_refused():
+    # the oracle still reaches every status on general LPs; lp_minimize
+    # refuses each one that is not a covering LP
+    rng = random.Random(910)
+    statuses = []
+    for _ in range(800):
+        lp = _general_lp(rng)
+        statuses.append(oracles.fraction_lp_minimize(lp).status)
+        if not oracles.is_covering(lp):
+            with pytest.raises(DomainError):
+                lp_minimize(lp)
     assert min(statuses.count(s) for s in ("optimal", "infeasible", "unbounded")) >= 100
-    assert rational >= 300
-    assert pivots["negative"] >= 20 and pivots["rescaled"] >= 1000
+
+
+@pytest.mark.parametrize("objective, normal, offset", [
+    ((Fraction(-1), Fraction(1)), (1, 1), 1),   # a negative objective entry
+    ((Fraction(1), Fraction(1)), (1, -1), 1),   # a negative normal entry
+    ((Fraction(1), Fraction(1)), (0, 0), 0),    # a zero normal
+    ((Fraction(1), Fraction(1)), (1, 1), -1),   # a negative offset
+])
+def test_non_covering_lp_raises(objective, normal, offset):
+    with pytest.raises(DomainError):
+        lp_minimize(LinearProgram(objective, (HalfSpace(normal, offset),)))
 
 
 @pytest.mark.parametrize("normal, offset", [((Fraction(1, 2), 1), 1), ((1, 1), Fraction(3, 2)),

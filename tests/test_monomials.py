@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from resurgence import CapabilityError, DimensionError, DomainError, MonomialIdeal, minimize_monomials
+from resurgence import (CapabilityError, DimensionError, DomainError, MonomialIdeal, format_monomial,
+                        minimize_monomials)
 from resurgence.closures import integral_closure, symbolic_power
 from resurgence.monomials import complete_power_ideal
 
@@ -190,6 +191,20 @@ class TestContainment:
 
     def test_zero_left(self):
         assert MonomialIdeal.zero(2).is_subset_of(ideal(2, (5, 5)))
+
+
+class TestFormatting:
+    def test_format_monomial(self):
+        assert format_monomial((2, 1, 0)) == "x^2*y"
+        assert format_monomial((0, 0)) == "1"
+        assert format_monomial((1, 2), ["a", "b"]) == "a*b^2"
+        assert format_monomial((0,) * 10 + (3,)) == "x10^3"  # past the named variables
+
+    def test_repr(self):
+        assert repr(ideal(2, (2, 0), (0, 3))) == "MonomialIdeal(y^3, x^2)"
+        assert repr(MonomialIdeal.zero(2)) == "MonomialIdeal(0)"
+        tri = ideal(3, (1, 1, 0), (1, 0, 1), (0, 1, 1))
+        assert repr(symbolic_power(tri, 2)) == "MonomialIdeal(view=symbolic)"
 
 
 class TestViews:

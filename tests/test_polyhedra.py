@@ -52,7 +52,7 @@ class TestHull:
         # membership by convex-combination feasibility on sampled points
         for q in itertools.product(range(3), repeat=3):
             lp = _membership_lp(q, pts, unit_rays(3))
-            assert poly.contains(q) == (lp_minimize(lp).status == "optimal")
+            assert poly.contains(q) == (oracles.fraction_lp_minimize(lp).status == "optimal")
 
     def test_staircase_matches_double_description(self):
         # the plane chain against the double description on the same points
@@ -275,19 +275,29 @@ class TestLP:
         lp = LinearProgram((Fraction(1),), (HalfSpace((1,), 0),))
         assert lp_minimize(lp).optimum == 0
 
+    # lp_minimize takes covering LPs only; each general LP below keeps its
+    # expectation on the general oracle, and lp_minimize refuses it
+
     def test_unbounded(self):
         lp = LinearProgram((Fraction(-1),), (HalfSpace((1,), 0),))
-        assert lp_minimize(lp).status == "unbounded"
+        assert oracles.fraction_lp_minimize(lp).status == "unbounded"
+        with pytest.raises(DomainError):
+            lp_minimize(lp)
 
     def test_infeasible(self):
         lp = LinearProgram(
             (Fraction(1),),
             (HalfSpace((1,), 3), HalfSpace((-1,), -1)),
         )
-        assert lp_minimize(lp).status == "infeasible"
+        assert oracles.fraction_lp_minimize(lp).status == "infeasible"
+        with pytest.raises(DomainError):
+            lp_minimize(lp)
 
     def test_no_constraints(self):
-        assert lp_minimize(LinearProgram((Fraction(-1),), ())).status == "unbounded"
+        lp = LinearProgram((Fraction(-1),), ())
+        assert oracles.fraction_lp_minimize(lp).status == "unbounded"
+        with pytest.raises(DomainError):
+            lp_minimize(lp)
         res = lp_minimize(LinearProgram((Fraction(2), Fraction(0)), ()))
         assert (res.optimum, res.argmin, res.dual) == (0, (0, 0), ())
 
@@ -298,40 +308,50 @@ class TestLP:
             (HalfSpace((1, 0, -1, 0), -2), HalfSpace((0, 1, 0, -1), -3),
              HalfSpace((1, 1, -1, -1), -4)),
         )
-        res = lp_minimize(lp)
-        assert res.optimum == Fraction(-4)
+        assert oracles.fraction_lp_minimize(lp).optimum == Fraction(-4)
+        with pytest.raises(DomainError):
+            lp_minimize(lp)
 
     def test_duality_random(self):
-        rng = random.Random(15)
-        checked = 0
-        for _ in range(120):
-            n = rng.randint(1, 3)
-            m = rng.randint(1, 4)
-            objective = tuple(Fraction(rng.randint(0, 4)) for _ in range(n))
-            constraints = []
-            for _ in range(m):
-                normal = tuple(rng.randint(-2, 3) for _ in range(n))
-                if all(v == 0 for v in normal):
-                    normal = tuple(1 for _ in range(n))
-                constraints.append(HalfSpace.normalized(normal, rng.randint(-2, 3)))
-            lp = LinearProgram(objective, tuple(constraints))
-            res = lp_minimize(lp)
-            status, brute = oracles.brute_lp_minimum(objective, [(c.normal, c.offset) for c in constraints])
-            # y >= 0 makes a nonempty feasible set pointed, so the vertex search
-            # finds a point exactly when the LP is feasible
-            assert (res.status == "infeasible") == (status == "infeasible")
-            if res.status != "optimal":
-                continue
-            checked += 1
-            # re-verify the certificate here, independent of the solver's own check
-            assert all(u >= 0 for u in res.dual)
-            for j in range(n):
-                col = sum(u * c.normal[j] for u, c in zip(res.dual, lp.constraints))
-                assert col <= objective[j]
-            assert sum(u * c.offset for u, c in zip(res.dual, lp.constraints)) == res.optimum
-            if status == "optimal":
-                assert brute == res.optimum
-        assert checked >= 30
+        # low = -2 draws general rows, solved by the oracle, which lp_minimize
+        # refuses unless they happen to be covering; low = 0 draws covering
+        # rows, solved by lp_minimize
+        for low in (-2, 0):
+            rng = random.Random(15)
+            checked = 0
+            for _ in range(120):
+                n = rng.randint(1, 3)
+                m = rng.randint(1, 4)
+                objective = tuple(Fraction(rng.randint(0, 4)) for _ in range(n))
+                constraints = []
+                for _ in range(m):
+                    normal = tuple(rng.randint(low, 3) for _ in range(n))
+                    if all(v == 0 for v in normal):
+                        normal = tuple(1 for _ in range(n))
+                    constraints.append(HalfSpace.normalized(normal, rng.randint(low, 3)))
+                lp = LinearProgram(objective, tuple(constraints))
+                if oracles.is_covering(lp):
+                    res = lp_minimize(lp)
+                else:
+                    with pytest.raises(DomainError):
+                        lp_minimize(lp)
+                    res = oracles.fraction_lp_minimize(lp)
+                status, brute = oracles.brute_lp_minimum(objective, [(c.normal, c.offset) for c in constraints])
+                # y >= 0 makes a nonempty feasible set pointed, so the vertex search
+                # finds a point exactly when the LP is feasible
+                assert (res.status == "infeasible") == (status == "infeasible")
+                if res.status != "optimal":
+                    continue
+                checked += 1
+                # re-verify the certificate here, independent of the solver's own check
+                assert all(u >= 0 for u in res.dual)
+                for j in range(n):
+                    col = sum(u * c.normal[j] for u, c in zip(res.dual, lp.constraints))
+                    assert col <= objective[j]
+                assert sum(u * c.offset for u, c in zip(res.dual, lp.constraints)) == res.optimum
+                if status == "optimal":
+                    assert brute == res.optimum
+            assert checked >= 30
 
     def test_determinism(self):
         pairs = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]

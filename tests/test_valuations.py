@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -10,6 +11,8 @@ import oracles
 from resurgence import (
     CapabilityError,
     DomainError,
+    HalfSpace,
+    LinearProgram,
     MonomialIdeal,
     MonomialValuation,
     ceiling,
@@ -182,6 +185,12 @@ class TestSkewWaldschmidt:
         res = skew_waldschmidt(degree_valuation(2), constant(I))
         assert (res.value, res.certified) == (0, True)
 
+    @pytest.mark.parametrize("family", [powers, lambda I: ceiling(I, Fraction(3, 2))])
+    def test_unit_base_closed_form_is_zero(self, family):
+        res = skew_waldschmidt(degree_valuation(3), family(MonomialIdeal.unit(3)))
+        assert (res.value, res.lower, res.certified, res.method) == (0, 0, True, "closed-form")
+        assert type(res.value) is Fraction
+
     def test_ceiling_scales(self):
         I = ideal(2, (2, 0), (0, 3))
         v = MonomialValuation((3, 2))
@@ -234,6 +243,35 @@ class TestSkewWaldschmidt:
         family = symbolic(tri)
         for n in range(1, 8):
             assert exact <= Fraction(v.of_ideal(family.member(n)), n)
+
+    def test_cover_lp_against_the_bounded_walk(self):
+        # alpha_hat_v(I) <= v(I^(s))/s for every s, with equality at s = q, the
+        # lcm of the denominators of an LP argmin y*: q*y* is a lattice point
+        # of I^(q)'s region.  v.of_ideal of an unread symbolic view runs the
+        # bounded walk, so it shares no code with the cover LP; the argmin
+        # comes from the oracle LP on the oracle's covers.
+        rng = random.Random(2017)
+        orders = set()
+        for k in range(150):
+            nvars = rng.randint(3, 6)
+            size = 2 if k % 2 == 0 else 3  # graphs, then 3-uniform hypergraphs
+            edges = {tuple(rng.sample(range(nvars), size)) for _ in range(rng.randint(1, 2 * nvars))}
+            gens = [tuple(1 if i in e else 0 for i in range(nvars)) for e in edges]
+            I = MonomialIdeal.from_generators(nvars, gens)
+            weights = [0] * nvars
+            while not any(weights):
+                weights = [rng.randint(0, 4) for _ in range(nvars)]
+            v = MonomialValuation(weights)
+            value = skew_waldschmidt(v, symbolic(I)).value
+            rows = tuple(HalfSpace(tuple(1 if i in c else 0 for i in range(nvars)), 1)
+                         for c in oracles.minimal_covers(gens, nvars))
+            argmin = oracles.fraction_lp_minimize(LinearProgram(tuple(map(Fraction, weights)), rows)).argmin
+            q = lcm(*(y.denominator for y in argmin))
+            for s in range(1, 7):
+                assert value <= Fraction(v.of_ideal(symbolic_power(I, s)), s), (gens, weights, s)
+            assert value == Fraction(v.of_ideal(symbolic_power(I, q)), q), (gens, weights, q)
+            orders.add(q)
+        assert {1, 2, 3} <= orders
 
     def test_ceiling_member_values(self):
         I = ideal(2, (2, 0), (0, 3))
