@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError
-from .jobs import emit, exit_status, parse_config, run
+from .jobs import BUILTIN_DEFAULTS, emit, exit_status, parse_config, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,10 +40,8 @@ def main(argv=None) -> int:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
     # precedence: flag > config > builtin default
-    for key in ("window", "cutoff", "kmax", "horizon"):
-        value = getattr(args, key)
-        if value is not None:
-            config.defaults[key] = value
+    config.defaults.update((key, value) for key, value in vars(args).items()
+                           if key in BUILTIN_DEFAULTS and value is not None)
     out_format = args.format or config.output_format
     report = run(config)
 

@@ -153,6 +153,8 @@ def bequiv_constant(ideal: MonomialIdeal, horizon: int = 8) -> EquivalenceConsta
     """
     if ideal.is_zero() or ideal.is_unit():
         raise DomainError("equivalence constants need a nonzero proper ideal")
+    if horizon < 1:  # the tightening pass would check nothing and drive k to 0
+        raise DomainError(f"equivalence constants need a horizon >= 1, not {horizon}")
 
     def tighten():
         bound = ideal.nvars - 1

@@ -426,6 +426,8 @@ def _first_counterexample(property: str, horizon: int, params: dict, cases) -> V
     """The report on a lazy stream of cases (indices, witness, extra): the
     first case with a witness is the counterexample (the stream is not read
     further), and a stream without one gives the window certificate."""
+    if horizon < 1:  # the certificate would cover a window that checks nothing
+        raise DomainError(f"a {property} window needs a horizon >= 1, not {horizon}")
     for indices, witness, extra in cases:
         if witness is not None:
             return ValidationReport(property, horizon, False, "window", params,

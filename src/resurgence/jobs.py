@@ -1,12 +1,12 @@
 """Declarative batch jobs: config parsing, execution, report emission.
 
 Config files are JSON: named ideals (generator exponent lists), named family
-descriptors, and an ordered task list.  Each op is one entry of `OPS` (its
-required keys and its handler) and each family kind one entry of
-`FAMILY_KINDS`, so validation and execution read the same table.  Reports are
-deterministic for a fixed config - rationals are serialized as
-numerator/denominator strings (never floats), orderings are fixed everywhere,
-and wall-clock data is segregated under a separate key so the rest of the
+descriptors, and an ordered task list.  Each op is one entry of `OPS`: every
+task key it reads, with its fallback, and its handler; `parse_config` checks
+and `run` reads a task's keys with the same readers.  Each family kind is one
+entry of `FAMILY_KINDS`.  Reports are deterministic for a fixed config:
+rationals are numerator/denominator strings (never floats), orderings are
+fixed, and wall-clock data sits under a separate key, so the rest of the
 report is byte-stable.
 """
 
@@ -25,10 +25,6 @@ from .monomials import MonomialIdeal
 from .rationals import ExtendedRational, parse_fraction
 
 BUILTIN_DEFAULTS = {"window": 20, "cutoff": 200, "kmax": 6, "horizon": 8}
-
-# task keys that are read as integers
-INT_KEYS = ("s_from", "s_to", "n_from", "n_to", "n", "k", "n_max", "s_max", "r_max",
-            "tail", "budget") + tuple(BUILTIN_DEFAULTS)
 
 
 @dataclass
@@ -70,12 +66,12 @@ def _parse_int(value, where, errors):
     return _BAD
 
 
-def _named(name, table, key, what, where, errors):
+def _named(name, table, what, where, errors):
     """table[name] when `name` is a string naming an entry, else _BAD with the
     problem collected (JSON may put any value where a name belongs)."""
     if isinstance(name, str) and name in table:
         return table[name]
-    errors.append(f"{where}: {key!r} must name a defined {what}, not {name!r}")
+    errors.append(f"{where} must name a defined {what}, not {name!r}")
     return _BAD
 
 
@@ -87,21 +83,43 @@ def _section(raw, key, errors) -> dict:
     return value if isinstance(value, dict) else {}
 
 
-def _check_assertions(value, op, where, errors):
-    """A list of known assertion names, each one that `op` reads."""
+def _integers(value, where, errors, length=None):
+    """A list of integers, of `length` entries when one is given."""
+    shaped = isinstance(value, list) and length in (None, len(value))
+    if not shaped:
+        errors.append(f"{where} must be a list " + ("of integers" if length is None else f"of length {length}"))
+    items = [_parse_int(item, where, errors) for item in value] if isinstance(value, list) else []
+    return items if shaped and not _failed(items) else _BAD
+
+
+def _assertions(value, where, errors, config, op):
+    """A tuple of known assertion names, each one that `op` reads."""
     if not isinstance(value, list) or not all(isinstance(text, str) for text in value):
-        errors.append(f"{where}: 'assert' must be a list of strings, not {value!r}")
-        return
+        errors.append(f"{where} must be a list of strings, not {value!r}")
+        return _BAD
     for text in value:
         name = "closure_gap:<k>" if text.startswith("closure_gap:") else text
         if name not in inv.ASSERTIONS:
-            errors.append(f"{where}: 'assert' {text!r} is not one of {', '.join(map(repr, inv.ASSERTIONS))}")
+            errors.append(f"{where} {text!r} is not one of {', '.join(map(repr, inv.ASSERTIONS))}")
         elif name not in OPS[op].asserts:
-            errors.append(f"{where}: 'assert' {text!r} is not read by op {op!r}")
+            errors.append(f"{where} {text!r} is not read by op {op!r}")
         elif text.startswith("closure_gap:"):
-            gap = _parse_int(text.split(":", 1)[1], f"{where}: 'assert' {text!r}", errors)
+            gap = _parse_int(text.split(":", 1)[1], f"{where} {text!r}", errors)
             if gap is not _BAD and gap < 0:
-                errors.append(f"{where}: 'assert' {text!r} needs a gap >= 0")
+                errors.append(f"{where} {text!r} needs a gap >= 0")
+    return tuple(value)
+
+
+# one reader per kind of task key, (value, where, errors, config, op) -> argument or _BAD
+_READERS = {
+    **dict.fromkeys(("a", "b", "family"), lambda value, where, errors, config, op: _named(
+        value, config.families, "family", where, errors)),
+    "ideal": lambda value, where, errors, config, op: _named(value, config.ideals, "ideal", where, errors),
+    "weights": lambda value, where, errors, config, op: _integers(value, where, errors, config.vars),
+    "grid": lambda value, where, errors, config, op: _integers(value, where, errors),
+    "assert": _assertions,
+    None: lambda value, where, errors, config, op: _parse_int(value, where, errors),  # any other key
+}
 
 
 class _FamilyBuilder:
@@ -155,10 +173,10 @@ class _FamilyBuilder:
         return _BAD if _failed(args) else constructor(*args, name=self.stack[-1])
 
     def ideal(self, name, key="ideal", part=""):
-        return _named(name, self.ideals, key, "ideal", self.where(part), self.errors)
+        return _named(name, self.ideals, "ideal", f"{self.where(part)}: {key!r}", self.errors)
 
     def family(self, name, part=""):
-        node = _named(name, self.nodes, "family", "family", self.where(part), self.errors)
+        node = _named(name, self.nodes, "family", f"{self.where(part)}: 'family'", self.errors)
         return _BAD if node is _BAD else self.build(name)
 
     def integer(self, node, key, default=0, part=""):
@@ -299,36 +317,15 @@ def parse_config(text: str) -> JobConfig:
     if tasks is not None and not isinstance(tasks, list):
         errors.append("'tasks' must be a list")
     tasks = tasks if isinstance(tasks, list) else []
+    # the tasks' names resolve as in the finished config; defaults are read at run time
+    named = JobConfig(nvars, ideals, builder.built, tasks, "json", None, BUILTIN_DEFAULTS)
     for i, task in enumerate(tasks):
-        where = f"task {i}"
         if not isinstance(task, dict) or "op" not in task:
-            errors.append(f"{where}: must be an object with an 'op'")
-            continue
-        if not isinstance(task["op"], str) or task["op"] not in OPS:
-            errors.append(f"{where}: unknown op {task['op']!r}")
-            continue
-        for key in OPS[task["op"]].keys:
-            if key not in task:
-                errors.append(f"{where}: op {task['op']!r} needs {key!r}")
-        for key in INT_KEYS:
-            if key in task:
-                _parse_int(task[key], f"{where}: {key!r}", errors)
-        for key in ("a", "b", "family"):
-            if key in task:
-                _named(task[key], family_nodes, key, "family", where, errors)
-        if "ideal" in task:
-            _named(task["ideal"], ideals, "ideal", "ideal", where, errors)
-        if "weights" in task:
-            w = task["weights"]
-            if not isinstance(w, list) or len(w) != nvars:
-                errors.append(f"{where}: 'weights' must be a list of length {nvars}")
-        if not isinstance(task.get("grid", []), list):
-            errors.append(f"{where}: 'grid' must be a list of integers")
-        for key in ("weights", "grid"):
-            for item in task[key] if isinstance(task.get(key), list) else ():
-                _parse_int(item, f"{where}: {key!r}", errors)
-        if "assert" in task:
-            _check_assertions(task["assert"], task["op"], where, errors)
+            errors.append(f"task {i}: must be an object with an 'op'")
+        elif not isinstance(task["op"], str) or task["op"] not in OPS:
+            errors.append(f"task {i}: unknown op {task['op']!r}")
+        else:
+            _arguments(named, task, f"task {i}", errors)
 
     output = _section(raw, "output", errors)
     out_format = output.get("format", "json")
@@ -372,7 +369,11 @@ def run(config: JobConfig) -> dict:
         started = time.perf_counter()
         record = {"index": i, "op": task["op"]}
         try:
-            record["result"] = encode(OPS[task["op"]].run(config, task))
+            errors: list[str] = []
+            arguments = _arguments(config, task, f"task {i}", errors)
+            if errors:
+                raise ConfigError(errors)
+            record["result"] = encode(OPS[task["op"]].run(*arguments))
             record["status"] = "ok"
         except Exception as exc:  # a fault outside the library's errors must not lose the batch
             prefix = "" if isinstance(exc, ResurgenceError) else "internal_error: "
@@ -394,90 +395,77 @@ def exit_status(report: dict) -> int:
     return 1 if any(t["status"] == "error" for t in report["tasks"]) else 0
 
 
-def _param(config, task, key, fallback=None):
-    """Integer task value of `key`; when absent, the task's or else the
-    config's value of `fallback` (by default `key` itself)."""
-    fallback = fallback or key
-    return int(task.get(key, task.get(fallback, config.defaults[fallback])))
-
-
-def _pair(config, task):
-    return config.families[task["a"]], config.families[task["b"]]
-
-
-def _bounds(config, task):
-    return {"kmax": _param(config, task, "kmax"), "horizon": _param(config, task, "horizon")}
-
-
-def _valuation(task):
-    return val.MonomialValuation(tuple(int(w) for w in task["weights"]))
-
-
-def _table(config, task, func, index, fallback, *head):
-    """{"table": [(i, inv.<func>(*head, a, b, i, cutoff))]} for i from
-    <index>_from (else <fallback>_from, else 1) to <index>_to (else
-    <fallback>_to, else 0); the valuation versions pass the task's valuation
-    as `head`."""
-    a, b = _pair(config, task)
-    lo = int(task.get(f"{index}_from", task.get(f"{fallback}_from", 1)))
-    hi = int(task.get(f"{index}_to", task.get(f"{fallback}_to", 0)))
-    cutoff = _param(config, task, "cutoff")
-    return {"table": [(i, getattr(inv, func)(*head, a, b, i, cutoff)) for i in range(lo, hi + 1)]}
+_ABSENT = {"assert": ()}  # what an empty fallback gives (else None)
 
 
 class Op(NamedTuple):
-    keys: tuple  # task keys the op cannot run without
-    run: Callable  # (config, task) -> result
+    reads: str  # the task keys of each argument of `run`, one word each (see _arguments)
+    run: Callable  # (*arguments) -> result
     asserts: tuple = ()  # the "assert" names the op reads
 
 
-# Every op.  Handlers look library functions up on their module at call time,
-# so a wrapper installed on the module (a tracer, a mock) sees every call.
+def _arguments(config, task, where, errors) -> list:
+    """The arguments of the task's op, one per word `key=...=last` of its
+    `reads`: the first of these task keys that the task has, else the config
+    default `last` names (as the config holds it now, after any command-line
+    override), else the integer `last`, else `_ABSENT` for an empty `last`;
+    otherwise the task needs `key`.  A task key the op does not read is a
+    problem, and an 'assert' names each assertion the op does not read."""
+    op = task["op"]
+    chains = [word.split("=") for word in OPS[op].reads.split()]
+    declared = {name for chain in chains for name in chain if name.isidentifier()}
+    read = {}
+    for key, value in task.items():
+        if key in declared or key == "assert":
+            read[key] = _READERS.get(key, _READERS[None])(value, f"{where}: {key!r}", errors, config, op)
+        elif key != "op":
+            errors.append(f"{where}: op {op!r} does not read {key!r}")
+    arguments = []
+    for chain in chains:
+        given, last = [read[key] for key in chain if key in read], chain[-1]
+        if given or last in config.defaults:
+            arguments.append(given[0] if given else config.defaults[last])
+        elif last.isdigit() or not last:
+            arguments.append(int(last) if last else _ABSENT.get(chain[0]))
+        else:
+            errors.append(f"{where}: op {op!r} needs {chain[0]!r}")
+    return arguments
+
+
+def _table(func, *arguments):
+    """{"table": [(i, func(*head, i, cutoff))]} for lo <= i <= hi; `arguments` are (*head, lo, hi, cutoff)."""
+    *head, lo, hi, cutoff = arguments
+    return {"table": [(i, func(*head, i, cutoff)) for i in range(lo, hi + 1)]}
+
+
+# Every op: the task keys it reads, in the parameter order of the library
+# function its handler calls.  Handlers look library functions up on their
+# module at call time, so a wrapper installed there (a tracer, a mock) sees every call.
 OPS = {
-    "beta_table": Op(("a", "b", "s_to"), lambda c, t: _table(c, t, "beta", "s", "s")),
-    "lambda_table": Op(("a", "b", "n_to"), lambda c, t: _table(c, t, "lambda_", "n", "n")),
-    "beta_v_table": Op(("a", "b", "weights"), lambda c, t: _table(
-        c, t, "beta_v", "n", "s", _valuation(t))),
-    "lambda_v_table": Op(("a", "b", "weights"), lambda c, t: _table(
-        c, t, "lambda_v", "n", "s", _valuation(t))),
-    "rho_window": Op(("a", "b"), lambda c, t: inv.rho_window(
-        *_pair(c, t), _param(c, t, "s_max", "window"), _param(c, t, "r_max", "window"))),
-    "rho_n": Op(("a", "b", "n"), lambda c, t: inv.rho_n(
-        *_pair(c, t), int(t["n"]), _param(c, t, "s_max", "window"), _param(c, t, "cutoff"))),
-    "rho_lim": Op(("a", "b", "grid"), lambda c, t: inv.rho_lim_estimate(
-        *_pair(c, t), [int(n) for n in t["grid"]], _param(c, t, "cutoff"),
-        tail=int(t.get("tail", 10)), **_bounds(c, t))),
-    "rho_hat_rees": Op(("a", "b"), lambda c, t: inv.rho_hat_rees(
-        *_pair(c, t), **_bounds(c, t), assertions=tuple(t.get("assert", ()))),
-        ("closure_module_finite",)),
-    "rho_hat_beta": Op(("a", "b", "n_max"), lambda c, t: inv.rho_hat_beta_limit(
-        *_pair(c, t), int(t["n_max"]), _param(c, t, "cutoff"),
-        grid=[int(n) for n in t["grid"]] if "grid" in t else None, **_bounds(c, t))),
-    "rho_exact": Op(("a", "b"), lambda c, t: inv.rho_exact_certified(
-        *_pair(c, t), search_budget=int(t.get("budget", 60)), **_bounds(c, t),
-        assertions=tuple(t.get("assert", ()))), inv.ASSERTIONS),
-    "waldschmidt": Op(("family", "weights"), lambda c, t: val.skew_waldschmidt(
-        _valuation(t), c.families[t["family"]], window=_param(c, t, "window"),
-        kmax=_param(c, t, "kmax"))),
-    "validate_graded": Op(("family",), lambda c, t: fam.validate_graded(
-        c.families[t["family"]], _param(c, t, "horizon"))),
-    "validate_filtration": Op(("family",), lambda c, t: fam.validate_filtration(
-        c.families[t["family"]], _param(c, t, "horizon"))),
-    "standard_veronese": Op(("family", "k"), lambda c, t: fam.is_standard_veronese(
-        c.families[t["family"]], int(t["k"]), _param(c, t, "horizon"))),
-    "b_equivalent": Op(("family", "ideal", "k"), lambda c, t: fam.is_b_equivalent(
-        c.families[t["family"]], c.ideals[t["ideal"]], int(t["k"]), _param(c, t, "horizon"))),
-    "veronese_scaling": Op(("a", "b", "k"), lambda c, t: inv.veronese_scaling_check(
-        *_pair(c, t), int(t["k"]), _param(c, t, "window"))),
-    "linearly_finer": Op(("a", "b"), lambda c, t: inv.linearly_finer_check(
-        *_pair(c, t), _param(c, t, "window"))),
-    "rees_valuations": Op(("ideal",), lambda c, t: closures.rees_valuations(c.ideals[t["ideal"]])),
-    "newton_polyhedron": Op(("ideal",), lambda c, t: closures.newton_polyhedron(
-        c.ideals[t["ideal"]])),
-    "integral_closure": Op(("ideal",), lambda c, t: {"generators": closures.integral_closure(
-        c.ideals[t["ideal"]], int(t.get("n", 1))).generators}),
-    "symbolic_power": Op(("ideal",), lambda c, t: {"generators": closures.symbolic_power(
-        c.ideals[t["ideal"]], int(t.get("n", 1))).generators}),
+    "beta_table": Op("a b s_from=1 s_to cutoff", lambda *a: _table(inv.beta, *a)),
+    "lambda_table": Op("a b n_from=1 n_to cutoff", lambda *a: _table(inv.lambda_, *a)),
+    "beta_v_table": Op("weights a b n_from=s_from=1 n_to=s_to cutoff",
+                       lambda w, *a: _table(inv.beta_v, val.MonomialValuation(w), *a)),
+    "lambda_v_table": Op("weights a b n_from=s_from=1 n_to=s_to cutoff",
+                         lambda w, *a: _table(inv.lambda_v, val.MonomialValuation(w), *a)),
+    "rho_window": Op("a b s_max=window r_max=window", lambda *a: inv.rho_window(*a)),
+    "rho_n": Op("a b n s_max=window cutoff", lambda *a: inv.rho_n(*a)),
+    "rho_lim": Op("a b grid cutoff tail=10 kmax horizon", lambda *a: inv.rho_lim_estimate(*a)),
+    "rho_hat_rees": Op("a b kmax horizon assert=", lambda *a: inv.rho_hat_rees(*a), ("closure_module_finite",)),
+    "rho_hat_beta": Op("a b n_max cutoff grid= kmax horizon", lambda *a: inv.rho_hat_beta_limit(*a)),
+    "rho_exact": Op("a b budget=60 kmax horizon assert=", lambda *a: inv.rho_exact_certified(*a), inv.ASSERTIONS),
+    "waldschmidt": Op("weights family window kmax",
+                      lambda w, *a: val.skew_waldschmidt(val.MonomialValuation(w), *a)),
+    "validate_graded": Op("family horizon", lambda *a: fam.validate_graded(*a)),
+    "validate_filtration": Op("family horizon", lambda *a: fam.validate_filtration(*a)),
+    "standard_veronese": Op("family k horizon", lambda *a: fam.is_standard_veronese(*a)),
+    "b_equivalent": Op("family ideal k horizon", lambda *a: fam.is_b_equivalent(*a)),
+    "veronese_scaling": Op("a b k window", lambda *a: inv.veronese_scaling_check(*a)),
+    "linearly_finer": Op("a b window", lambda *a: inv.linearly_finer_check(*a)),
+    "rees_valuations": Op("ideal", lambda *a: closures.rees_valuations(*a)),
+    "newton_polyhedron": Op("ideal", lambda *a: closures.newton_polyhedron(*a)),
+    "integral_closure": Op("ideal n=1", lambda *a: {"generators": closures.integral_closure(*a).generators}),
+    "symbolic_power": Op("ideal n=1", lambda *a: {"generators": closures.symbolic_power(*a).generators}),
 }
 
 

@@ -79,6 +79,12 @@ def test_readme_quick_start_shows_its_commented_values():
     assert rho == finite(Fraction(3, 2)) and c5.startswith(f"{rho},")
 
 
+def test_readme_lists_the_keys_each_op_reads():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"^- `(\w+)`: `([^`]*)`$", text, re.M)
+    assert listed == [(name, op.reads) for name, op in jobs.OPS.items()]
+
+
 @pytest.mark.parametrize("source", ["README.md", "jobs/triangle.json", "jobs/periodic.json"])
 def test_documented_configs_run_clean(source):
     text = _readme_config() if source == "README.md" else (ROOT / source).read_text()

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -43,8 +44,12 @@ from resurgence import (
     veronese_scaling_check,
 )
 import resurgence.families as fam
+from resurgence.jobs import parse_config
 from resurgence.invariants import LinearlyFinerResult, SequenceValue, _first_index, _lambda_search
 from resurgence.rationals import ceil_frac
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def ideal(nvars, *gens):
@@ -546,6 +551,24 @@ class TestRhoExact:
         assert rho_exact_certified(a, b, assertions=asserted).details["gap"].k == 1
         with pytest.raises(DomainError, match="gap >= 0"):
             rho_exact_certified(a, b, assertions=(asserted[0], f"closure_gap:{gap}"))
+
+    def test_a_window_that_checks_no_index_is_refused(self):
+        # at horizon 0 the closure-gap tightening checked no index and drove
+        # the gap to 0, certifying 4/3; and the period-3 family b of
+        # jobs/periodic.json passed standard_veronese(k=1), which fails at 8
+        I = ideal(3, (4, 0, 0), (0, 3, 0), (0, 0, 4), (1, 1, 1))
+        J = ideal(3, (3, 0, 0), (0, 3, 0), (0, 0, 3), (3, 3, 1), (1, 1, 1))
+        for horizon in (1, 4):
+            rep = rho_exact_certified(powers(J), powers(I), search_budget=24, horizon=horizon)
+            assert rep.value == finite(2) and rep.certified
+        b = parse_config((ROOT / "jobs" / "periodic.json").read_text()).families["b"]
+        assert not fam.is_standard_veronese(b, 1, 8).holds
+        with pytest.raises(DomainError, match="horizon >= 1"):
+            rho_exact_certified(powers(J), powers(I), search_budget=24, horizon=0)
+        with pytest.raises(DomainError, match="horizon >= 1"):
+            fam.is_standard_veronese(b, 1, 0)
+        # a structural report checks no window and stays as it was
+        assert fam.validate_graded(powers(I), 0).certificate == "structural"
 
     def test_value_at_rho_hat_without_strict_witness(self):
         # a = powers(m), b = powers((x^2, y^3)): every escape has s/r <= 3 and

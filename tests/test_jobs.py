@@ -192,7 +192,7 @@ class TestRun:
         assert exit_status(report) == 1
 
     def test_internal_error_recorded_not_fatal(self, monkeypatch):
-        def broken(config, task):
+        def broken(ideal):
             raise TypeError("'int' object is not iterable")
         monkeypatch.setitem(jobs.OPS, "rees_valuations", jobs.OPS["rees_valuations"]._replace(run=broken))
         job = dict(TRIANGLE_JOB)
@@ -206,6 +206,13 @@ class TestRun:
         assert report["tasks"][1]["error"] == "internal_error: TypeError: 'int' object is not iterable"
         assert "result" not in report["tasks"][1]
         assert exit_status(report) == 1
+
+    def test_run_reads_task_keys_with_the_parser_readers(self):
+        # a task edited after parsing meets the same checks, as a task error
+        config = parse_config(json.dumps(SQRT_JOB))
+        config.tasks[0]["s_to"] = "ten"
+        (task,) = run(config)["tasks"]
+        assert task["error"] == "ConfigError: task 0: 's_to': expected an integer, got 'ten'"
 
     def test_determinism_modulo_timings(self):
         config = parse_config(json.dumps(TRIANGLE_JOB))
@@ -351,6 +358,19 @@ class TestCLI:
         high = json.loads(out.read_text())["tasks"][0]["result"]["table"][0][1]
         assert high["value"] == 10
 
+    @pytest.mark.parametrize("key", sorted(jobs.BUILTIN_DEFAULTS))
+    def test_flag_overrides_show_in_the_echoed_defaults_and_digest(self, key, tmp_path):
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps(BASE_JOB))
+        out = tmp_path / "r.json"
+        assert main(["--config", str(config_path), "--out", str(out)]) == 0
+        plain = json.loads(out.read_text())
+        assert main(["--config", str(config_path), "--out", str(out), f"--{key}", "5"]) == 0
+        overridden = json.loads(out.read_text())
+        assert plain["config"]["defaults"] == jobs.BUILTIN_DEFAULTS
+        assert overridden["config"]["defaults"] == dict(jobs.BUILTIN_DEFAULTS, **{key: 5})
+        assert overridden["config_digest"] != plain["config_digest"]
+
 
 BASE_JOB = {
     "vars": 2,
@@ -385,8 +405,25 @@ class TestConfigErrors:
                                           ("rho_hat_rees", "waldschmidt_equals_v_b1"),
                                           ("rho_hat_rees", "closure_gap:1")])
     def test_assertions_the_op_does_not_read_are_config_errors(self, op, text):
-        task = {"op": op, "a": "a", "b": "a", "s_to": 2, "assert": [text]}
+        task = {"op": op, "a": "a", "b": "a", "assert": [text], **({"s_to": 2} if op == "beta_table" else {})}
         assert _problems(tasks=[task]) == [f"task 0: 'assert' {text!r} is not read by op {op!r}"]
+
+    @pytest.mark.parametrize("task, key", [
+        ({"op": "beta_table", "a": "a", "b": "a", "s_to": 2, "cuttoff": 1}, "cuttoff"),
+        ({"op": "rho_window", "a": "a", "b": "a", "cutoff": 5}, "cutoff"),
+        ({"op": "lambda_table", "a": "a", "b": "a", "n_to": 2, "s_from": 2}, "s_from"),
+        ({"op": "rees_valuations", "ideal": "m", "family": "a"}, "family"),
+    ])
+    def test_keys_the_op_does_not_read_are_config_errors(self, task, key):
+        assert _problems(tasks=[task]) == [f"task 0: op {task['op']!r} does not read {key!r}"]
+
+    @pytest.mark.parametrize("op", ["beta_v_table", "lambda_v_table"])
+    def test_a_v_table_needs_its_upper_bound(self, op):
+        task = {"op": op, "a": "a", "b": "a", "weights": [1, 2], "n_from": 2}
+        assert _problems(tasks=[task]) == [f"task 0: op {op!r} needs 'n_to'"]
+        for bound in ("n_to", "s_to"):  # either spelling bounds the table
+            config = parse_config(json.dumps(dict(BASE_JOB, tasks=[dict(task, **{bound: 4})])))
+            assert [row[0] for row in run(config)["tasks"][0]["result"]["table"]] == [2, 3, 4]
 
     def test_well_formed_assertions_pass(self):
         task = {"op": "rho_exact", "a": "a", "b": "a",
@@ -423,6 +460,35 @@ class TestConfigErrors:
     ])
     def test_malformed_values_are_collected(self, changes):
         assert _problems(**changes)
+
+    @pytest.mark.parametrize("changes, problem", [
+        ({"families": {"a": 5}}, "family 'a': descriptor must be an object with a 'kind'"),
+        ({"families": {"a": {"kind": "power_pattern", "ideal": "m", "exponent": 5}}},
+         "family 'a': exponent rule must be an object with an 'fn' key"),
+        ({"families": {"a": {"kind": "power_pattern", "ideal": "m",
+                             "exponent": {"fn": "affine", "a": -1}}}},
+         "family 'a': bad exponent rule: index functions must be nondecreasing"),
+        ({"families": {"a": {"kind": "power_pattern", "ideal": "m", "exponent": {"fn": "cube"}}}},
+         "family 'a': unknown exponent rule 'cube'"),
+        ({"families": {"a": {"kind": "periodic", "period": 2, "patterns": 5}}},
+         "family 'a': periodic needs a 'patterns' object"),
+        ({"families": {"a": {"kind": "periodic", "period": 0, "patterns": {"0": {"ideal": "m"}}}}},
+         "family 'a': periodic needs a positive 'period'"),
+        ({"families": {"a": {"kind": "table", "prefix": "m"}}},
+         "family 'a': table needs a 'prefix' list of ideal names"),
+        ({"families": {"a": {"kind": "expression", "expr": {"ideals": "m"}}}},
+         "family 'a': expression object needs one of ideal/family/product/sum/power"),
+        ({"ideals": {"m": 5}, "families": {}},
+         "ideal 'm': generators must be a list of exponent vectors"),
+        ({"tasks": [5]}, "task 0: must be an object with an 'op'"),
+        ({"tasks": [{"op": "waldschmidt", "family": "a", "weights": [1]}]},
+         "task 0: 'weights' must be a list of length 2"),
+        ({"output": {"format": "xml"}}, "output format must be 'json' or 'csv', not 'xml'"),
+        ({"tasks": [{"op": "rho_exact", "a": "a", "b": "a", "assert": ["closure_gap:-1"]}]},
+         "task 0: 'assert' 'closure_gap:-1' needs a gap >= 0"),
+    ])
+    def test_each_schema_problem_has_its_message(self, changes, problem):
+        assert _problems(**changes) == [problem]
 
     def test_grid_entries_are_read_as_integers(self):
         task = {"op": "rho_hat_beta", "a": "a", "b": "a", "n_max": 4, "grid": ["2"]}
