@@ -424,14 +424,15 @@ class ValidationReport:
 
 def _first_counterexample(property: str, horizon: int, params: dict, cases) -> ValidationReport:
     """The report on a lazy stream of cases (indices, witness, extra): the
-    first case with a witness is the counterexample (the stream is not read
-    further), and a stream without one gives the window certificate."""
-    if horizon < 1:  # the certificate would cover a window that checks nothing
-        raise DomainError(f"a {property} window needs a horizon >= 1, not {horizon}")
-    for indices, witness, extra in cases:
+    first case with a witness is the counterexample, a stream without one
+    gives the window certificate, and an empty one (no index) is refused."""
+    checked = 0
+    for checked, (indices, witness, extra) in enumerate(cases, 1):
         if witness is not None:
             return ValidationReport(property, horizon, False, "window", params,
                                     counterexample={"indices": indices, "witness": witness, **extra})
+    if not checked:
+        raise DomainError(f"a {property} window needs a horizon >= 1 that checks an index, not {horizon}")
     return ValidationReport(property, horizon, True, "window", params)
 
 

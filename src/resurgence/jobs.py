@@ -339,6 +339,9 @@ def parse_config(text: str) -> JobConfig:
     for key in BUILTIN_DEFAULTS:
         if key in given:
             defaults[key] = _parse_int(given[key], f"defaults: {key!r}", errors)
+    for where, node, known in (("config", raw, ("vars", "ideals", "families", "tasks", "output", "defaults")),
+                               ("output", output, ("format", "path")), ("defaults", given, BUILTIN_DEFAULTS)):
+        errors += [f"{where}: unknown key {key!r}" for key in node if key not in known]
 
     if errors:
         raise ConfigError(errors)

@@ -23,6 +23,7 @@ enters any decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -294,12 +295,17 @@ def lp_minimize(lp: LinearProgram) -> LPResult:
     then forces pi_i = 0 on every (nonzero) row, so a_i prices at 1 and never
     enters, and none is basic at the end (it would price at 0).  So phase 1
     ends at 0, the LP is feasible, and c >= 0 bounds phase 2.  The column of
-    a_i is minus that of s_i, so u_i is the reduced cost of s_i.
+    a_i is minus that of s_i, so u_i is the reduced cost of s_i.  Phase 1
+    never reads c, so its pivots, final rows, basis and D depend on the rows
+    alone: `_phase_one` keeps them per row set, and phase 2 starts from a
+    fresh copy.
 
     The tableau is kept in ints as M = D*T, D = |det B| > 0 (Edmonds), and
-    phase 2 scales its costs by the lcm of the objective's denominators.  So
-    M has the signs of T and its row ratios, and Bland's pivots are those of
-    the rational simplex; Fractions are built only to read out the result.
+    phase 2 scales c by the lcm of its denominators to ints c'.  So M has
+    the signs of T and its row ratios, and Bland's pivots are those of the
+    rational simplex.  With U the reduced costs of the s_i, u = U/(scale*D)
+    is checked on ints: U >= 0, sum_i U_i*A_ij <= c'_j*D for every j, and
+    sum_i U_i*b_i = sum over the basis of c'_B*rhs (scale*D*optimum).
     """
     if any(x < 0 for x in lp.objective):
         raise DomainError(f"objective {lp.objective} has a negative entry; not a covering LP")
@@ -307,25 +313,38 @@ def lp_minimize(lp: LinearProgram) -> LPResult:
         if h.offset < 0 or not any(h.normal) or any(x < 0 for x in h.normal):
             raise DomainError(f"constraint {h} is not a covering row")
     nvar = len(lp.objective)
-    m = len(lp.constraints)
-    M = [list(h.normal) + [-1 if j == i else 0 for j in range(m)] + [h.offset]
-         for i, h in enumerate(lp.constraints)]
-    # phase-1 costs: 1 on each artificial, priced against the artificial basis
-    M.append([-sum(row[j] for row in M) for j in range(nvar + m + 1)])
-    basis = list(range(nvar + m, nvar + 2 * m))
-    D = _simplex(M, basis, 1)
+    rows, basis, D = _phase_one(tuple((tuple(h.normal), h.offset) for h in lp.constraints))
+    M, basis = [list(row) for row in rows], list(basis)
     # phase 2, its costs priced once
     objective = [Fraction(x) for x in lp.objective]
     scale = lcm(*(x.denominator for x in objective))
-    c = [x.numerator * (scale // x.denominator) for x in objective] + [0] * (m + 1)
-    M[-1] = [D * cj - sum(c[bv] * row[j] for bv, row in zip(basis, M)) for j, cj in enumerate(c)]
+    c = [x.numerator * (scale // x.denominator) for x in objective] + [0] * (len(M) + 1)
+    M.append([D * cj - sum(c[bv] * row[j] for bv, row in zip(basis, M)) for j, cj in enumerate(c)])
     D = _simplex(M, basis, D)
+    U = M[-1][nvar:-1]
+    if (any(u < 0 for u in U)
+            or any(_dot(U, col) > cj * D for col, cj in zip(zip(*(h.normal for h in lp.constraints)), c))
+            or _dot(U, [h.offset for h in lp.constraints]) != sum(c[bv] * row[-1] for bv, row in zip(basis, M))):
+        raise AssertionError("dual certificate fails u >= 0, A^T u <= c or b.u = optimum")
     value = {bv: Fraction(M[i][-1], D) for i, bv in enumerate(basis)}
     y = tuple(value.get(j, Fraction(0)) for j in range(nvar))
     optimum = sum(ci * yi for ci, yi in zip(objective, y))
-    dual = tuple(Fraction(M[-1][nvar + i], scale * D) for i in range(m))
-    _verify_dual(lp, optimum, dual)
+    dual = tuple(Fraction(u, scale * D) for u in U)
     return LPResult("optimal", optimum, y, dual)
+
+
+@lru_cache(maxsize=16)
+def _phase_one(rows: Tuple[Tuple[Tuple[int, ...], int], ...]):
+    """Phase 1's final tableau rows (without the cost row), basis and D for
+    the covering rows (normal, offset), as tuples."""
+    m = len(rows)
+    M = [list(normal) + [-1 if j == i else 0 for j in range(m)] + [offset]
+         for i, (normal, offset) in enumerate(rows)]
+    # phase-1 costs: 1 on each artificial, priced against the artificial basis
+    M.append([-sum(column) for column in zip(*M)])
+    basis = list(range(len(M[0]) - 1, len(M[0]) - 1 + m))
+    D = _simplex(M, basis, 1)
+    return tuple(map(tuple, M[:-1])), tuple(basis), D
 
 
 def _pivot(M, r, j, D) -> int:
@@ -365,16 +384,3 @@ def _simplex(M, basis, D) -> int:
             raise AssertionError("a covering LP is bounded below by 0")
         D = _pivot(M, leaving, entering, D)
         basis[leaving] = entering
-
-
-def _verify_dual(lp: LinearProgram, optimum: Fraction, dual: Sequence[Fraction]):
-    if any(u < 0 for u in dual):
-        raise AssertionError("dual certificate has a negative multiplier")
-    nvar = len(lp.objective)
-    for j in range(nvar):
-        coeff = sum(Fraction(u) * Fraction(lp.constraints[i].normal[j]) for i, u in enumerate(dual))
-        if coeff > Fraction(lp.objective[j]):
-            raise AssertionError("dual certificate violates A^T u <= c")
-    value = sum(Fraction(u) * Fraction(lp.constraints[i].offset) for i, u in enumerate(dual))
-    if value != optimum:
-        raise AssertionError("dual objective does not match the primal optimum")

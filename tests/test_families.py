@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from resurgence import (
+    DomainError,
     FamilyRangeError,
     MonomialIdeal,
     ceiling,
@@ -119,6 +120,22 @@ class TestValidators:
         # independently re-checkable: witness in a_1*a_1 but not in a_2
         assert family.member(1).multiply(family.member(1)).contains(witness)
         assert not family.member(2).contains(witness)
+
+    def test_a_window_that_checks_no_index_is_refused(self):
+        # at horizon 1 neither scan has an index (no p, q >= 1 with p + q <= 1,
+        # no p with 1 <= p < 1), yet both used to certify a family whose
+        # graded window fails at horizon 2
+        I = ideal(1, (1,))
+        family = table(1, [I, I.power(3)],
+                       tail=fam.Power(fam.Base("I"), fam.affine(3)),
+                       env=fam.Environment({"I": I}))
+        assert not validate_graded(family, 2).holds
+        for validate in (validate_graded, validate_filtration):
+            with pytest.raises(DomainError, match="checks an index, not 1"):
+                validate(family, 1)
+        # a structural report checks no window and stays as it was
+        assert validate_graded(powers(I), 1).certificate == "structural"
+        assert validate_filtration(powers(I), 1).certificate == "structural"
 
     def test_filtration_reports(self):
         data = not_filtration_families()

@@ -486,6 +486,11 @@ class TestConfigErrors:
         ({"output": {"format": "xml"}}, "output format must be 'json' or 'csv', not 'xml'"),
         ({"tasks": [{"op": "rho_exact", "a": "a", "b": "a", "assert": ["closure_gap:-1"]}]},
          "task 0: 'assert' 'closure_gap:-1' needs a gap >= 0"),
+        # each misspelt key below used to be dropped: no task ran, cutoff
+        # stayed 200, the report was written as JSON
+        ({"task": [{"op": "beta_table", "a": "a", "b": "a", "s_to": 2}]}, "config: unknown key 'task'"),
+        ({"defaults": {"cuttoff": 5}}, "defaults: unknown key 'cuttoff'"),
+        ({"output": {"fromat": "csv"}}, "output: unknown key 'fromat'"),
     ])
     def test_each_schema_problem_has_its_message(self, changes, problem):
         assert _problems(**changes) == [problem]

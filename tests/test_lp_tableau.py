@@ -7,7 +7,9 @@ exactly, including the argmin and dual that a degenerate LP picks among
 several.  The seeded LPs add what `golden/lp_results.json` lacks: rational
 objectives, and rows with coefficients up to 5, duplicated rows and offset-0
 rows, whose pivots leave rows with a zero in the pivot column to be rescaled.
-Every other LP is refused with a `DomainError`.
+Every other LP is refused with a `DomainError`.  Phase 1 is solved once per
+row set and reused, so objectives that share rows are also compared with a
+solve on a cold cache.
 """
 
 import random
@@ -129,3 +131,65 @@ def test_rational_objective():
     res = lp_minimize(lp)
     assert (res.optimum, res.argmin, res.dual) == (Fraction(1, 3), (0, 1), (0, Fraction(1, 6)))
     assert _outcome(res) == _outcome(oracles.fraction_lp_minimize(lp))
+
+
+def _shared_row_rounds(rng, rounds):
+    """Rounds of LPs in shuffled order, each on three row sets: a covering
+    row set, the same normals with other offsets, and a third one; each row
+    set takes four objectives."""
+    for _ in range(rounds):
+        base = _covering_lp(rng).constraints
+        moved = tuple(HalfSpace(h.normal, rng.randint(0, 4)) for h in base)
+        other = _covering_lp(rng).constraints
+        lps = [LinearProgram(_objective(rng, len(rows[0].normal), 0), rows)
+               for rows in (base, moved, other) for _ in range(4)]
+        rng.shuffle(lps)
+        yield lps
+
+
+def test_objectives_on_shared_rows_match_a_cold_cache():
+    # phase 1 is solved once per row set and reused: each warm solve must
+    # equal a solve after cache_clear() and the Fraction simplex
+    rng = random.Random(911)
+    polyhedra._phase_one.cache_clear()
+    offset_zero = duplicated = zero_entry = rational = 0
+    for lps in _shared_row_rounds(rng, 60):
+        warm = [_outcome(lp_minimize(lp)) for lp in lps]
+        for lp, outcome in zip(lps, warm):
+            polyhedra._phase_one.cache_clear()
+            assert outcome == _outcome(lp_minimize(lp)) == _outcome(oracles.fraction_lp_minimize(lp))
+            offset_zero += any(h.offset == 0 for h in lp.constraints)
+            duplicated += len(set(lp.constraints)) < len(lp.constraints)
+            zero_entry += 0 in lp.objective
+            rational += any(c.denominator > 1 for c in lp.objective)
+    assert min(offset_zero, duplicated, zero_entry, rational) >= 100
+
+
+def test_phase_one_is_solved_once_per_row_set():
+    polyhedra._phase_one.cache_clear()
+    rows = (HalfSpace((1, 1, 0), 1), HalfSpace((0, 1, 1), 1), HalfSpace((1, 0, 1), 1))
+    for objective in ((1, 1, 1), (1, 2, 3), (Fraction(1, 2), 0, 1)):
+        lp_minimize(LinearProgram(tuple(map(Fraction, objective)), rows))
+    info = polyhedra._phase_one.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_list_normals_are_solved():
+    # the cache key copies each normal into a tuple, so a HalfSpace built
+    # with a list normal (unhashable) is still accepted
+    listed = LinearProgram((Fraction(2), Fraction(1)), (HalfSpace([1, 1], 1), HalfSpace([1, 0], 1)))
+    tupled = LinearProgram(listed.objective, (HalfSpace((1, 1), 1), HalfSpace((1, 0), 1)))
+    assert _outcome(lp_minimize(listed)) == _outcome(lp_minimize(tupled)) \
+        == repr(("optimal", Fraction(2), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(2))))
+
+
+def test_the_dual_check_reads_every_column(monkeypatch):
+    # min 2 y1 + y2 with y1 + y2 >= 1: phase 1 ends with y1 basic.  Stopping
+    # phase 2 there gives u = 2 >= 0 with b.u = 2 = c_B.rhs, so only the
+    # column of y2 (u*1 = 2 > 1) shows that this dual is not feasible
+    lp = LinearProgram((Fraction(2), Fraction(1)), (HalfSpace((1, 1), 1),))
+    polyhedra._phase_one.cache_clear()
+    assert lp_minimize(lp).optimum == 1
+    monkeypatch.setattr(polyhedra, "_simplex", lambda M, basis, D: D)  # phase 1 is cached
+    with pytest.raises(AssertionError, match="dual certificate"):
+        lp_minimize(lp)
