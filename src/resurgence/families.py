@@ -367,7 +367,8 @@ def veronese(family: GradedFamily, k: int, name=None) -> GradedFamily:
 
 def periodic(nvars: int, period: int, patterns: Mapping[int, Expr], env: Environment,
              name=None) -> GradedFamily:
-    if period < 1 or set(patterns) != set(range(period)):
+    # as many distinct keys as residues, each a residue: exactly 0..period-1
+    if period < 1 or len(patterns) != period or not all(isinstance(r, int) and 0 <= r < period for r in patterns):
         raise DomainError("periodic family needs one pattern per residue class 0..period-1")
     patterns = dict(patterns)
     return GradedFamily("periodic", nvars, lambda n: patterns[n % period].evaluate(n, env), name)

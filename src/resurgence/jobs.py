@@ -3,11 +3,14 @@
 Config files are JSON: named ideals (generator exponent lists), named family
 descriptors, and an ordered task list.  Each op is one entry of `OPS`: every
 task key it reads, with its fallback, and its handler; `parse_config` checks
-and `run` reads a task's keys with the same readers.  Each family kind is one
-entry of `FAMILY_KINDS`.  Reports are deterministic for a fixed config:
-rationals are numerator/denominator strings (never floats), orderings are
-fixed, and wall-clock data sits under a separate key, so the rest of the
-report is byte-stable.
+and `run` reads a task's keys with the same readers.  Each family kind,
+exponent rule and expression node is one entry of `FAMILY_KINDS`,
+`EXPONENT_RULES` or `EXPRESSION_NODES`: every descriptor key it reads, with
+its fallback, and its constructor.  One walker, `_read_keys`, reads the keys
+of both.  Reports are deterministic for a fixed config: rationals are
+numerator/denominator strings (never floats), orderings are fixed, and
+wall-clock data sits under a separate key, so the rest of the report is
+byte-stable.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ class JobConfig:
 # ---------------------------------------------------------------------------
 
 _BAD = object()  # what a reader returns once it has collected an error
+_ABSENT = {"assert": (), "exponent": fam.affine(1)}  # what an empty fallback gives (else None)
 
 
 def _failed(values) -> bool:
@@ -110,6 +114,35 @@ def _assertions(value, where, errors, config, op):
     return tuple(value)
 
 
+def _read_keys(entry, node, subject, tag, errors, read, defaults=()) -> list:
+    """The arguments that `node` gives `entry` (an Op or a Maker), one per
+    word `key=...=last` of its `reads`: the first of these keys that `node`
+    has, through `read(key, value)`, else the entry of `defaults` that `last`
+    names, else the integer `last`, else `_ABSENT`'s value for an empty
+    `last`; otherwise `subject` needs `key`, and the argument is _BAD.  A key
+    of `node` that the entry does not read, other than the `tag` naming it,
+    is a problem; the keys in `entry.also_read` are read all the same."""
+    chains = [word.split("=") for word in entry.reads.split()]
+    declared = {name for chain in chains for name in chain if name.isidentifier()}
+    got = {}
+    for key, value in node.items():
+        if key in declared or key in entry.also_read:
+            got[key] = read(key, value)
+        elif key != tag:
+            errors.append(f"{subject} does not read {key!r}")
+    arguments = []
+    for chain in chains:
+        given, last = [got[key] for key in chain if key in got], chain[-1]
+        if given or last in defaults:
+            arguments.append(given[0] if given else defaults[last])
+        elif last.isdigit() or not last:
+            arguments.append(int(last) if last else _ABSENT.get(chain[0]))
+        else:
+            errors.append(f"{subject} needs {chain[0]!r}")
+            arguments.append(_BAD)
+    return arguments
+
+
 # one reader per kind of task key, (value, where, errors, config, op) -> argument or _BAD
 _READERS = {
     **dict.fromkeys(("a", "b", "family"), lambda value, where, errors, config, op: _named(
@@ -120,6 +153,13 @@ _READERS = {
     "assert": _assertions,
     None: lambda value, where, errors, config, op: _parse_int(value, where, errors),  # any other key
 }
+
+
+class Maker(NamedTuple):
+    reads: str  # the descriptor keys of each argument of `make`, one word each (see _read_keys)
+    make: Callable  # (*arguments) -> a family, an exponent rule or an ideal expression
+    scoped: bool = False  # `make` also takes the config's vars first and its Environment last
+    also_read = ()  # no key is read outside `reads`
 
 
 class _FamilyBuilder:
@@ -162,118 +202,136 @@ class _FamilyBuilder:
         kind = node["kind"]
         if not isinstance(kind, str) or kind not in FAMILY_KINDS:
             return self.fail(f"unknown family kind {kind!r}")
+        maker = FAMILY_KINDS[kind]
+        arguments = self.arguments(maker, node, f"family kind {kind!r}", "kind")
+        if arguments is not _BAD and maker.scoped:
+            arguments = [self.nvars, *arguments, self.env]
         try:
-            return FAMILY_KINDS[kind](self, node)
+            return _BAD if arguments is _BAD else maker.make(*arguments, name=self.stack[-1])
         except ResurgenceError as exc:  # a constructor rejected the parsed values
             return self.fail(str(exc))
 
-    def make(self, constructor, *args):
-        """constructor(*args), named after the family being built, unless a
-        reader failed."""
-        return _BAD if _failed(args) else constructor(*args, name=self.stack[-1])
-
-    def ideal(self, name, key="ideal", part=""):
-        return _named(name, self.ideals, "ideal", f"{self.where(part)}: {key!r}", self.errors)
-
-    def family(self, name, part=""):
-        node = _named(name, self.nodes, "family", f"{self.where(part)}: 'family'", self.errors)
-        return _BAD if node is _BAD else self.build(name)
-
-    def integer(self, node, key, default=0, part=""):
-        return _parse_int(node.get(key, default), f"{self.where(part)}: {key}", self.errors)
-
-    def count(self, node, key):
-        """A positive integer field."""
-        value = self.integer(node, key)
-        if value is not _BAD and value < 1:
-            return self.fail(f"{node['kind']} needs a positive {key!r}")
-        return value
-
-    def alpha(self, node):
-        try:
-            return parse_fraction(str(node.get("alpha")))
-        except (ValueError, ZeroDivisionError) as exc:
-            return self.fail(f"bad alpha: {exc}")
-
-    def index_function(self, node, part=""):
+    def rule(self, node, key, part):
         if not isinstance(node, dict) or "fn" not in node:
             return self.fail("exponent rule must be an object with an 'fn' key", part)
-        kind = node["fn"]
+        fn = node["fn"]
+        if not isinstance(fn, str) or fn not in EXPONENT_RULES:
+            return self.fail(f"unknown exponent rule {fn!r}", part)
+        arguments = self.arguments(EXPONENT_RULES[fn], node, f"exponent rule {fn!r}", "fn", part)
         try:
-            if kind == "affine":
-                a, b = self.integer(node, "a", 1, part), self.integer(node, "b", 0, part)
-                return _BAD if _failed((a, b)) else fam.affine(a, b)
-            if kind == "ceil_mul":
-                args = (parse_fraction(str(node["ratio"])), self.integer(node, "offset", 0, part))
-                return _BAD if _failed(args) else fam.ceil_mul(*args)
-            if kind == "ceil_sqrt":
-                return fam.ceil_sqrt()
-            if kind == "ceil_log2p1":
-                return fam.ceil_log2p1()
-        except KeyError as exc:
-            return self.fail(f"exponent rule {kind!r} needs {exc}", part)
-        except (TypeError, ValueError, ZeroDivisionError, ResurgenceError) as exc:
+            return _BAD if arguments is _BAD else EXPONENT_RULES[fn].make(*arguments)
+        except ResurgenceError as exc:
             return self.fail(f"bad exponent rule: {exc}", part)
-        return self.fail(f"unknown exponent rule {kind!r}", part)
 
-    def patterns(self, node):
-        """(period, {residue: expression}) of a periodic family."""
-        period, patterns = self.count(node, "period"), node.get("patterns")
-        if not isinstance(patterns, dict):
-            return period, self.fail("periodic needs a 'patterns' object")
-        if period is _BAD:
-            return period, _BAD
-        exprs = {r: self.expr(patterns.get(str(r)), f" residue {r}") for r in range(period)}
-        return period, _BAD if _failed(exprs.values()) else exprs
-
-    def prefix(self, node):
-        names = node.get("prefix")
-        if not isinstance(names, list):
-            return self.fail("table needs a 'prefix' list of ideal names")
-        prefix = [self.ideal(name, "prefix") for name in names]
-        return _BAD if _failed(prefix) else prefix
-
-    def expr(self, node, part=""):
-        """An ideal expression; the families it references are built first."""
+    def expr(self, node, key, part):
+        """The node of the first node key the expression has; the families
+        it references are built first."""
         if not isinstance(node, dict):
             return self.fail("expression must be an object", part)
-        if "ideal" in node:
-            ideal = self.ideal(node["ideal"], part=part)
-            return _BAD if ideal is _BAD else fam.Base(node["ideal"])
-        if "family" in node:
-            family = self.family(node["family"], part)
-            shift = self.integer(node, "shift", 0, part)
-            return _BAD if _failed((family, shift)) else fam.Ref(node["family"], shift)
-        for key, combine in (("product", fam.Product), ("sum", fam.Sum)):
-            if key in node:
-                if not isinstance(node[key], list) or not node[key]:
-                    return self.fail(f"{key!r} must be a nonempty list of expressions", part)
-                terms = [self.expr(x, part) for x in node[key]]
-                return _BAD if _failed(terms) else combine(tuple(terms))
-        if "power" in node:
-            base = self.expr(node["power"], part)
-            exponent = self.index_function(node.get("exponent", {"fn": "affine", "a": 1}), part)
-            return _BAD if _failed((base, exponent)) else fam.Power(base, exponent)
-        return self.fail("expression object needs one of ideal/family/product/sum/power", part)
+        tag = next((tag for tag in EXPRESSION_NODES if tag in node), None)
+        if tag is None:
+            return self.fail(f"expression object needs one of {'/'.join(EXPRESSION_NODES)}", part)
+        arguments = self.arguments(EXPRESSION_NODES[tag], node, f"expression node {tag!r}", tag, part, _NODE_READERS)
+        return _BAD if arguments is _BAD else EXPRESSION_NODES[tag].make(*arguments)
+
+    def arguments(self, maker, node, what, tag, part="", readers=None):
+        """The arguments that `node` gives `maker` (see _read_keys), each key
+        read by `readers` (by default `_KEY_READERS`); _BAD after any problem."""
+        readers, before = readers or _KEY_READERS, len(self.errors)
+        arguments = _read_keys(maker, node, f"{self.where(part)}: {what}", tag, self.errors,
+                               lambda key, value: readers.get(key, readers[None])(self, value, key, part))
+        return _BAD if len(self.errors) > before or _failed(arguments) else arguments
 
 
-# every family kind: its constructor, fed by the readers of its descriptor keys
+def _fraction(b, value, key, part):
+    try:
+        return parse_fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        return b.fail(f"bad {key}: {exc}", part)
+
+
+def _positive(b, value, key, part):
+    number = _parse_int(value, f"{b.where(part)}: {key}", b.errors)
+    if number is not _BAD and number < 1:
+        return b.fail(f"{b.nodes[b.stack[-1]]['kind']} needs a positive {key!r}", part)
+    return number
+
+
+def _prefix(b, value, key, part):
+    if not isinstance(value, list):
+        return b.fail("table needs a 'prefix' list of ideal names", part)
+    prefix = [_KEY_READERS["ideal"](b, name, key, part) for name in value]
+    return _BAD if _failed(prefix) else prefix
+
+
+def _patterns(b, value, key, part):
+    """{residue: expression}; `families.periodic` checks the residues are 0..period-1."""
+    if not isinstance(value, dict):
+        return b.fail("periodic needs a 'patterns' object", part)
+    pairs = [(_parse_int(residue, f"{b.where(part)}: patterns residue", b.errors),
+              b.expr(node, key, f"{part} residue {residue}")) for residue, node in value.items()]
+    if _failed(item for pair in pairs for item in pair):
+        return _BAD
+    patterns = dict(pairs)
+    return patterns if len(patterns) == len(pairs) else b.fail("patterns give a residue twice", part)
+
+
+def _terms(b, value, key, part):
+    if not isinstance(value, list) or not value:
+        return b.fail(f"{key!r} must be a nonempty list of expressions", part)
+    terms = [b.expr(node, key, part) for node in value]
+    return _BAD if _failed(terms) else tuple(terms)
+
+
+def _name_of(reader):
+    """A reader that checks a name as `reader` does and gives the name."""
+    return lambda b, value, key, part: _BAD if reader(b, value, key, part) is _BAD else value
+
+
+# one reader per descriptor key, (builder, value, key, part) -> argument or _BAD
+_KEY_READERS = {
+    "ideal": lambda b, value, key, part: _named(value, b.ideals, "ideal", f"{b.where(part)}: {key!r}", b.errors),
+    "family": lambda b, value, key, part: _BAD if _named(
+        value, b.nodes, "family", f"{b.where(part)}: {key!r}", b.errors) is _BAD else b.build(value),
+    **dict.fromkeys(("alpha", "ratio"), _fraction),
+    **dict.fromkeys(("period", "step"), _positive),
+    "exponent": _FamilyBuilder.rule,
+    **dict.fromkeys(("expr", "power"), _FamilyBuilder.expr),
+    "tail": lambda b, value, key, part: None if value is None else b.expr(value, key, " tail"),
+    **dict.fromkeys(("product", "sum"), _terms),
+    "prefix": _prefix,
+    "patterns": _patterns,
+    None: lambda b, value, key, part: _parse_int(value, f"{b.where(part)}: {key}", b.errors),  # any other key
+}
+# an expression node holds the name of the ideal or family it reads
+_NODE_READERS = {**_KEY_READERS, **{key: _name_of(_KEY_READERS[key]) for key in ("ideal", "family")}}
+
+# Every family kind, exponent rule and expression node: the descriptor keys
+# it reads, in the parameter order of the library constructor it calls.
 FAMILY_KINDS = {
-    "powers": lambda b, node: b.make(fam.powers, b.ideal(node.get("ideal"))),
-    "symbolic": lambda b, node: b.make(fam.symbolic, b.ideal(node.get("ideal"))),
-    "ceiling": lambda b, node: b.make(fam.ceiling, b.ideal(node.get("ideal")), b.alpha(node)),
-    "power_pattern": lambda b, node: b.make(fam.power_pattern, b.ideal(node.get("ideal")),
-                                            b.index_function(node.get("exponent"))),
-    "closure_powers": lambda b, node: b.make(fam.closure_powers, b.ideal(node.get("ideal"))),
-    "closure": lambda b, node: b.make(fam.closure_of, b.family(node.get("family"))),
-    "veronese": lambda b, node: b.make(fam.veronese, b.family(node.get("family")),
-                                       b.count(node, "step")),
-    "periodic": lambda b, node: b.make(fam.periodic, b.nvars, *b.patterns(node), b.env),
-    "table": lambda b, node: b.make(
-        fam.table, b.nvars, b.prefix(node),
-        None if node.get("tail") is None else b.expr(node["tail"], " tail"), b.env),
-    "expression": lambda b, node: b.make(fam.expression, b.nvars, b.expr(node.get("expr")),
-                                         b.env),
+    "powers": Maker("ideal", fam.powers),
+    "symbolic": Maker("ideal", fam.symbolic),
+    "ceiling": Maker("ideal alpha", fam.ceiling),
+    "power_pattern": Maker("ideal exponent", fam.power_pattern),
+    "closure_powers": Maker("ideal", fam.closure_powers),
+    "closure": Maker("family", fam.closure_of),
+    "veronese": Maker("family step", fam.veronese),
+    "periodic": Maker("period patterns", fam.periodic, scoped=True),
+    "table": Maker("prefix tail=", fam.table, scoped=True),
+    "expression": Maker("expr", fam.expression, scoped=True),
+}
+EXPONENT_RULES = {
+    "affine": Maker("a=1 b=0", fam.affine),
+    "ceil_mul": Maker("ratio offset=0", fam.ceil_mul),
+    "ceil_sqrt": Maker("", fam.ceil_sqrt),
+    "ceil_log2p1": Maker("", fam.ceil_log2p1),
+}
+EXPRESSION_NODES = {
+    "ideal": Maker("ideal", fam.Base),
+    "family": Maker("family shift=0", fam.Ref),
+    "product": Maker("product", fam.Product),
+    "sum": Maker("sum", fam.Sum),
+    "power": Maker("power exponent=", fam.Power),
 }
 
 
@@ -398,41 +456,19 @@ def exit_status(report: dict) -> int:
     return 1 if any(t["status"] == "error" for t in report["tasks"]) else 0
 
 
-_ABSENT = {"assert": ()}  # what an empty fallback gives (else None)
-
-
 class Op(NamedTuple):
-    reads: str  # the task keys of each argument of `run`, one word each (see _arguments)
+    reads: str  # the task keys of each argument of `run`, one word each (see _read_keys)
     run: Callable  # (*arguments) -> result
     asserts: tuple = ()  # the "assert" names the op reads
+    also_read = ("assert",)  # its reader names each assertion the op does not read
 
 
 def _arguments(config, task, where, errors) -> list:
-    """The arguments of the task's op, one per word `key=...=last` of its
-    `reads`: the first of these task keys that the task has, else the config
-    default `last` names (as the config holds it now, after any command-line
-    override), else the integer `last`, else `_ABSENT` for an empty `last`;
-    otherwise the task needs `key`.  A task key the op does not read is a
-    problem, and an 'assert' names each assertion the op does not read."""
+    """The arguments that the task gives its op (see _read_keys), a config
+    default as the config holds it now, after any command-line override."""
     op = task["op"]
-    chains = [word.split("=") for word in OPS[op].reads.split()]
-    declared = {name for chain in chains for name in chain if name.isidentifier()}
-    read = {}
-    for key, value in task.items():
-        if key in declared or key == "assert":
-            read[key] = _READERS.get(key, _READERS[None])(value, f"{where}: {key!r}", errors, config, op)
-        elif key != "op":
-            errors.append(f"{where}: op {op!r} does not read {key!r}")
-    arguments = []
-    for chain in chains:
-        given, last = [read[key] for key in chain if key in read], chain[-1]
-        if given or last in config.defaults:
-            arguments.append(given[0] if given else config.defaults[last])
-        elif last.isdigit() or not last:
-            arguments.append(int(last) if last else _ABSENT.get(chain[0]))
-        else:
-            errors.append(f"{where}: op {op!r} needs {chain[0]!r}")
-    return arguments
+    return _read_keys(OPS[op], task, f"{where}: op {op!r}", "op", errors, lambda key, value: _READERS.get(
+        key, _READERS[None])(value, f"{where}: {key!r}", errors, config, op), config.defaults)
 
 
 def _table(func, *arguments):

@@ -80,9 +80,12 @@ def test_readme_quick_start_shows_its_commented_values():
 
 
 def test_readme_lists_the_keys_each_op_reads():
+    # one list per table, in this order, each a paragraph of its own
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    listed = re.findall(r"^- `(\w+)`: `([^`]*)`$", text, re.M)
-    assert listed == [(name, op.reads) for name, op in jobs.OPS.items()]
+    lists = [re.findall(r"^- `(\w+)`: (?:`([^`]*)`|\(no keys\))$", block, re.M) for block in text.split("\n\n")]
+    tables = (jobs.FAMILY_KINDS, jobs.EXPONENT_RULES, jobs.EXPRESSION_NODES, jobs.OPS)
+    assert [found for found in lists if found] == [
+        [(name, entry.reads) for name, entry in table.items()] for table in tables]
 
 
 @pytest.mark.parametrize("source", ["README.md", "jobs/triangle.json", "jobs/periodic.json"])

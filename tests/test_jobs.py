@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from resurgence import ConfigError, jobs
 from resurgence.cli import main
@@ -417,6 +418,48 @@ class TestConfigErrors:
     def test_keys_the_op_does_not_read_are_config_errors(self, task, key):
         assert _problems(tasks=[task]) == [f"task 0: op {task['op']!r} does not read {key!r}"]
 
+    # each of these used to be dropped without a word: the first built m^n
+    # where m^(3n) was meant, the second ignored the shift, the third built m^n
+    @pytest.mark.parametrize("families, problem", [
+        ({"a": {"kind": "powers", "ideal": "m", "exponent": {"fn": "affine", "a": 3}}},
+         "family 'a': family kind 'powers' does not read 'exponent'"),
+        ({"a": {"kind": "powers", "ideal": "m"}, "v": {"kind": "veronese", "family": "a", "step": 2, "shift": 3}},
+         "family 'v': family kind 'veronese' does not read 'shift'"),
+        ({"a": {"kind": "expression", "expr": {"power": {"ideal": "m"}, "exponnet": {"fn": "affine", "a": 3}}}},
+         "family 'a': expression node 'power' does not read 'exponnet'"),
+        ({"a": {"kind": "power_pattern", "ideal": "m", "exponent": {"fn": "affine", "a": 2, "c": 1}}},
+         "family 'a': exponent rule 'affine' does not read 'c'"),
+        ({"a": {"kind": "powers", "ideal": "m"}, "e": {"kind": "expression", "expr": {"ideal": "m", "family": "a"}}},
+         "family 'e': expression node 'ideal' does not read 'family'"),
+        ({"a": {"kind": "powers", "ideal": "m"},
+          "t": {"kind": "table", "prefix": ["m"], "tail": {"family": "a", "shift": -1, "exponent": {"fn": "ceil_sqrt"}}}},
+         "family 't' tail: expression node 'family' does not read 'exponent'"),
+    ])
+    def test_keys_the_descriptor_does_not_read_are_config_errors(self, families, problem):
+        assert _problems(families=families) == [problem]
+
+    def test_a_misspelt_descriptor_key_exits_two(self, tmp_path, capsys):
+        node = {"kind": "expression", "expr": {"power": {"ideal": "m"}, "exponnet": {"fn": "affine", "a": 3}}}
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps(dict(BASE_JOB, families={"a": node})))
+        assert main(["--config", str(config_path)]) == 2
+        assert "config error: family 'a': expression node 'power' does not read 'exponnet'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("period, patterns", [
+        (100_000, {}),  # one problem, where each missing residue used to be one
+        (2, {"0": {"ideal": "m"}, "1": {"ideal": "m"}, "2": {"ideal": "m"}}),  # "2" used to be ignored
+        (2, {"0": {"ideal": "m"}, "-1": {"ideal": "m"}}),
+    ])
+    def test_periodic_patterns_are_exactly_the_residues(self, period, patterns):
+        node = {"kind": "periodic", "period": period, "patterns": patterns}
+        assert _problems(families={"p": node}) == [
+            "family 'p': periodic family needs one pattern per residue class 0..period-1"]
+
+    def test_periodic_patterns_give_each_residue_once(self):
+        patterns = {"0": {"ideal": "m"}, "00": {"ideal": "m"}, "1": {"ideal": "m"}}
+        node = {"kind": "periodic", "period": 2, "patterns": patterns}
+        assert _problems(families={"p": node}) == ["family 'p': patterns give a residue twice"]
+
     @pytest.mark.parametrize("op", ["beta_v_table", "lambda_v_table"])
     def test_a_v_table_needs_its_upper_bound(self, op):
         task = {"op": op, "a": "a", "b": "a", "weights": [1, 2], "n_from": 2}
@@ -585,3 +628,67 @@ class TestConfigErrors:
         config_path.write_text(json.dumps(job))
         assert main(["--config", str(config_path)]) == 2
         assert "config error: family 'c': ceiling families need alpha > 0" in capsys.readouterr().err
+
+
+# Random family descriptors: known and unknown kinds, rule names and node
+# tags, the keys some entry reads plus misspelt ones, and values of every JSON
+# type where a key's value belongs.  Most objects are well formed, so that
+# whole configs also build.
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=True, allow_infinity=True)
+            | st.text(max_size=4) | st.sampled_from(["m", "a", "b", "3/2", "1/0", "-1", "2.0"]))
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
+_NAMES = st.sampled_from(["m", "a", "b", "c", "nope"])
+_KEYS = sorted({word.split("=")[0] for table in (jobs.FAMILY_KINDS, jobs.EXPONENT_RULES, jobs.EXPRESSION_NODES)
+                for maker in table.values() for word in maker.reads.split()} | {"kind", "fn", "exponnet", "c", ""})
+
+
+def _mostly(strategy, otherwise=_JSON):
+    """`strategy` four times in five, else `otherwise`."""
+    return st.integers(0, 4).flatmap(lambda draw: strategy if draw else otherwise)
+
+
+def _objects(table, tag, values):
+    """Objects naming an entry of `table` (or an unknown one) by their `tag`
+    key, mostly with every key the entry needs, some keys with a fallback and
+    now and then any other key."""
+    def entry(name):
+        words = table[name].reads.split() if name in table else []
+        needed = {word: values[word] for word in words if "=" not in word}
+        named = {tag: st.just(name)} if tag else {}
+        optional = {word.split("=")[0]: values[word.split("=")[0]] for word in words if "=" in word}
+        return _mostly(st.fixed_dictionaries({**named, **needed}, optional=optional),
+                       st.fixed_dictionaries(named, optional={**needed, **optional}))
+    extra = _mostly(st.just({}), st.dictionaries(st.sampled_from(_KEYS), _JSON, max_size=2))
+    return _mostly(st.one_of(*(st.builds(lambda obj, more: {**more, **obj}, entry(name), extra)
+                               for name in [*table, "unknown"])))
+
+
+_VALUES = {
+    "ideal": _mostly(st.just("m"), _NAMES), "family": _mostly(st.sampled_from(["a", "b", "c"]), _NAMES),
+    "alpha": _mostly(st.sampled_from(["3/2", "1", 2])), "ratio": _mostly(st.sampled_from(["1/2", "3", 2])),
+    "a": _mostly(st.integers(0, 3)), "b": _mostly(st.integers(0, 3)), "offset": _mostly(st.integers(-1, 2)),
+    "shift": _mostly(st.integers(-2, 2)), "step": _mostly(st.integers(0, 3)), "period": _mostly(st.integers(0, 3)),
+    "prefix": _mostly(st.lists(_NAMES, max_size=3)),
+}
+_VALUES["exponent"] = _objects(jobs.EXPONENT_RULES, "fn", _VALUES)
+_EXPRESSIONS = st.deferred(lambda: _objects(jobs.EXPRESSION_NODES, None, _VALUES))
+_VALUES.update({
+    "expr": _EXPRESSIONS, "tail": _EXPRESSIONS, "power": _EXPRESSIONS,
+    **dict.fromkeys(("product", "sum"), _mostly(st.lists(_EXPRESSIONS, min_size=1, max_size=2))),
+    "patterns": _mostly(st.dictionaries(st.sampled_from(["0", "1", "2", "00", "-1", "x"]), _EXPRESSIONS, max_size=3)),
+})
+_DESCRIPTORS = _objects(jobs.FAMILY_KINDS, "kind", _VALUES)
+
+
+@seed(2023)
+@settings(max_examples=600, deadline=None, database=None)
+@given(families=st.dictionaries(st.sampled_from(["a", "b", "c"]), _DESCRIPTORS, max_size=3))
+def test_any_family_descriptors_parse_or_raise_a_config_error(families):
+    # parsing only: a descriptor must build or be a ConfigError, never a traceback
+    try:
+        config = parse_config(json.dumps(dict(BASE_JOB, families=families)))
+    except ConfigError as exc:
+        assert exc.problems
+    else:
+        assert set(config.families) == set(families)
