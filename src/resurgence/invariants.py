@@ -664,6 +664,8 @@ def _disprove_or_fail_hypothesis_i(b, horizon):
     b1 = b.member(1)
     if not b1.is_proper():
         raise HypothesisError("b_1 is not a proper nonzero ideal")
+    if horizon < 1:  # the window prefix below would hold no member
+        raise DomainError(f"hypothesis (i) needs a window horizon >= 1, not {horizon}")
     for weights, val in rees_valuations(b1).valuations:
         v = MonomialValuation(weights)
         upper = min(Fraction(v.of_ideal(b.member(n)), n) for n in range(1, horizon + 1))

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
+from collections import Counter
 from dataclasses import dataclass, field, is_dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -25,7 +27,7 @@ from typing import Callable, NamedTuple, Optional
 from . import __version__, closures, families as fam, invariants as inv, valuations as val
 from .errors import ConfigError, ResurgenceError
 from .monomials import MonomialIdeal
-from .rationals import ExtendedRational, parse_fraction
+from .rationals import ExtendedRational
 
 BUILTIN_DEFAULTS = {"window": 20, "cutoff": 200, "kmax": 6, "horizon": 8}
 
@@ -243,9 +245,18 @@ class _FamilyBuilder:
         return _BAD if len(self.errors) > before or _failed(arguments) else arguments
 
 
+# a rational: p, p/q or a plain decimal, signed and padded as `Fraction` reads
+# them.  Not exponent notation, whose expansion costs time and memory that grow
+# with the exponent's value, not with the text's length; nor 1_0 or inf.
+_RATIONAL = re.compile(r"\s*[-+]?([0-9]+(/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)\s*")
+
+
 def _fraction(b, value, key, part):
+    text = str(value)
+    if not _RATIONAL.fullmatch(text):
+        return b.fail(f"bad {key}: {text!r} is not p, p/q or a plain decimal", part)
     try:
-        return parse_fraction(str(value))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         return b.fail(f"bad {key}: {exc}", part)
 
@@ -338,8 +349,16 @@ EXPRESSION_NODES = {
 def parse_config(text: str) -> JobConfig:
     """Parse and validate a job config, collecting every schema error."""
     errors: list[str] = []
+
+    def unique_keys(pairs):  # plain json.loads would keep the last of two equal keys
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            errors.extend(f"key {key!r} is given more than once in one object"
+                          for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        return obj
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"])
     if not isinstance(raw, dict):

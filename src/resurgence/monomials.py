@@ -25,14 +25,14 @@ decreases (Miller & Sturmfels, Combinatorial Commutative Algebra, ch. 1-3).
 View rules.  Every view's rows W are >= 0, so a set G of monomials lies in
 its region iff min over g in G of <w_r, g> >= m_r for every row r, and iff
 the vertices of the Newton polyhedron conv(G) + R^n_{>=0} do (the region is
-convex and closed upwards).  In two variables those vertices are the
-staircase's corners (`polyhedra.staircase_corners`), cached on the ideal and
-tested first.  In any other number of variables the row minima decide,
-cached on the left ideal per weight tuple and read by `weighted_min`
-without materializing a view (a symbolic one by the bounded walk
-`lightest_lattice_point`); an explicit m^d on the right is asked through its
-degree view.  Only when a rule fails is the left side scanned for the
-lex-first witness.
+convex and closed upwards).  `is_subset_of` owns both rules.  In two
+variables those vertices are the staircase's corners
+(`polyhedra.staircase_corners`), cached on the ideal.  In any other number
+of variables the row minima decide, each from `weighted_min`, which caches
+it on the left ideal per weight tuple without materializing a view (a
+symbolic one by the bounded walk `lightest_lattice_point`); an explicit m^d
+on the right is asked through its degree view.  `witness_not_in` scans the
+left side for the lex-first witness only when the rule fails.
 """
 
 from __future__ import annotations
@@ -227,26 +227,34 @@ class MonomialIdeal:
 
     def weighted_min(self, weights: Sequence[int]) -> Tuple[int, Monomial]:
         """(min <w, g>, lex-first minimizing g) over the minimal generators g of
-        a nonzero ideal, for a nonnegative weight vector w.
+        a nonzero ideal, for a nonnegative weight vector w of length nvars.
 
         A closure view of base^n gives n times the base's pair, m^d gives
         d * min(w) at d on the last of the lightest variables (the lex-first
         monomial of degree d among the minimizers), and an unread symbolic
-        view the bounded walk `lightest_lattice_point`, cached; none materializes.
+        view the bounded walk `lightest_lattice_point`; none materializes.
+        Every answer is cached per weight tuple.
         """
+        weights = tuple(weights)
+        if len(weights) != self.nvars:
+            raise DimensionError("ideal and valuation dimensions differ")
         if self.is_zero():
-            raise DomainError("the zero ideal has no weighted minimum")
-        view = self.view
-        if view is not None and view.kind == "closure":
-            value, arg = view.base.weighted_min(weights)
-            return view.scale * value, tuple(view.scale * e for e in arg)
-        if view is not None and view.kind == "degree":
-            d, low = view.rhs[0], min(weights)
-            last = max(k for k, w in enumerate(weights) if w == low)
-            return d * low, tuple(d if k == last else 0 for k in range(self.nvars))
-        if self._gens is None:  # the key `is_subset_of` caches under
-            return self.cached(("weighted_min", tuple(weights)), lambda: lightest_lattice_point(*view[:3], weights))
-        return min((sum(map(_times, weights, g)), g) for g in self.generators)
+            raise DomainError("the zero ideal has no valuation value")
+
+        def compute():
+            view = self.view
+            if view is not None and view.kind == "closure":
+                value, arg = view.base.weighted_min(weights)
+                return view.scale * value, tuple(view.scale * e for e in arg)
+            if view is not None and view.kind == "degree":
+                d, low = view.rhs[0], min(weights)
+                last = max(k for k, w in enumerate(weights) if w == low)
+                return d * low, tuple(d if k == last else 0 for k in range(self.nvars))
+            if self._gens is None:
+                return lightest_lattice_point(*view[:3], weights)
+            return min((sum(map(_times, weights, g)), g) for g in self._gens)
+
+        return self.cached(("weighted_min", weights), compute)
 
     # -- membership ----------------------------------------------------------
 
@@ -258,7 +266,7 @@ class MonomialIdeal:
         gens = self._gens
         if self.nvars == 2:
             return _staircase_witness((m,), gens) is None
-        d = self.cached("complete_degree", self._complete_degree)
+        d = self._complete_degree()
         if d is not None:
             return degree(m) >= d
         return any(divides(g, m) for g in gens)
@@ -266,16 +274,19 @@ class MonomialIdeal:
     def _complete_degree(self) -> Optional[int]:
         """d when the ideal is generated by ALL monomials of total degree d (the
         d-th power of the maximal ideal), so that membership is a degree test;
-        None otherwise.  Built once per ideal through `cached`."""
-        if self.view is not None:
-            return self.view.rhs[0] if self.view.kind == "degree" else None
-        gens = self._gens
-        if not gens:
+        None otherwise.  Computed once per ideal and cached."""
+        def compute():
+            if self.view is not None:
+                return self.view.rhs[0] if self.view.kind == "degree" else None
+            gens = self._gens
+            if not gens:
+                return None
+            d = degree(gens[0])
+            if len(gens) == comb(d + self.nvars - 1, self.nvars - 1) and all(degree(g) == d for g in gens):
+                return d
             return None
-        d = degree(gens[0])
-        if len(gens) == comb(d + self.nvars - 1, self.nvars - 1) and all(degree(g) == d for g in gens):
-            return d
-        return None
+
+        return self.cached("complete_degree", compute)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -307,7 +318,7 @@ class MonomialIdeal:
             return MonomialIdeal.unit(self.nvars)
         if n == 1 or self.is_zero() or self.is_unit():
             return self
-        d = self.cached("complete_degree", self._complete_degree)
+        d = self._complete_degree()
         if d is not None:
             # (m^d)^n = m^(dn), a degree view in three or more variables
             return complete_power_ideal(self.nvars, d * n)
@@ -332,39 +343,36 @@ class MonomialIdeal:
     def is_subset_of(self, other: "MonomialIdeal") -> bool:
         """Containment self <= other: every minimal generator is a member.
 
-        A view on the right outside two variables is decided by the cached
-        row minima (module docstring), and so is an explicit m^d (d >= 1),
-        through the degree view; every other pair asks `witness_not_in`.
+        A view on the right is decided by its rule (module docstring): the
+        corners of self through the view's public `contains` in two
+        variables, the row minima otherwise, as is an explicit m^d (d >= 1)
+        through its degree view.  Every other pair asks `witness_not_in`.
         """
         self._require_same_ring(other)
         view = other.view
-        if view is None and self.nvars > 2 and (d := other.cached("complete_degree", other._complete_degree)):
+        if view is None and self.nvars > 2 and (d := other._complete_degree()):
             view = complete_power_ideal(self.nvars, d).view  # d = 0, the unit ideal, is left to the scan
-        if view is None or self.nvars == 2:
+        if view is None:
             return self.witness_not_in(other) is None
-        return self.is_zero() or all(self.cached(("weighted_min", w), lambda: self.weighted_min(w))[0] >= m
-                                     for w, m in zip(view.rows, view.rhs))
+        if self.nvars == 2:
+            return all(map(other.contains, self.corners()))
+        return self.is_zero() or all(self.weighted_min(w)[0] >= m for w, m in zip(view.rows, view.rhs))
 
     def witness_not_in(self, other: "MonomialIdeal") -> Optional[Monomial]:
         """The lex-first minimal generator of self outside other, or None if
         self <= other.
 
-        A view on the right is first asked by its rule (module docstring):
-        the corners of self through the view's public `contains` in two
-        variables, `is_subset_of` otherwise; only if it fails are all generators
-        scanned, by the trusted row test `view.contains`.  An explicit right
-        side is trusted: in two variables one merge walks both staircases, in
-        more each generator goes through `_contains_explicit`.
+        A view on the right is first asked `is_subset_of`; only if its rule
+        fails are all generators scanned, by the trusted row test
+        `view.contains`.  An explicit right side is trusted: in two variables
+        one merge walks both staircases, in more each generator goes through
+        `_contains_explicit`.
         """
         self._require_same_ring(other)
         if other.view is None:
             if self.nvars == 2:
                 return _staircase_witness(self.generators, other._gens)
             has = other._contains_explicit
-        elif self.nvars == 2:
-            if all(map(other.contains, self.corners())):
-                return None
-            has = other.view.contains
         elif self.is_subset_of(other):
             return None
         else:

@@ -20,11 +20,6 @@ def ceil_frac(q: Fraction | int) -> int:
     return -((-q.numerator) // q.denominator)
 
 
-def parse_fraction(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' with arbitrary-precision integers."""
-    return Fraction(text.strip())
-
-
 def format_fraction(q: Fraction) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"

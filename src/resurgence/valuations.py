@@ -45,22 +45,10 @@ class MonomialValuation:
         return sum(w * e for w, e in zip(self.weights, m))
 
     def of_ideal(self, ideal: MonomialIdeal) -> int:
-        """min over minimal generators (valid since the weights are >= 0)."""
-        value, _ = self.of_ideal_with_argmin(ideal)
-        return value
-
-    def of_ideal_with_argmin(self, ideal: MonomialIdeal) -> Tuple[int, Monomial]:
-        """(v(ideal), the lex-first minimal generator attaining it).
-
-        `MonomialIdeal.weighted_min` scans the minimal generators; a closure
-        view and m^d are read off in closed form, and a symbolic view by a
-        bounded walk of its region, none materialized.
-        """
-        if ideal.nvars != len(self.weights):
-            raise DimensionError("ideal and valuation dimensions differ")
-        if ideal.is_zero():
-            raise DomainError("the zero ideal has no valuation value")
-        return ideal.weighted_min(self.weights)
+        """min over minimal generators (valid since the weights are >= 0),
+        read from `MonomialIdeal.weighted_min`, which also gives the lex-first
+        generator attaining it."""
+        return ideal.weighted_min(self.weights)[0]
 
 
 def degree_valuation(nvars: int) -> MonomialValuation:

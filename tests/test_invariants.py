@@ -11,6 +11,7 @@ from resurgence import (
     NEG_INFINITY,
     POS_INFINITY,
     CapabilityError,
+    DimensionError,
     DomainError,
     HypothesisError,
     MonomialIdeal,
@@ -39,11 +40,13 @@ from resurgence import (
     rho_n,
     rho_window,
     rees_valuations,
+    skew_waldschmidt,
     symbolic,
     table,
     veronese_scaling_check,
 )
 import resurgence.families as fam
+from resurgence.closures import minimal_covers
 from resurgence.jobs import parse_config
 from resurgence.invariants import LinearlyFinerResult, SequenceValue, _first_index, _lambda_search
 from resurgence.rationals import ceil_frac
@@ -254,6 +257,16 @@ class TestValuationSequences:
             for a in (powers(I), symbolic(E), closure_powers(I), ceiling(I, alpha)):
                 for s in range(1, 4):
                     assert beta(a, b, s, 64) == beta_v(degree_valuation(n), a, b, s, 64)
+
+    def test_a_valuation_of_another_dimension_is_refused(self):
+        # the closed-form value rule of powers(m) reads `weighted_min`, which
+        # checks the length as the general path `MonomialValuation.of_ideal` does
+        a = powers(maximal(2))
+        v = MonomialValuation((1,))
+        with pytest.raises(DimensionError, match="dimensions differ"):
+            beta_v(v, a, a, 1, 10)
+        with pytest.raises(DimensionError, match="dimensions differ"):
+            lambda_v(v, a, a, 1, 10)
 
     def test_beta_v_subadditive(self):
         # beta^v against powers of a fixed ideal is sub-additive
@@ -570,6 +583,15 @@ class TestRhoExact:
         # a structural report checks no window and stays as it was
         assert fam.validate_graded(powers(I), 0).certificate == "structural"
 
+    def test_hypothesis_i_window_needs_an_index(self):
+        # b = symbolic(m) is not base-equivalent, so hypothesis (i) is probed
+        # on the window 1..horizon, which is empty at horizon 0
+        m = maximal(2)
+        with pytest.raises(DomainError, match="horizon >= 1, not 0"):
+            rho_exact_certified(powers(m), symbolic(m), horizon=0)
+        with pytest.raises(HypothesisError, match="cannot certify"):
+            rho_exact_certified(powers(m), symbolic(m), horizon=1)
+
     def test_value_at_rho_hat_without_strict_witness(self):
         # a = powers(m), b = powers((x^2, y^3)): every escape has s/r <= 3 and
         # the ratio 3 is attained, but no pair exceeds rho_hat = 3
@@ -646,6 +668,38 @@ class TestLinearlyFiner:
         I = maximal(2)
         res = linearly_finer_check(powers(I), constant(I), 10)
         assert res.finer and res.f == (1, 0)
+
+
+class TestPublishedInequalities:
+    """Relations between routes that share no theorem, for a squarefree I with
+    big height h, a = symbolic(I) and b = powers(I) (ROADMAP item 11):
+      * 1 <= rho_hat <= rho;
+      * every window value is at most rho, and at most h, since I^(hr) lies
+        in I^r (Ein, Lazarsfeld & Smith 2001; Hochster & Huneke 2002);
+      * alpha(I)/alpha_hat(I) <= rho_hat (Bocci & Harbourne 2010 for rho;
+        Guardo, Harbourne & Van Tuyl, Adv. Math. 246 (2013), for rho_hat).
+    Every rho asks `is_subset_of` and every value `weighted_min`; alpha_hat
+    comes from the cover LP."""
+
+    def test_random_graphs_and_hypergraphs(self):
+        rng = random.Random(2001)
+        for k in range(30):
+            nvars = rng.randint(3, 5)
+            size = 2 if k % 2 == 0 else 3  # graphs, then 3-uniform hypergraphs
+            edges = {tuple(rng.sample(range(nvars), size)) for _ in range(rng.randint(1, 2 * nvars))}
+            I = ideal(nvars, *([int(i in e) for i in range(nvars)] for e in edges))
+            a, b, v = symbolic(I), powers(I), degree_valuation(nvars)
+            h = max(map(sum, minimal_covers(I)))
+            rho_hat = rho_hat_rees(a, b, horizon=3).value
+            exact = rho_exact_certified(a, b, search_budget=24, horizon=3)
+            windows = [rho_window(a, b, n, n).value for n in (3, 6)]
+            assert finite(1) <= rho_hat, edges
+            assert all(value <= finite(h) for value in windows), (edges, windows)
+            if exact.certified:
+                assert rho_hat <= exact.value, edges
+                assert all(value <= exact.value for value in windows), (edges, windows)
+            alpha_hat = skew_waldschmidt(v, a).value
+            assert finite(Fraction(v.of_ideal(I)) / alpha_hat) <= rho_hat, edges
 
 
 class TestStructuralInvariants:

@@ -1,6 +1,7 @@
 """Config parsing, job execution, report emission, CLI round trips."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -629,6 +630,33 @@ class TestConfigErrors:
         assert main(["--config", str(config_path)]) == 2
         assert "config error: family 'c': ceiling families need alpha > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["3/2", "1.5", 1.5, " 3/2 ", "2", 2])
+    def test_rationals_read_as_integers_fractions_or_plain_decimals(self, alpha):
+        config = parse_config(json.dumps(dict(BASE_JOB, families={
+            "c": {"kind": "ceiling", "ideal": "m", "alpha": alpha}})))
+        assert config.families["c"].power[1].slope == Fraction(str(alpha).strip())
+
+    @pytest.mark.parametrize("text", ["1e3000000", "1E3", "1_0", "inf", "nan", "0x10", "3/-2"])
+    def test_other_rational_syntax_is_a_config_error(self, text):
+        # Fraction reads exponent notation, and 1e3000000 alone took about a
+        # second to expand; the problem is reported before anything expands
+        problems = _problems(families={
+            "c": {"kind": "ceiling", "ideal": "m", "alpha": text},
+            "p": {"kind": "power_pattern", "ideal": "m", "exponent": {"fn": "ceil_mul", "ratio": text}}})
+        assert problems == [f"family 'c': bad alpha: {text!r} is not p, p/q or a plain decimal",
+                            f"family 'p': bad ratio: {text!r} is not p, p/q or a plain decimal"]
+
+    def test_a_key_given_twice_in_one_object_is_a_config_error(self):
+        # json.loads alone keeps the last one: this built the powers of n
+        text = json.dumps(dict(BASE_JOB, ideals={"m": [[1, 0], [0, 1]], "n": [[2, 0], [0, 2]]}))
+        text = text.replace('"kind": "powers", "ideal": "m"', '"kind": "powers", "ideal": "m", "ideal": "n"')
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.problems == ["key 'ideal' is given more than once in one object"]
+        with pytest.raises(ConfigError) as err:
+            parse_config('{"vars": 1, "tasks": [], "vars": 1, "vars": 2}')
+        assert err.value.problems == ["key 'vars' is given more than once in one object"]
+
 
 # Random family descriptors: known and unknown kinds, rule names and node
 # tags, the keys some entry reads plus misspelt ones, and values of every JSON
@@ -692,3 +720,66 @@ def test_any_family_descriptors_parse_or_raise_a_config_error(families):
         assert exc.problems
     else:
         assert set(config.families) == set(families)
+
+
+# Random tasks, one per op in each example: every word of the op's `reads`
+# under one of its keys, mostly given when the op needs it, with a value
+# mostly of the key's kind and now and then of another JSON type, on families
+# of several kinds over the zero, the unit and two proper ideals.  Numbers
+# stay small, so that no task asks for more work than the tiny defaults allow.
+# Each example draws one seeded `random.Random`, which builds its tasks far
+# faster than a strategy per key would.
+FUZZ_JOB = {
+    "vars": 2,
+    "ideals": {"m": [[1, 0], [0, 1]], "I": [[2, 0], [1, 1]], "zero": [], "unit": [[0, 0]]},
+    "families": {
+        "a": {"kind": "powers", "ideal": "m"},
+        "s": {"kind": "symbolic", "ideal": "m"},
+        "c": {"kind": "ceiling", "ideal": "I", "alpha": "3/2"},
+        "k": {"kind": "closure_powers", "ideal": "I"},
+        "z": {"kind": "powers", "ideal": "zero"},
+        "u": {"kind": "powers", "ideal": "unit"},
+        "v": {"kind": "veronese", "family": "a", "step": 2},
+        "t": {"kind": "table", "prefix": ["I"], "tail": {"power": {"ideal": "m"}, "exponent": {"fn": "affine", "a": 2}}},
+        "e": {"kind": "expression", "expr": {"sum": [{"family": "c"}, {"ideal": "zero"}]}},
+    },
+    "defaults": {"window": 3, "cutoff": 6, "kmax": 2, "horizon": 2},
+}
+_OTHER_JSON = [None, True, False, -2, 0, 2.5, float("inf"), float("nan"), "", "a", "3/2", [], [1, "m"], {"a": 1}]
+_TASK_VALUES = {
+    **dict.fromkeys(("a", "b", "family"), lambda rng: rng.choice([*FUZZ_JOB["families"], "nope"])),
+    "ideal": lambda rng: rng.choice([*FUZZ_JOB["ideals"], "nope"]),
+    "weights": lambda rng: [rng.randint(0, 3) for _ in range(rng.choice((2, 2, 2, 1, 3)))],
+    "grid": lambda rng: [rng.randint(-1, 6) for _ in range(rng.randint(0, 3))],
+    "assert": lambda rng: rng.sample(["closure_module_finite", "waldschmidt_equals_v_b1", "closure_gap:0",
+                                      "closure_gap:1"], rng.randint(0, 2)),
+    None: lambda rng: rng.randint(-1, 4),  # any other key is an integer
+}
+
+
+def _random_task(rng, op):
+    task = {"op": op}
+    for word in jobs.OPS[op].reads.split():
+        chain = word.split("=")
+        needed = len(chain) == 1 and word not in jobs.BUILTIN_DEFAULTS
+        if rng.random() < (0.9 if needed else 0.4):
+            key = rng.choice([key for key in chain if key.isidentifier()])
+            value = _TASK_VALUES.get(key, _TASK_VALUES[None])(rng)
+            task[key] = value if rng.random() < 0.85 else rng.choice(_OTHER_JSON)
+    return task
+
+
+@seed(2024)
+@settings(max_examples=200, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=True))
+def test_any_task_runs_or_raises_a_config_error(rng):
+    # parsed alone, each task is a ConfigError or runs to a report without an internal error
+    for op in jobs.OPS:
+        task = _random_task(rng, op)
+        try:
+            config = parse_config(json.dumps(dict(FUZZ_JOB, tasks=[task])))
+        except ConfigError as exc:
+            assert exc.problems
+            continue
+        (record,) = run(config)["tasks"]
+        assert not record.get("error", "").startswith("internal_error"), (task, record["error"])

@@ -10,6 +10,7 @@ import oracles
 
 from resurgence import (
     CapabilityError,
+    DimensionError,
     DomainError,
     HalfSpace,
     LinearProgram,
@@ -49,7 +50,7 @@ class TestValues:
 
     def test_argmin_recorded(self):
         I = ideal(2, (2, 0), (0, 3))
-        value, arg = MonomialValuation((1, 1)).of_ideal_with_argmin(I)
+        value, arg = I.weighted_min((1, 1))
         assert (value, arg) == (2, (2, 0))
 
     def test_weights_validation(self):
@@ -114,15 +115,15 @@ class TestWeightedMinimum:
             if not any(weights):
                 weights = (rng.randint(1, 4), 0)
             expected = full_scan(weights, I.generators)
-            assert MonomialValuation(weights).of_ideal_with_argmin(I) == expected
             assert I.weighted_min(weights) == expected
+            assert I.weighted_min(weights) == expected  # the cached answer
 
     def test_ties_give_the_left_end_of_the_edge(self):
         # (0,3), (1,2), (2,1), (3,0) all have degree 3; (0,3) is lex-first
         I = complete_power_ideal(2, 3)
-        assert MonomialValuation((1, 1)).of_ideal_with_argmin(I) == (3, (0, 3))
-        assert MonomialValuation((1, 0)).of_ideal_with_argmin(I) == (0, (0, 3))
-        assert MonomialValuation((0, 1)).of_ideal_with_argmin(I) == (0, (3, 0))
+        assert I.weighted_min((1, 1)) == (3, (0, 3))
+        assert I.weighted_min((1, 0)) == (0, (0, 3))
+        assert I.weighted_min((0, 1)) == (0, (3, 0))
 
     @pytest.mark.parametrize("nvars", [3, 4, 5])
     def test_degree_view_matches_materialized(self, nvars):
@@ -135,13 +136,13 @@ class TestWeightedMinimum:
                 if not any(weights):
                     weights = (1,) * nvars
                 expected = full_scan(weights, gens)
-                assert MonomialValuation(weights).of_ideal_with_argmin(view) == expected
+                assert view.weighted_min(weights) == expected
                 assert expected == full_scan(weights, view.generators)
 
     def test_degree_view_past_the_materialization_cap(self):
         # m^17 in 7 variables has more minimal generators than MATERIALIZE_CAP
         m17 = complete_power_ideal(7, 17)
-        value, arg = MonomialValuation((1, 2, 3, 1, 1, 1, 1)).of_ideal_with_argmin(m17)
+        value, arg = m17.weighted_min((1, 2, 3, 1, 1, 1, 1))
         assert (value, arg) == (17, (0, 0, 0, 0, 0, 0, 17))
         assert not m17.is_explicit
 
@@ -149,6 +150,19 @@ class TestWeightedMinimum:
     def test_zero_ideal_has_no_minimum(self, nvars):
         with pytest.raises(DomainError):
             MonomialIdeal.zero(nvars).weighted_min((1,) * nvars)
+
+    def test_weights_of_another_length_are_refused(self):
+        # every branch of `weighted_min` checks the length, so the closed-form
+        # value rules refuse it as `MonomialValuation.of_ideal` does
+        I = ideal(2, (2, 0), (0, 3))
+        for family in (powers(I), closure_powers(I)):
+            with pytest.raises(DimensionError, match="dimensions differ"):
+                family.value_rule((5, 1, 7))
+        for J, weights in ((I, (1,)), (complete_power_ideal(3, 2), (1, 1)), (symbolic_power(ideal(2, (1, 1)), 2), (1, 2, 3))):
+            with pytest.raises(DimensionError, match="dimensions differ"):
+                J.weighted_min(weights)
+            with pytest.raises(DimensionError, match="dimensions differ"):
+                MonomialValuation(weights).of_ideal(J)
 
     def test_value_rule_uses_the_same_minimum(self):
         rng = random.Random(73)
