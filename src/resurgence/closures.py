@@ -20,10 +20,10 @@ MAX_COVER_VARS = 12
 
 
 def newton_polyhedron(ideal: MonomialIdeal) -> RationalPolyhedron:
-    """conv(exponents) + positive orthant, cached on the ideal (written once)."""
+    """conv(exponents) + positive orthant, cached on the ideal; in the plane from the cached corners."""
     if ideal.is_zero():
         raise DomainError("the zero ideal has no Newton polyhedron")
-    return ideal.cached("newton", lambda: hull_with_recession(ideal.generators))
+    return ideal.cached("newton", lambda: hull_with_recession(ideal.corners() if ideal.nvars == 2 else ideal.generators))
 
 
 def _positive_facets(ideal: MonomialIdeal) -> Tuple[Tuple[Tuple[int, ...], int], ...]:

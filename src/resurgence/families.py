@@ -478,6 +478,8 @@ def find_standard_veronese(family: GradedFamily, kmax: int, horizon: int):
     a miss up to kmax is reported as a failure to find, never as evidence
     of non-Noetherianity.  A structural index k <= kmax is the only one tried.
     """
+    if kmax < 1:  # the search would try no index and report a miss
+        raise DomainError(f"a standard Veronese search needs kmax >= 1, not {kmax}")
     sk = family.veronese_k
     for k in (sk,) if sk is not None and sk <= kmax else range(1, kmax + 1):
         report = is_standard_veronese(family, k, horizon)

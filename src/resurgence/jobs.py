@@ -61,10 +61,11 @@ def _failed(values) -> bool:
 
 
 def _parse_int(value, where, errors):
-    """The int of an integer string or of an integral number (2.0), else _BAD
-    with the problem collected (2.7, Infinity, NaN, true, a list, ...)."""
+    """The int of a string of decimal digits (not "1_0") or of an integral number
+    (2.0), else _BAD with the problem collected (2.7, Infinity, NaN, true, a list, ...)."""
     try:
-        if isinstance(value, str) or (int(value) == value and not isinstance(value, bool)):
+        if (isinstance(value, str) and re.fullmatch(r"\s*[-+]?[0-9]+\s*", value)) or (
+                int(value) == value and not isinstance(value, bool)):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -16,11 +16,15 @@ Containment has two entry points: `is_subset_of` answers yes or no, and
 Stored generators are trusted, so no right side re-validates them.  In two
 variables a minimal generating set sorted lex is a staircase: x strictly
 increases while y strictly decreases.  Hence (gx, gy) lies in an explicit
-ideal iff the last of its generators with x <= gx has y <= gy, so one
-linear merge of two staircases (a single monomial being a staircase of one
-step) decides containment.  The same invariant makes two-variable
-minimization one sort plus a sweep that keeps each entry whose y strictly
-decreases (Miller & Sturmfels, Combinatorial Commutative Algebra, ch. 1-3).
+ideal iff the last of its generators with x <= gx has y <= gy, so one linear
+merge of two staircases (a single monomial being a staircase of one step)
+decides containment, and m^s lies in it iff s exceeds the top degree of the
+monomials outside it, max over steps j of x_(j+1) + y_j - 2 (-1 for the unit
+ideal, inf unless the staircase meets both axes).  The same invariant makes
+two-variable minimization one sort plus a sweep that keeps each entry whose y
+strictly decreases.  In any number of variables (g)J is the translate g + J,
+already minimal and sorted, and (g)^n = (ng) (Miller & Sturmfels,
+Combinatorial Commutative Algebra, ch. 1-3).
 
 View rules.  Every view's rows W are >= 0, so a set G of monomials lies in
 its region iff min over g in G of <w_r, g> >= m_r for every row r, and iff
@@ -37,7 +41,7 @@ left side for the lex-first witness only when the rule fails.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, inf
 from operator import lt, mul as _times
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
@@ -295,15 +299,16 @@ class MonomialIdeal:
             raise DimensionError(f"ambient rings differ: {self.nvars} vs {other.nvars} variables")
 
     def multiply(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        """The product; a factor with one generator g gives g + the other's gens."""
         self._require_same_ring(other)
         if self.is_zero() or other.is_zero():
             return MonomialIdeal.zero(self.nvars)
-        if self.is_unit():
-            return other if other.is_explicit else MonomialIdeal.from_generators(other.nvars, other.generators)
         if other.is_unit():
             return self
-        gens = [mul(a, b) for a in self.generators for b in other.generators]
-        return MonomialIdeal(self.nvars, minimize_monomials(gens))
+        few, many = sorted((self.generators, other.generators), key=len)
+        if len(few) == 1:
+            return MonomialIdeal(self.nvars, tuple(mul(few[0], h) for h in many))
+        return MonomialIdeal(self.nvars, minimize_monomials(mul(g, h) for g in few for h in many))
 
     def add(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Ideal sum (union of generator sets)."""
@@ -311,7 +316,8 @@ class MonomialIdeal:
         return MonomialIdeal(self.nvars, minimize_monomials(self.generators + other.generators))
 
     def power(self, n: int) -> "MonomialIdeal":
-        """I^n by repeated squaring, minimizing at every step (I^0 = unit)."""
+        """I^n (I^0 = unit): m^(dn) for I = m^d (a degree view in three or more
+        variables), (ng) for I = (g), else by repeated squaring, minimized."""
         if n < 0:
             raise DomainError("negative ideal power")
         if n == 0:
@@ -320,8 +326,9 @@ class MonomialIdeal:
             return self
         d = self._complete_degree()
         if d is not None:
-            # (m^d)^n = m^(dn), a degree view in three or more variables
             return complete_power_ideal(self.nvars, d * n)
+        if len(self.generators) == 1:
+            return MonomialIdeal(self.nvars, (tuple(n * e for e in self.generators[0]),))
         result = None
         base = self
         k = n
@@ -346,12 +353,17 @@ class MonomialIdeal:
         A view on the right is decided by its rule (module docstring): the
         corners of self through the view's public `contains` in two
         variables, the row minima otherwise, as is an explicit m^d (d >= 1)
-        through its degree view.  Every other pair asks `witness_not_in`.
+        through its degree view.  An explicit m^s <= J in two variables is the
+        top-degree test.  Every other pair asks `witness_not_in`.
         """
         self._require_same_ring(other)
         view = other.view
         if view is None and self.nvars > 2 and (d := other._complete_degree()):
             view = complete_power_ideal(self.nvars, d).view  # d = 0, the unit ideal, is left to the scan
+        if view is None and self.nvars == 2 and (s := self._complete_degree()) is not None:
+            g = other._gens  # m^s <= J iff s > J's top degree (module docstring), cached on J
+            return s > other.cached("top_degree", lambda: inf if not g or g[0][0] or g[-1][1] else max(
+                (x + y - 2 for (x, _), (_, y) in zip(g[1:], g)), default=-1))
         if view is None:
             return self.witness_not_in(other) is None
         if self.nvars == 2:

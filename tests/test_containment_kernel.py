@@ -10,7 +10,12 @@ scan over both sides' materialized generators, and `beta` into powers of the
 maximal ideal with a scan of RegionView.contains over the escaping member's
 generators.  The bounded walk that answers `weighted_min` on a symbolic view
 is compared with the minimum over `oracles.box_minimal_lattice_points`, and
-the row rule against an explicit m^d with `witness_not_in`.
+the row rule against an explicit m^d with `witness_not_in`.  The
+two-variable fast paths are compared with their oracles: m^d on the left of
+an explicit ideal (the top-degree rule) with the scan of all degree-d
+monomials, products and powers with a principal factor with the full product
+sets, and the plane Newton polygon built from the cached corners with the
+hull of all generators.
 """
 
 import random
@@ -32,6 +37,7 @@ from resurgence import (
     closure_powers,
     hull_with_recession,
     minimize_monomials,
+    newton_polyhedron,
     powers,
     symbolic,
 )
@@ -333,3 +339,77 @@ class TestMinimizeOracle:
         assert list(once) == sorted(once)
         assert minimize_monomials(once) == once
         assert minimize_monomials(reversed(gens)) == once
+
+
+@st.composite
+def m_primary_staircases(draw):
+    """2-variable ideals containing powers of both variables."""
+    gens = draw(raw_generators(2, top=6)) + [(draw(st.integers(0, 9)), 0), (0, draw(st.integers(0, 9)))]
+    return MonomialIdeal.from_generators(2, gens)
+
+
+@st.composite
+def principal_pairs(draw):
+    """(nvars, left, right) in 1-4 variables: half the left sides have one
+    generator, the others and every right side up to 4 and 6."""
+    nvars = draw(st.integers(1, 4))
+    mono = st.tuples(*[st.integers(0, 4)] * nvars)
+    left = draw(st.one_of(mono.map(lambda g: [g]), st.lists(mono, max_size=4)))
+    return nvars, left, draw(st.lists(mono, max_size=6))
+
+
+class TestTwoVariableFastPaths:
+    @seed(121)
+    @SEEDED
+    @given(st.integers(0, 14), st.one_of(staircases(), m_primary_staircases()))
+    def test_complete_power_left_matches_the_degree_scan(self, d, J):
+        expected = oracles.first_outside(oracles.complete_power_generators(2, d),
+                                         lambda m: oracles.in_monomial_set(m, J.generators))
+        assert complete_power_ideal(2, d).is_subset_of(J) == (expected is None)
+
+    def test_complete_power_left_on_the_edge_cases(self):
+        ideal = lambda *gens: MonomialIdeal.from_generators(2, gens)  # noqa: E731
+        cases = [  # (J, the d with m^d in J, the d without)
+            (MonomialIdeal.unit(2), range(0, 6), range(0)),
+            (MonomialIdeal.zero(2), range(0), range(0, 6)),
+            (ideal((2, 0), (1, 1)), range(0), range(0, 9)),  # y^d stays outside: not m-primary
+            (ideal((0, 3)), range(0), range(0, 9)),
+            (ideal((3, 0), (0, 2)), range(4, 9), range(0, 4)),  # x^2 y is the top standard monomial
+            (ideal((2, 0), (1, 1), (0, 2)), range(2, 9), range(0, 2)),  # m^2 itself
+        ]
+        for J, inside, outside in cases:
+            for d in inside:
+                assert complete_power_ideal(2, d).is_subset_of(J), (J, d)
+            for d in outside:
+                assert not complete_power_ideal(2, d).is_subset_of(J), (J, d)
+
+    @seed(122)
+    @SEEDED
+    @given(principal_pairs())
+    def test_products_with_a_principal_factor_match_the_product_set(self, case):
+        nvars, left, right = case
+        I = MonomialIdeal.from_generators(nvars, left)
+        J = MonomialIdeal.from_generators(nvars, right)
+        expected = tuple(oracles.minimal_set(oracles.product_set(left, right)))
+        assert I.multiply(J).generators == J.multiply(I).generators == expected
+
+    @seed(123)
+    @SEEDED
+    @given(principal_pairs().filter(lambda case: case[1]), st.integers(0, 4))
+    def test_powers_of_a_principal_ideal_match_the_power_set(self, case, n):
+        nvars, gens, _ = case
+        expected = tuple(oracles.minimal_set(oracles.power_set_of_ideal(gens, n)))
+        assert MonomialIdeal.from_generators(nvars, gens).power(n).generators == expected
+
+    def test_a_principal_factor_translates_a_view(self):
+        view = integral_closure(MonomialIdeal.from_generators(3, [(2, 1, 0), (0, 1, 3), (1, 0, 1)]), 2)
+        for g in [(0, 0, 0), (1, 0, 2)]:
+            expected = tuple(oracles.minimal_set(oracles.product_set([g], view.generators)))
+            principal = MonomialIdeal.from_generators(3, [g])
+            assert principal.multiply(view).generators == view.multiply(principal).generators == expected
+
+    @seed(124)
+    @SEEDED
+    @given(st.one_of(staircases().filter(lambda I: not I.is_zero()), m_primary_staircases(), plane_views()))
+    def test_plane_newton_polyhedron_matches_the_hull_of_all_generators(self, I):
+        assert newton_polyhedron(I) == hull_with_recession(I.generators)

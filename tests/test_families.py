@@ -219,6 +219,14 @@ class TestValidators:
         assert k is None and report.params == {"k": None, "kmax": 1}
         assert report.counterexample is None
 
+    @pytest.mark.parametrize("kmax", [0, -1])
+    def test_find_standard_veronese_needs_an_index_to_try(self, kmax):
+        # below 1 the search tried no index, not even a structural one, and reported a miss
+        m = ideal(2, (1, 0), (0, 1))
+        for family in (ceiling(m, Fraction(3, 2)), fam.power_pattern(m, fam.ceil_sqrt())):
+            with pytest.raises(DomainError, match=f"^a standard Veronese search needs kmax >= 1, not {kmax}$"):
+                find_standard_veronese(family, kmax, 6)
+
 
 class TestStructureFlags:
     def test_power_semantics(self):

@@ -181,6 +181,13 @@ class TestRun:
         assert task["status"] == "error"
         assert task["error"] == "DomainError: symbolic powers need a nonzero proper ideal"
 
+    def test_a_veronese_search_below_kmax_one_is_a_domain_error(self):
+        # the search tried no index and reported "no standard Veronese index k <= -1 found"
+        job = dict(BASE_JOB, families={"b": {"kind": "expression", "expr": {"power": {"ideal": "m"}}}},
+                   tasks=[{"op": "rho_hat_rees", "a": "b", "b": "b", "kmax": -1}])
+        (task,) = run(parse_config(json.dumps(job)))["tasks"]
+        assert task["error"] == "DomainError: a standard Veronese search needs kmax >= 1, not -1"
+
     def test_task_failure_recorded_not_fatal(self):
         job = dict(TRIANGLE_JOB)
         job["tasks"] = [
@@ -597,6 +604,13 @@ class TestConfigErrors:
         assert config.ideals["m"].generators == ((0, 1), (1, 0))
         assert config.families["a"].member(2) == config.ideals["m"].power(4)
         assert len(run(config)["tasks"][0]["result"]["table"]) == 2
+
+    @pytest.mark.parametrize("text", ["1_0", " 1_000 ", "\u0661\u0660", "0x10"])
+    def test_integer_strings_are_decimal_digits(self, text):
+        # int() alone reads "1_0" as 10 and Arabic-Indic digits as decimal ones,
+        # where the rational reader refuses both
+        problems = _problems(tasks=[{"op": "beta_table", "a": "a", "b": "a", "s_to": text}])
+        assert problems == [f"task 0: 's_to': expected an integer, got {text!r}"]
 
     def test_ceil_mul_needs_a_ratio(self):
         node = {"kind": "power_pattern", "ideal": "m", "exponent": {"fn": "ceil_mul"}}
