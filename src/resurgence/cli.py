@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError
-from .jobs import BUILTIN_DEFAULTS, emit, exit_status, parse_config, run
+from .jobs import BUILTIN_DEFAULTS, _parse_int, emit, exit_status, parse_config, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,14 +34,16 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        config = parse_config(text)
+        config, errors = parse_config(text), []
+        # precedence: flag > config > builtin default
+        config.defaults.update((key, _parse_int(value, f"--{key}", errors)) for key, value in vars(args).items()
+                               if key in BUILTIN_DEFAULTS and value is not None)
+        if errors:
+            raise ConfigError(errors)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
-    # precedence: flag > config > builtin default
-    config.defaults.update((key, value) for key, value in vars(args).items()
-                           if key in BUILTIN_DEFAULTS and value is not None)
     out_format = args.format or config.output_format
     report = run(config)
 

@@ -245,9 +245,9 @@ class ResurgenceReport:
 
     Every witness (s, r, m) is re-checkable: m is a member of a_s outside b_r.
     `hypotheses` holds the ValidationReports and structural facts the value
-    relies on; user-asserted hypotheses are echoed verbatim, and any value
-    downstream of an assertion is labeled certified-given-assertions in
-    `claims`.
+    relies on; an assertion it uses shows there as a "user-asserted: ..." line
+    (a closure gap as "closure gap k = <k> (user-asserted)"), and `claims`
+    then labels the value certified-given-assertions.
     """
 
     quantity: str
@@ -406,70 +406,71 @@ def rho_lim_estimate(a: fam.GradedFamily, b: fam.GradedFamily, n_grid: Sequence[
 ASSERTIONS = ("closure_module_finite", "waldschmidt_equals_v_b1", "closure_gap:<k>")
 
 
+def _base_equivalent(b, kmax, horizon, assertions):
+    """b structurally base-equivalent (powers, closures of powers): A is the
+    base and k = 1, and the value also equals rho(a, closure(b)) and
+    rho_hat(a, b)."""
+    beq = b.base_equivalence()
+    if beq is None:
+        return None
+    base, const = beq
+    return (base, 1, [f"structural: b is base-equivalent with shift {const.k} (bound {const.bound})"],
+            ["equals rho_hat(a, closure(b))", "equals rho(a, closure(b))", "equals rho_hat(a, b)"],
+            [], {"base": base})
+
+
+def _standard_veronese(b, kmax, horizon, assertions):
+    """b with a standard Veronese index k (structural or window-certified up
+    to `horizon`, searched k <= kmax): A = b_k.  The equality with
+    rho_hat(a, b) also needs the module-finiteness of the closure Rees
+    algebra, which is only accepted as a user assertion."""
+    k, vrep = fam.find_standard_veronese(b, kmax, horizon)
+    if k is None:
+        return None
+    bk = b.member(k)
+    if not bk.is_proper():
+        raise DomainError(f"member b_{k} is not a proper nonzero ideal")
+    if "closure_module_finite" not in assertions:
+        return (bk, k, [vrep], ["equals rho_hat(a, closure(b))"],
+                ["equality with rho_hat(a, b) needs the module-finiteness hypothesis; "
+                 "assert 'closure_module_finite' to claim it"], {})
+    return (bk, k, [vrep, "user-asserted: R(closure(b)) is a module-finite R(b)-algebra extension"],
+            ["equals rho_hat(a, closure(b))",
+             "equals rho_hat(a, b) [certified-given-assertions: closure_module_finite]"], [], {})
+
+
+# The routes of the Rees formula, (name, scope) in priority order: the first
+# scope that holds answers.  A scope takes (b, kmax, horizon, assertions) and
+# gives None or (A, k, hypotheses, claims, notes, details), with
+# vhat_w(b) = w(A)/k for every Rees valuation w of A.
+REES_ROUTES = (("base-equivalent", _base_equivalent), ("standard-veronese", _standard_veronese))
+
+
 def rho_hat_rees(a: fam.GradedFamily, b: fam.GradedFamily, kmax: int = 6,
                  horizon: int = 8, assertions: Tuple[str, ...] = ()) -> ResurgenceReport:
     """Asymptotic resurgence of (a, closure of b) by the Rees-valuation formula.
 
-    Routes, in order:
-      * b structurally base-equivalent (powers, closures of powers): the value
-        is max over the Rees valuations w of the base of w(base)/w^(a), and it
-        also equals rho(a, closure(b)) and rho_hat(a, b);
-      * b with a standard Veronese index k (structural or window-certified up
-        to `horizon`, searched k <= kmax): max over Rees valuations of b_k of
-        (w(b_k)/k) / w^(a); the equality with rho_hat(a, b) additionally needs
-        the module-finiteness of the closure Rees algebra, which is only
-        accepted as a user assertion here.
-    The value is +inf as soon as some w^(a) = 0.  Suprema are over monomial
-    valuations (they exhaust the Rees valuations of monomial ideals).
+    The first route of REES_ROUTES that takes b gives an anchor ideal A and an
+    index k; the value is max over the Rees valuations w of A of
+    (w(A)/k) / w^(a), +inf as soon as some w^(a) = 0.  Suprema are over
+    monomial valuations (they exhaust the Rees valuations of monomial ideals).
     """
-    hyps: list = []
-    claims: list[str] = []
-    notes: list[str] = []
-    details: dict = {}
-    beq = b.base_equivalence()
-    if beq is not None:
-        base, const = beq
-        hyps.append(f"structural: b is base-equivalent with shift {const.k} (bound {const.bound})")
-        ratios = _valuation_ratios(rees_valuations(base).weights(), base, 1, a, kmax, horizon)
-        claims += [
-            "equals rho_hat(a, closure(b))",
-            "equals rho(a, closure(b))",
-            "equals rho_hat(a, b)",
-        ]
-        details["base"] = base
-    else:
-        k, vrep = fam.find_standard_veronese(b, kmax, horizon)
-        if k is None:
-            raise CapabilityError(
-                f"no standard Veronese index k <= {kmax} found (horizon {horizon}); "
-                "the Rees formula does not apply - use rho_hat_beta_limit for an estimate"
-            )
-        hyps.append(vrep)
-        bk = b.member(k)
-        if not bk.is_proper():
-            raise DomainError(f"member b_{k} is not a proper nonzero ideal")
-        ratios = _valuation_ratios(rees_valuations(bk).weights(), bk, k, a, kmax, horizon)
-        claims.append("equals rho_hat(a, closure(b))")
-        if "closure_module_finite" in assertions:
-            claims.append(
-                "equals rho_hat(a, b) [certified-given-assertions: closure_module_finite]"
-            )
-            hyps.append("user-asserted: R(closure(b)) is a module-finite R(b)-algebra extension")
-        else:
-            notes.append(
-                "equality with rho_hat(a, b) needs the module-finiteness hypothesis; "
-                "assert 'closure_module_finite' to claim it"
-            )
-        if k > 1 and b.member(1).is_proper():
-            # open data for the RV(b_1)-versus-RV(b_k) question: same formula
-            # evaluated over the Rees valuations of b_1, never a theorem.
-            ratios1 = _valuation_ratios(rees_valuations(b.member(1)).weights(), bk, k, a,
-                                        kmax, horizon)
-            details["rv_b1_data"] = tuple(ratios1)
-            details["rv_b1_max"] = _max_ratio(ratios1)[0]
-    value, maximizer = _max_ratio(ratios)
+    found = next(filter(None, (scope(b, kmax, horizon, assertions) for _, scope in REES_ROUTES)), None)
+    if found is None:
+        raise CapabilityError(
+            f"no standard Veronese index k <= {kmax} found (horizon {horizon}); "
+            "the Rees formula does not apply - use rho_hat_beta_limit for an estimate"
+        )
+    anchor, k, hyps, claims, notes, details = found
+    ratios = _valuation_ratios(anchor, anchor, k, a, kmax, horizon)
+    if k > 1 and b.member(1).is_proper():
+        # open data for the RV(b_1)-versus-RV(b_k) question: same formula
+        # evaluated over the Rees valuations of b_1, never a theorem.
+        ratios1 = _valuation_ratios(b.member(1), anchor, k, a, kmax, horizon)
+        details["rv_b1_data"] = tuple(ratios1)
+        details["rv_b1_max"] = _max_ratio(ratios1)[0]
+    value, details["maximizer"] = _max_ratio(ratios)
     details["valuations"] = tuple(ratios)
-    details["maximizer"] = maximizer
     notes.append("valuation suprema range over monomial valuations "
                  "(these exhaust the Rees valuations of monomial ideals)")
     return ResurgenceReport("rho_hat_rees", value, True, (), tuple(hyps),
@@ -477,11 +478,11 @@ def rho_hat_rees(a: fam.GradedFamily, b: fam.GradedFamily, kmax: int = 6,
                             search={"kmax": kmax, "horizon": horizon}, details=details)
 
 
-def _valuation_ratios(weights, anchor, k, a, kmax, horizon):
-    """(w, vhat(b), vhat(a), ratio) per weight vector w, exact only: vhat(b) =
-    w(anchor)/k for every w, anchor b_k for a standard Veronese index k."""
+def _valuation_ratios(ideal, anchor, k, a, kmax, horizon):
+    """(w, vhat(b), vhat(a), ratio) per Rees valuation w of `ideal`, exact
+    only: vhat(b) = w(anchor)/k."""
     rows = []
-    for w in weights:
+    for w in rees_valuations(ideal).weights():
         v = MonomialValuation(w)
         vb = Fraction(v.of_ideal(anchor), k)
         wa = skew_waldschmidt(v, a, window=max(horizon, 8), kmax=kmax)
@@ -533,13 +534,12 @@ def rho_hat_beta_limit(a: fam.GradedFamily, b: fam.GradedFamily, n_max: int, cut
         scale = 1
     if not anchor.is_proper():
         raise DomainError("anchor member of b is not a proper nonzero ideal")
-    weights = rees_valuations(anchor).weights()
     try:
-        rows = _valuation_ratios(weights, anchor, scale, a, kmax, horizon)
+        rows = _valuation_ratios(anchor, anchor, scale, a, kmax, horizon)
         _, v0w = _max_ratio(rows)
     except CapabilityError:
         rows = ()
-        v0w = weights[0]
+        v0w = rees_valuations(anchor).weights()[0]
         notes.append("v0 defaulted to the first Rees valuation (no exact skew Waldschmidt for a)")
     v0 = MonomialValuation(v0w)
     if grid is None:
@@ -592,7 +592,6 @@ def rho_exact_certified(a: fam.GradedFamily, b: fam.GradedFamily, search_budget:
     """
     hyps: list = []
     claims: list[str] = []
-    notes: list[str] = []
     # hypothesis (i)
     if b.base_equivalence() is not None:
         hyps.append("structural: skew Waldschmidt constants of b equal the values on b_1 "
@@ -603,36 +602,22 @@ def rho_exact_certified(a: fam.GradedFamily, b: fam.GradedFamily, search_budget:
     else:
         _disprove_or_fail_hypothesis_i(b, horizon)
     # hypothesis (ii): the closure gap
-    gap = _closure_gap(b, horizon, assertions)
-    hyps.append(f"closure gap k = {gap.k} "
-                f"({'certified bound' if gap.certified else f'window-tightened, horizon {gap.horizon}'})")
+    gap, label, gap_zero_claim = _closure_gap(b, horizon, assertions)
+    hyps.append(f"closure gap k = {gap.k} ({label})")
     rees = rho_hat_rees(a, b, kmax=kmax, horizon=horizon, assertions=assertions)
     hyps.extend(rees.hypotheses)
-    rho_hat = rees.value
+    rho_hat = rees.value  # > 0: each w(A) is a positive facet offset and w^(a) >= 0
     details = {"rho_hat": rho_hat, "rees_report": rees, "gap": gap}
     search = {"budget": search_budget, "kmax": kmax, "horizon": horizon}
-    if rho_hat == POS_INFINITY:
-        return ResurgenceReport("rho_exact", POS_INFINITY, True, (), tuple(hyps),
-                                claims=("rho >= rho_hat = +inf",), search=search, details=details)
-    if rho_hat == NEG_INFINITY:
-        return ResurgenceReport("rho_exact", NEG_INFINITY, True, (), tuple(hyps),
-                                claims=("any escape would contradict rho_hat = -inf under the closure gap",),
-                                search=search, details=details)
-    if gap.k == 0:
-        if gap.certified:
-            claims.append("members of b are integrally closed: rho(a, b) = rho(a, closure(b)) = rho_hat")
-        else:
-            claims.append(f"closure gap 0 is window-tightened (horizon {gap.horizon}): "
-                          "equality certified given the window certificate")
+    if rho_hat == POS_INFINITY or gap.k == 0:
+        claims = ["rho >= rho_hat = +inf"] if rho_hat == POS_INFINITY else claims + [gap_zero_claim]
         return ResurgenceReport("rho_exact", rho_hat, True, (), tuple(hyps),
                                 claims=tuple(claims), search=search, details=details)
     witness_pair = _search_witness(a, b, rho_hat.value, search_budget)
     if witness_pair is None:
-        notes.append(f"no escape pair with s/r > rho_hat found with s + r <= {search_budget}; "
-                     "rho = rho_hat up to the search budget")
-        return ResurgenceReport("rho_exact", rho_hat, False, (), tuple(hyps),
-                                claims=tuple(claims), notes=tuple(notes),
-                                search=search, details=details)
+        return ResurgenceReport("rho_exact", rho_hat, False, (), tuple(hyps), claims=tuple(claims),
+                                notes=(f"no escape pair with s/r > rho_hat found with s + r <= {search_budget}; "
+                                       "rho = rho_hat up to the search budget",), search=search, details=details)
     s0, r0 = witness_pair
     bound_n = (gap.k * rho_hat.value) / (Fraction(s0, r0) - rho_hat.value)
     r_limit = ceil_frac(bound_n) - 1
@@ -680,36 +665,40 @@ def _disprove_or_fail_hypothesis_i(b, horizon):
     )
 
 
-def _closure_gap(b, horizon, assertions) -> EquivalenceConstant:
-    if b.integrally_closed:
-        return EquivalenceConstant(0, 0, True, horizon)
+def _closure_gap(b, horizon, assertions):
+    """(gap, label, claim): a closure gap of b, how it is known, and what a
+    gap of 0 lets rho_exact claim."""
     sem = b.power
-    if sem is not None and sem[1] == fam.affine(1):
-        return bequiv_constant(sem[0], horizon)
-    for text in assertions:
-        if text.startswith("closure_gap:"):
-            try:
-                k = int(text.split(":", 1)[1])
-            except ValueError:
-                k = -1
-            if k < 0:
-                raise DomainError(f"assertion {text!r} needs an integer gap >= 0")
-            return EquivalenceConstant(k, k, False, horizon)
-    raise HypothesisError(
-        "no closure-gap certificate for this family kind; assert 'closure_gap:<k>' if known"
-    )
+    if b.integrally_closed:
+        gap = EquivalenceConstant(0, 0, True, horizon)
+    elif sem is not None and sem[1] == fam.affine(1):
+        gap = bequiv_constant(sem[0], horizon)
+    else:
+        text = next((text for text in assertions if text.startswith("closure_gap:")), None)
+        if text is None:
+            raise HypothesisError(
+                "no closure-gap certificate for this family kind; assert 'closure_gap:<k>' if known")
+        try:
+            k = int(text.split(":", 1)[1])
+        except ValueError:
+            k = -1
+        if k < 0:
+            raise DomainError(f"assertion {text!r} needs an integer gap >= 0")
+        return (EquivalenceConstant(k, k, False, horizon), "user-asserted",
+                "closure gap 0 is user-asserted: equality certified-given-assertions")
+    if gap.certified:
+        return gap, "certified bound", ("members of b are integrally closed: "
+                                        "rho(a, b) = rho(a, closure(b)) = rho_hat")
+    return gap, f"window-tightened, horizon {gap.horizon}", (
+        f"closure gap 0 is window-tightened (horizon {gap.horizon}): "
+        "equality certified given the window certificate")
 
 
 def _search_witness(a, b, rho_hat: Fraction, budget: int):
-    """First (s, r) in increasing s+r with an escape and s/r > rho_hat."""
-    for total in range(2, budget + 1):
-        for r in range(1, total):
-            s = total - r
-            if Fraction(s, r) <= rho_hat:
-                continue
-            if not a.member(s).is_subset_of(b.member(r)):
-                return s, r
-    return None
+    """First (s, r) in increasing s+r, then r, with s/r > rho_hat and a_s not in b_r."""
+    escapes, _ = _escape_test(a, b)
+    pairs = ((total - r, r) for total in range(2, budget + 1) for r in range(1, total))
+    return next(((s, r) for s, r in pairs if Fraction(s, r) > rho_hat and escapes(s, r)), None)
 
 
 # ---------------------------------------------------------------------------

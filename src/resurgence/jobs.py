@@ -30,6 +30,7 @@ from .monomials import MonomialIdeal
 from .rationals import ExtendedRational
 
 BUILTIN_DEFAULTS = {"window": 20, "cutoff": 200, "kmax": 6, "horizon": 8}
+INTEGER_CAP = 10**6  # a config integer beyond it (as 1e300) would ask for endless work
 
 
 @dataclass
@@ -62,11 +63,15 @@ def _failed(values) -> bool:
 
 def _parse_int(value, where, errors):
     """The int of a string of decimal digits (not "1_0") or of an integral number
-    (2.0), else _BAD with the problem collected (2.7, Infinity, NaN, true, a list, ...)."""
+    (2.0) within INTEGER_CAP, else _BAD with the problem collected (2.7,
+    Infinity, NaN, true, a list, 1e300, ...)."""
     try:
         if (isinstance(value, str) and re.fullmatch(r"\s*[-+]?[0-9]+\s*", value)) or (
                 int(value) == value and not isinstance(value, bool)):
-            return int(value)
+            if abs(int(value)) <= INTEGER_CAP:
+                return int(value)
+            errors.append(f"{where}: {value!r} exceeds INTEGER_CAP = {INTEGER_CAP} in absolute value")
+            return _BAD
     except (TypeError, ValueError, OverflowError):
         pass
     errors.append(f"{where}: expected an integer, got {value!r}")

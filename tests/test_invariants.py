@@ -48,7 +48,8 @@ from resurgence import (
 import resurgence.families as fam
 from resurgence.closures import minimal_covers
 from resurgence.jobs import parse_config
-from resurgence.invariants import LinearlyFinerResult, SequenceValue, _first_index, _lambda_search
+from resurgence.invariants import (REES_ROUTES, LinearlyFinerResult, SequenceValue, _first_index, _lambda_search,
+                                   _search_witness)
 from resurgence.rationals import ceil_frac
 
 
@@ -452,6 +453,34 @@ class TestRhoHatRees:
         assert rep.details["rv_b1_max"] == finite(1)
 
 
+def _route(b):
+    return next(name for name, scope in REES_ROUTES if scope(b, 6, 8, ()) is not None)
+
+
+class TestReesRoutes:
+    def test_routes_in_order_each_answering_its_pair(self):
+        # powers(I) also has the Veronese index 1, so only the order makes it base-equivalent
+        I = ideal(2, (2, 0), (0, 3))
+        a, periodic = strict_veronese_pair()
+        assert [name for name, _ in REES_ROUTES] == ["base-equivalent", "standard-veronese"]
+        assert _route(powers(I)) == "base-equivalent"
+        assert _route(periodic) == "standard-veronese"
+        assert rho_hat_rees(a, powers(I)).hypotheses == ("structural: b is base-equivalent with shift 0 (bound 0)",)
+        assert rho_hat_rees(a, periodic).hypotheses[0].property == "standard_veronese"
+
+    def test_each_route_gives_a_positive_rho_hat(self):
+        # w(A) > 0 and w^(a) >= 0 on every route, so rho_hat is never -inf or 0
+        rng = random.Random(2026)
+        for _ in range(8):
+            I, J = (ideal(2, (rng.randint(1, 3), 0), (rng.randint(0, 2), rng.randint(1, 2)), (0, rng.randint(1, 3)))
+                    for _ in range(2))
+            alpha = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            for b, route in ((powers(I), "base-equivalent"), (closure_powers(I), "base-equivalent"),
+                             (ceiling(I, alpha), "standard-veronese"), (fam.veronese(powers(I), 2), "standard-veronese")):
+                assert _route(b) == route, (b, I)
+                assert rho_hat_rees(powers(J), b, horizon=4).value > finite(0), (b, I, J)
+
+
 class TestRhoHatBetaLimit:
     def test_first_rees_valuation_without_exact_left_constant(self):
         # the left family has no exact skew Waldschmidt constant, so v0 is the
@@ -564,6 +593,29 @@ class TestRhoExact:
         assert rho_exact_certified(a, b, assertions=asserted).details["gap"].k == 1
         with pytest.raises(DomainError, match="gap >= 0"):
             rho_exact_certified(a, b, assertions=(asserted[0], f"closure_gap:{gap}"))
+
+    def test_an_asserted_closure_gap_is_labelled_user_asserted(self):
+        # the asserted gap used to read "window-tightened, horizon 8", and a
+        # gap of 0 claimed a window certificate that nothing had checked
+        m, I = maximal(2), ideal(2, (2, 0), (0, 3))
+        env = fam.Environment({"m": m, "I": I})
+        a = fam.expression(2, fam.Power(fam.Base("m"), fam.affine(3)), env)
+        b = fam.expression(2, fam.Power(fam.Base("I"), fam.affine(1)), env)
+        one = rho_exact_certified(a, b, assertions=("waldschmidt_equals_v_b1", "closure_gap:1"))
+        zero = rho_exact_certified(a, b, assertions=("waldschmidt_equals_v_b1", "closure_gap:0"))
+        assert one.hypotheses[1] == "closure gap k = 1 (user-asserted)"
+        assert zero.hypotheses[1] == "closure gap k = 0 (user-asserted)"
+        assert zero.claims == ("certified-given-assertions",
+                               "closure gap 0 is user-asserted: equality certified-given-assertions")
+        assert (zero.value, zero.certified) == (finite(1), True)
+
+    def test_witness_search_of_a_power_pair_builds_no_member(self, monkeypatch):
+        # a_s lies in b_r iff ceil(3s/2) >= r, which the exponents decide alone;
+        # the first escape with s/r > 1/2 in increasing s + r is (4, 7)
+        I = ideal(2, (2, 0), (1, 1), (0, 3))
+        a, b = power_pattern(I, ceil_mul(Fraction(3, 2))), powers(I)
+        monkeypatch.setattr(fam.GradedFamily, "member", lambda self, n: pytest.fail("a member was built"))
+        assert _search_witness(a, b, Fraction(1, 2), 24) == (4, 7)
 
     def test_a_window_that_checks_no_index_is_refused(self):
         # at horizon 0 the closure-gap tightening checked no index and drove

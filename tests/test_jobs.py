@@ -380,6 +380,14 @@ class TestCLI:
         assert overridden["config"]["defaults"] == dict(jobs.BUILTIN_DEFAULTS, **{key: 5})
         assert overridden["config_digest"] != plain["config_digest"]
 
+    @pytest.mark.parametrize("key", sorted(jobs.BUILTIN_DEFAULTS))
+    def test_flag_overrides_beyond_the_cap_exit_two(self, key, tmp_path, capsys):
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps(BASE_JOB))
+        assert main(["--config", str(config_path), f"--{key}", "99999999999"]) == 2
+        assert capsys.readouterr().err == (f"config error: --{key}: 99999999999 exceeds "
+                                           f"INTEGER_CAP = {jobs.INTEGER_CAP} in absolute value\n")
+
 
 BASE_JOB = {
     "vars": 2,
@@ -611,6 +619,20 @@ class TestConfigErrors:
         # where the rational reader refuses both
         problems = _problems(tasks=[{"op": "beta_table", "a": "a", "b": "a", "s_to": text}])
         assert problems == [f"task 0: 's_to': expected an integer, got {text!r}"]
+
+    @pytest.mark.parametrize("changes, where", [
+        ({"tasks": [{"op": "beta_table", "a": "a", "b": "a", "s_to": 1e300}]}, "task 0: 's_to'"),
+        ({"tasks": [{"op": "beta_table", "a": "a", "b": "a", "s_to": "99999999999"}]}, "task 0: 's_to'"),
+        ({"tasks": [{"op": "rho_lim", "a": "a", "b": "a", "grid": [2, 10**6 + 1]}]}, "task 0: 'grid'"),
+        ({"defaults": {"cutoff": -10**7}}, "defaults: 'cutoff'"),
+    ])
+    def test_integers_beyond_the_cap_are_config_errors(self, changes, where):
+        # "s_to": 1e300 used to read as a 301-digit integer, and beta_table then never ended
+        (problem,) = _problems(**changes)
+        assert problem.startswith(f"{where}: ")
+        assert problem.endswith(f"exceeds INTEGER_CAP = {jobs.INTEGER_CAP} in absolute value")
+        task = {"op": "beta_table", "a": "a", "b": "a", "s_from": -jobs.INTEGER_CAP, "s_to": jobs.INTEGER_CAP}
+        assert parse_config(json.dumps(dict(BASE_JOB, tasks=[task]))).tasks == [task]
 
     def test_ceil_mul_needs_a_ratio(self):
         node = {"kind": "power_pattern", "ideal": "m", "exponent": {"fn": "ceil_mul"}}
