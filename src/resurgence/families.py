@@ -329,9 +329,12 @@ def symbolic(ideal: MonomialIdeal, name=None) -> GradedFamily:
 
 
 def closure_of(family: GradedFamily, name=None) -> GradedFamily:
-    """Memberwise integral closures; monomial valuations do not see them."""
+    """Memberwise integral closures; monomial valuations do not see them.  The
+    members of an integrally closed family pass through unchanged."""
     sem = family.power
-    if sem is not None and not sem[2] and not sem[0].is_zero():
+    if family.integrally_closed:
+        compute = family.member
+    elif sem is not None and not sem[0].is_zero():
         base, fn, _ = sem
 
         def compute(n):
@@ -343,7 +346,7 @@ def closure_of(family: GradedFamily, name=None) -> GradedFamily:
             return m if m.is_zero() or m.is_unit() else closures.integral_closure(m, 1)
     return GradedFamily(
         "closure_of", family.nvars, compute, name,
-        power=None if sem is None or sem[2] else (sem[0], sem[1], True),
+        power=None if sem is None else (sem[0], sem[1], True),
         filtration=family.filtration, graded=family.graded, integrally_closed=True,
         constant_from=family.constant_from, inner=family)
 
@@ -455,7 +458,10 @@ def validate_filtration(family: GradedFamily, horizon: int) -> ValidationReport:
 
 
 def is_standard_veronese(family: GradedFamily, k: int, horizon: int) -> ValidationReport:
-    """Check member(k*n) == member(k)^n (equal minimal generators) for n <= horizon."""
+    """Check member(k*n) == member(k)^n (equal minimal generators) for n <= horizon.
+    Only an index k >= 1 is a standard Veronese index."""
+    if k < 1:
+        raise DomainError(f"a standard Veronese index needs k >= 1, not {k}")
     params = {"k": k}
     sk = family.veronese_k
     if sk is not None and k % sk == 0:

@@ -96,29 +96,22 @@ def _power_pair_tests(a: fam.GradedFamily, b: fam.GradedFamily):
     return None
 
 
-def _escape_test(a: fam.GradedFamily, b: fam.GradedFamily):
-    """(escapes, by_exponents): escapes(i, j) is True iff a_i is not contained
-    in b_j.  by_exponents says it compares power exponents (see
-    _power_pair_tests) and builds no ideal."""
+def _escape_test(a: fam.GradedFamily, b: fam.GradedFamily, v: Optional[MonomialValuation] = None):
+    """(escapes, by_exponents): escapes(i, j) is True iff a_i escapes b_j, the
+    one question behind beta, lambda, their valuation twins and the window
+    suprema.  Without v, a_i escapes when it is not contained in b_j;
+    by_exponents says the test compares power exponents (see
+    _power_pair_tests) and builds no ideal.  Given v, a_i escapes when
+    v(a_i) < v(b_j), read from the families' closed-form value rules where
+    they have one."""
+    if v is not None:
+        va, vb = (f.value_rule(v.weights) or (lambda n, f=f: v.of_ideal(f.member(n))) for f in (a, b))
+        return (lambda i, j: va(i) < vb(j)), False
     pair = _power_pair_tests(a, b)
     if pair is None:
         return (lambda i, j: not a.member(i).is_subset_of(b.member(j))), False
     fa, fb = pair
     return (lambda i, j: fa(i) < fb(j)), True
-
-
-def _value_escape_test(v: MonomialValuation, a: fam.GradedFamily, b: fam.GradedFamily):
-    """(i, j) -> v(a_i) < v(b_j); closed-form value sequences are used for
-    power-pattern families without materializing any ideal."""
-    va, vb = _value_rule(v, a), _value_rule(v, b)
-    return lambda i, j: va(i) < vb(j)
-
-
-def _value_rule(v: MonomialValuation, family: fam.GradedFamily) -> Callable[[int], int]:
-    rule = family.value_rule(v.weights)
-    if rule is not None:
-        return rule
-    return lambda n: v.of_ideal(family.member(n))
 
 
 def beta(a: fam.GradedFamily, b: fam.GradedFamily, s: int, cutoff: int) -> SequenceValue:
@@ -128,28 +121,25 @@ def beta(a: fam.GradedFamily, b: fam.GradedFamily, s: int, cutoff: int) -> Seque
     upward closed); linear scan otherwise.  'empty' is only reported when the
     family provably never escapes (constant tail reached inside the window).
     """
-    if s < 1 or cutoff < 1:
-        raise DomainError("beta needs s >= 1 and cutoff >= 1")
-    escapes, by_exponents = _escape_test(a, b)
-    if not by_exponents and a.member(s).is_zero():
-        return SequenceValue("empty")
-    return _beta_search(lambda d: escapes(s, d), b, cutoff)
+    return _beta(a, b, s, cutoff)
 
 
 def beta_v(v: MonomialValuation, a: fam.GradedFamily, b: fam.GradedFamily,
            s: int, cutoff: int) -> SequenceValue:
     """Least d <= cutoff with v(a_s) < v(b_d)."""
+    return _beta(a, b, s, cutoff, v)
+
+
+def _beta(a, b, s, cutoff, v=None) -> SequenceValue:
     if s < 1 or cutoff < 1:
-        raise DomainError("beta_v needs s >= 1 and cutoff >= 1")
-    escapes = _value_escape_test(v, a, b)
-    return _beta_search(lambda d: escapes(s, d), b, cutoff)
-
-
-def _beta_search(fails, b, cutoff) -> SequenceValue:
+        raise DomainError("beta needs s >= 1 and cutoff >= 1")
+    escapes, by_exponents = _escape_test(a, b, v)
+    if v is None and not by_exponents and a.member(s).is_zero():
+        return SequenceValue("empty")  # a zero member has no valuation value: beta_v raises
     if b.filtration:
-        hit = _first_index(fails, cutoff)
+        hit = _first_index(lambda d: escapes(s, d), cutoff)
     else:
-        hit = next((d for d in range(1, cutoff + 1) if fails(d)), None)
+        hit = next((d for d in range(1, cutoff + 1) if escapes(s, d)), None)
     if hit is not None:
         return SequenceValue("finite", hit)
     ec = b.eventually_constant()
@@ -164,18 +154,19 @@ def lambda_(a: fam.GradedFamily, b: fam.GradedFamily, n: int, cutoff: int) -> Se
     For a filtration a the escape set is downward closed, so the window
     answer is the true supremum whenever it falls below the cutoff.
     """
-    if n < 1 or cutoff < 1:
-        raise DomainError("lambda needs n >= 1 and cutoff >= 1")
-    escapes, _ = _escape_test(a, b)
-    return _lambda_search(lambda d: escapes(d, n), a, cutoff)
+    return _lambda(a, b, n, cutoff)
 
 
 def lambda_v(v: MonomialValuation, a: fam.GradedFamily, b: fam.GradedFamily,
              n: int, cutoff: int) -> SequenceValue:
     """Greatest d <= cutoff with v(a_d) < v(b_n)."""
+    return _lambda(a, b, n, cutoff, v)
+
+
+def _lambda(a, b, n, cutoff, v=None) -> SequenceValue:
     if n < 1 or cutoff < 1:
-        raise DomainError("lambda_v needs n >= 1 and cutoff >= 1")
-    escapes = _value_escape_test(v, a, b)
+        raise DomainError("lambda needs n >= 1 and cutoff >= 1")
+    escapes, _ = _escape_test(a, b, v)
     return _lambda_search(lambda d: escapes(d, n), a, cutoff)
 
 
@@ -261,12 +252,6 @@ class ResurgenceReport:
     details: dict = field(default_factory=dict)
 
 
-def _scale_extended(x: ExtendedRational, k: int) -> ExtendedRational:
-    if k <= 0:
-        raise DomainError("scale factor must be positive")
-    return x if not x.is_finite else finite(x.value * k)
-
-
 def rho_window(a: fam.GradedFamily, b: fam.GradedFamily, s_max: int, r_max: int) -> ResurgenceReport:
     """sup { s/r : s <= s_max, r <= r_max, a_s not contained in b_r }.
 
@@ -316,33 +301,22 @@ def _best_escape(a, b, pairs):
     return Fraction(s, r), (s, r, a.member(s).witness_not_in(b.member(r)))
 
 
-def _global_filtration_certificate(family, horizon) -> bool:
-    """True when the filtration property holds for ALL indices: either by
-    construction, or window-verified up to a constant tail."""
-    if family.filtration:
-        return True
-    ec = family.eventually_constant()
-    if ec is not None and ec[0] <= horizon:
-        return fam.validate_filtration(family, ec[0] + 1).holds
-    return False
-
-
 def _neg_infinity_analysis(a, b, r_max):
-    """-inf is exact iff a_1 lies in every b_i; checkable for filtrations with
-    a constant tail reached inside the window."""
-    notes = []
-    if not (_global_filtration_certificate(a, r_max) and _global_filtration_certificate(b, r_max)):
-        notes.append("no noncontainment found on the window; -inf not certified (families not known filtrations)")
-        return False, tuple(notes)
-    ec = b.eventually_constant()
-    if ec is None or ec[0] > r_max:
-        notes.append("no noncontainment found on the window; -inf not certified (no constant tail inside window)")
-        return False, tuple(notes)
-    if a.member(1).is_subset_of(ec[1]):
-        notes.append("exact: a_1 lies in the intersection of all b_i (constant tail verified)")
-        return True, tuple(notes)
-    notes.append("a_1 escapes the constant tail beyond the window")  # pragma: no cover
-    return False, tuple(notes)
+    """-inf is exact iff a_1 lies in every b_i.  The window scan that found no
+    escape already put a_1 in b_1..b_(r_max); when a and b are filtrations
+    (by construction, or window-verified up to a constant tail) and b is
+    constant from d0 <= r_max on, that covers every b_i."""
+    def tail_inside(family):
+        return family.constant_from is not None and family.constant_from <= r_max
+
+    def filtration(family):
+        return family.filtration or (tail_inside(family)
+                                     and fam.validate_filtration(family, family.constant_from + 1).holds)
+    if not (filtration(a) and filtration(b)):
+        return False, ("no noncontainment found on the window; -inf not certified (families not known filtrations)",)
+    if not tail_inside(b):
+        return False, ("no noncontainment found on the window; -inf not certified (no constant tail inside window)",)
+    return True, ("exact: a_1 lies in the intersection of all b_i (constant tail verified)",)
 
 
 def rho_n(a: fam.GradedFamily, b: fam.GradedFamily, n: int, s_max: int, cutoff: int) -> ResurgenceReport:
@@ -428,8 +402,6 @@ def _standard_veronese(b, kmax, horizon, assertions):
     if k is None:
         return None
     bk = b.member(k)
-    if not bk.is_proper():
-        raise DomainError(f"member b_{k} is not a proper nonzero ideal")
     if "closure_module_finite" not in assertions:
         return (bk, k, [vrep], ["equals rho_hat(a, closure(b))"],
                 ["equality with rho_hat(a, b) needs the module-finiteness hypothesis; "
@@ -462,6 +434,8 @@ def rho_hat_rees(a: fam.GradedFamily, b: fam.GradedFamily, kmax: int = 6,
             "the Rees formula does not apply - use rho_hat_beta_limit for an estimate"
         )
     anchor, k, hyps, claims, notes, details = found
+    if not anchor.is_proper():  # a base-equivalent base always is
+        raise DomainError(f"member b_{k} is not a proper nonzero ideal")
     ratios = _valuation_ratios(anchor, anchor, k, a, kmax, horizon)
     if k > 1 and b.member(1).is_proper():
         # open data for the RV(b_1)-versus-RV(b_k) question: same formula
@@ -520,18 +494,16 @@ def rho_hat_beta_limit(a: fam.GradedFamily, b: fam.GradedFamily, n_max: int, cut
         raise HypothesisError("b must be a filtration for the beta-limit estimate", filt)
     hyps.append(filt)
     bbar = fam.closure_of(b)
-    k, vrep = fam.find_standard_veronese(b, kmax, horizon)
-    if k is not None:
+    found = _standard_veronese(b, kmax, horizon, ())
+    if found is not None:
+        anchor, scale, (vrep, *_), *_ = found
         hyps.append(vrep)
-        anchor = b.member(k)
-        scale = k
     else:
         notes.append(
             f"no standard Veronese index k <= {kmax} found; v0 taken from the Rees "
             "valuations of b_1; the limit theorem is not certified for this family"
         )
-        anchor = b.member(1)
-        scale = 1
+        anchor, scale = b.member(1), 1
     if not anchor.is_proper():
         raise DomainError("anchor member of b is not a proper nonzero ideal")
     try:
@@ -735,13 +707,16 @@ def veronese_scaling_check(a: fam.GradedFamily, b: fam.GradedFamily, k: int,
     bk_family = fam.powers(b.member(k), name=f"powers(b_{k})")
     lhs = rho_window(a, bk_family, window, window)
     rhs = rho_window(a, b, window, k * window)
-    rhs_scaled = _scale_extended(rhs.value, k)
+
+    def scale(x):  # k >= 1, so the infinities stay put
+        return finite(x.value * k) if x.is_finite else x
+    rhs_scaled = scale(rhs.value)
     window_ok = lhs.value <= rhs_scaled
     exact_lhs = exact_rhs = None
     notes = []
     try:
         exact_lhs = rho_hat_rees(a, bk_family).value
-        exact_rhs = _scale_extended(rho_hat_rees(a, b).value, k)
+        exact_rhs = scale(rho_hat_rees(a, b).value)
         exact_ok = exact_lhs == exact_rhs
         if not exact_ok:
             notes.append("asymptotic scaling equality fails")

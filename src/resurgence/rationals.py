@@ -25,12 +25,13 @@ def format_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ExtendedRational:
     """A value in {-inf} | Q | {+inf}.
 
     `sign` is -1 / 0 / +1 for -inf / finite / +inf; `value` is the finite
-    part (None at infinity).
+    part (None at infinity).  The generated order compares (sign, value), so
+    -inf < every finite value < +inf; it compares only ExtendedRationals.
     """
 
     sign: int
@@ -48,23 +49,6 @@ class ExtendedRational:
     def is_finite(self) -> bool:
         return self.sign == 0
 
-    def _key(self):
-        if self.sign != 0:
-            return (self.sign, Fraction(0))
-        return (0, self.value)
-
-    def __lt__(self, other: "ExtendedRational") -> bool:
-        return self._key() < _coerce(other)._key()
-
-    def __le__(self, other: "ExtendedRational") -> bool:
-        return self._key() <= _coerce(other)._key()
-
-    def __gt__(self, other: "ExtendedRational") -> bool:
-        return self._key() > _coerce(other)._key()
-
-    def __ge__(self, other: "ExtendedRational") -> bool:
-        return self._key() >= _coerce(other)._key()
-
     def __str__(self) -> str:
         if self.sign < 0:
             return "-inf"
@@ -80,8 +64,3 @@ POS_INFINITY = ExtendedRational(1)
 def finite(q: Rat) -> ExtendedRational:
     return ExtendedRational(0, Fraction(q))
 
-
-def _coerce(x) -> ExtendedRational:
-    if isinstance(x, ExtendedRational):
-        return x
-    return finite(x)

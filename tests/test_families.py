@@ -227,6 +227,14 @@ class TestValidators:
             with pytest.raises(DomainError, match=f"^a standard Veronese search needs kmax >= 1, not {kmax}$"):
                 find_standard_veronese(family, kmax, 6)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_a_standard_veronese_index_below_one_is_refused(self, k):
+        # k % veronese_k == 0 held for k <= 0, and a symbolic family passed its
+        # window: member(0) is the unit ideal, member(k*n) the zero ideal for k < 0
+        for family in (powers(I2), ceiling(I2, Fraction(3, 2)), symbolic(S3)):
+            with pytest.raises(DomainError, match=f"^a standard Veronese index needs k >= 1, not {k}$"):
+                is_standard_veronese(family, k, 6)
+
 
 class TestStructureFlags:
     def test_power_semantics(self):
@@ -451,11 +459,11 @@ FACTS = {
         "waldschmidt": (Fraction(3, 2), Fraction(3, 2), True, "lp"),
         "values": None,
     },
-    "closure_of_closure_powers": {
-        "power": None,
+    "closure_of_closure_powers": {  # power and bequiv were None: its members were closed again
+        "power": (((0, 3), (1, 1), (2, 0)), "affine", Fraction(1, 1), 0, True),
         "flags": (True, True, None, True),
         "constant": None,
-        "bequiv": None,
+        "bequiv": (((0, 3), (1, 1), (2, 0)), 0, 1),
         "waldschmidt": (Fraction(2, 1), Fraction(2, 1), True, "closed-form"),
         "values": (5, 10, 15, 20, 25, 30),  # was None
     },
@@ -503,3 +511,14 @@ def test_closure_value_rule_comes_from_inner(name):
     v = MonomialValuation((3, 2))
     rule = family.value_rule(v.weights)
     assert [rule(n) for n in range(1, 7)] == [v.of_ideal(family.member(n)) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("name", ["closure_powers", "symbolic", "closure_of_ceiling"])
+def test_closure_of_an_integrally_closed_family_keeps_its_members(name):
+    # each member used to be closed again from its generators, which also
+    # dropped the power fact and with it the base equivalence
+    inner = fact_families()[name]
+    outer = closure_of(inner)
+    assert all(outer.member(n) == inner.member(n) for n in range(1, 7))
+    assert outer.power == inner.power
+    assert outer.base_equivalence() == inner.base_equivalence()

@@ -226,6 +226,16 @@ class TestValuationSequences:
             else:
                 assert lv.value == expected_lambda
 
+    def test_a_zero_member_is_empty_for_beta_and_refused_by_the_valuation_twins(self):
+        # only beta may skip a zero a_s: it lies in every b_d, but has no value
+        m = maximal(2)
+        a = fam.from_function(2, lambda n: MonomialIdeal.zero(2) if n == 2 else m.power(n))
+        b, v = powers(m), degree_valuation(2)
+        assert beta(a, b, 2, 10) == SequenceValue("empty")
+        for twin in (beta_v, lambda_v):
+            with pytest.raises(DomainError, match="^the zero ideal has no valuation value$"):
+                twin(v, a, b, 2, 10)
+
     def test_ratio_subsequences(self):
         a = power_pattern(ideal(1, (1,)), ceil_log2p1())
         v = MonomialValuation((1,))
@@ -594,6 +604,16 @@ class TestRhoExact:
         with pytest.raises(DomainError, match="gap >= 0"):
             rho_exact_certified(a, b, assertions=(asserted[0], f"closure_gap:{gap}"))
 
+    def test_a_family_without_a_closure_gap_certificate_is_refused(self):
+        # neither integrally closed nor I^n by its power fact, and no gap asserted
+        I = ideal(2, (2, 0), (0, 3))
+        expr_powers = fam.expression(2, fam.Power(fam.Base("I"), fam.affine(1)), fam.Environment({"I": I}))
+        for b in (expr_powers, power_pattern(I, ceil_mul(Fraction(3, 2)))):
+            with pytest.raises(HypothesisError) as raised:
+                rho_exact_certified(powers(I), b, assertions=("waldschmidt_equals_v_b1",))
+            assert str(raised.value) == ("no closure-gap certificate for this family kind; "
+                                         "assert 'closure_gap:<k>' if known")
+
     def test_an_asserted_closure_gap_is_labelled_user_asserted(self):
         # the asserted gap used to read "window-tightened, horizon 8", and a
         # gap of 0 claimed a window certificate that nothing had checked
@@ -829,3 +849,12 @@ def test_powers_and_power_pattern_affine_one_take_the_same_routes(gens):
     assert "equals rho_hat(a, b)" in rees[1].claims
     exact = [rho_exact_certified(left, b) for b in spelled]
     assert exact[0] == exact[1]
+
+
+def test_extended_rationals_order_the_infinities_around_every_finite_value():
+    ordered = [NEG_INFINITY, finite(-3), finite(Fraction(-1, 2)), finite(0), finite(Fraction(7, 3)), POS_INFINITY]
+    for i, x in enumerate(ordered):
+        for j, y in enumerate(ordered):
+            assert ((x < y), (x <= y), (x > y), (x >= y), (x == y)) == (i < j, i <= j, i > j, i >= j, i == j)
+    with pytest.raises(TypeError):
+        finite(1) < 2  # only ExtendedRationals compare

@@ -188,6 +188,16 @@ class TestRun:
         (task,) = run(parse_config(json.dumps(job)))["tasks"]
         assert task["error"] == "DomainError: a standard Veronese search needs kmax >= 1, not -1"
 
+    def test_a_standard_veronese_index_below_one_is_a_domain_error(self):
+        # k = 0 reported True (0 % veronese_k == 0); veronese_scaling then
+        # failed inside beta with "beta needs s >= 1 and cutoff >= 1"
+        job = dict(BASE_JOB, tasks=[{"op": "standard_veronese", "family": "a", "k": 0},
+                                    {"op": "veronese_scaling", "a": "a", "b": "a", "k": 0, "window": 4}])
+        report = run(parse_config(json.dumps(job)))
+        assert [task["error"] for task in report["tasks"]] == [
+            "DomainError: a standard Veronese index needs k >= 1, not 0"] * 2
+        assert exit_status(report) == 1
+
     def test_task_failure_recorded_not_fatal(self):
         job = dict(TRIANGLE_JOB)
         job["tasks"] = [
