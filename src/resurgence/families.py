@@ -76,6 +76,8 @@ class IndexFunction:
 def affine(a: int, b: int = 0) -> IndexFunction:
     if a < 0:
         raise DomainError("index functions must be nondecreasing")
+    if Fraction(a).denominator != 1:
+        raise DomainError(f"an affine slope must be an integer, not {a}; ceil_mul takes a rational one")
     return IndexFunction("affine", Fraction(a), b)
 
 
@@ -213,9 +215,9 @@ class GradedFamily:
     """A lazily evaluated family {a_i} of monomial ideals.
 
     A constructor passes `compute` (member n for n >= 1) and the facts true of
-    its kind by construction: `power` = (base, exponent rule, closed?) when the
-    members are base^e(n) or their closures; structural `filtration`/`graded`;
-    `veronese_k` with member(k*n) = member(k)^n; `integrally_closed` members;
+    its kind by construction: `power` = (base, exponent rule) when the members
+    are base^e(n), or their closures when they are `integrally_closed`;
+    structural `filtration`/`graded`; `veronese_k` with member(k*n) = member(k)^n;
     `constant_from` d0 with member(d) = member(d0) for d >= d0; `inner`/`step`
     with v(member(n)) = v(inner.member(step*n)) for every monomial valuation v;
     `symbolic_of`, the ideal whose symbolic powers the members are.  `kind` is
@@ -259,24 +261,18 @@ class GradedFamily:
         sem = self.power
         if sem is None or sem[1] != affine(1) or not sem[0].is_proper():
             return None
-        base, _, closed = sem
-        if not closed:
-            return base, closures.EquivalenceConstant(0, 0, True, 8)
-        return base, closures.bequiv_constant(base)
-
-    def eventually_constant(self) -> Optional[Tuple[int, MonomialIdeal]]:
-        """(d0, C) with member(d) = C for all d >= d0, when provable."""
-        d0 = self.constant_from
-        return None if d0 is None else (d0, self.member(d0))
+        if not self.integrally_closed:
+            return sem[0], closures.EquivalenceConstant(0, 0, True, 8)
+        return sem[0], closures.bequiv_constant(sem[0])
 
     def value_rule(self, weights: Tuple[int, ...]) -> Optional[Callable[[int], int]]:
         """Closed-form n -> v(member(n)) for power families and for families
         whose values come from an inner family with one."""
         if self.power is not None:
-            base, fn, _closed = self.power
+            base, fn = self.power
             if base.is_zero():
                 return None
-            v_base, _ = base.weighted_min(weights)
+            v_base = base.weighted_min(weights)
             return lambda n: fn(n) * v_base
         inner = None if self.inner is None else self.inner.value_rule(weights)
         if inner is None:
@@ -300,7 +296,7 @@ def power_pattern(ideal: MonomialIdeal, fn: IndexFunction, name=None) -> GradedF
     """Members ideal^fn(n): a filtration since fn is nondecreasing."""
     return GradedFamily(
         "power_fn", ideal.nvars, lambda n: ideal.power(fn(n)), name,
-        power=(ideal, fn, False), filtration=True, graded=fn.subadditive,
+        power=(ideal, fn), filtration=True, graded=fn.subadditive,
         veronese_k=fn.slope.denominator if fn.pure_slope else None,
         constant_from=1 if fn.kind == "affine" and fn.a == 0 else None)
 
@@ -335,7 +331,7 @@ def closure_of(family: GradedFamily, name=None) -> GradedFamily:
     if family.integrally_closed:
         compute = family.member
     elif sem is not None and not sem[0].is_zero():
-        base, fn, _ = sem
+        base, fn = sem
 
         def compute(n):
             e = fn(n)
@@ -346,8 +342,7 @@ def closure_of(family: GradedFamily, name=None) -> GradedFamily:
             return m if m.is_zero() or m.is_unit() else closures.integral_closure(m, 1)
     return GradedFamily(
         "closure_of", family.nvars, compute, name,
-        power=None if sem is None else (sem[0], sem[1], True),
-        filtration=family.filtration, graded=family.graded, integrally_closed=True,
+        power=sem, filtration=family.filtration, graded=family.graded, integrally_closed=True,
         constant_from=family.constant_from, inner=family)
 
 

@@ -80,19 +80,15 @@ def _power_pair_tests(a: fam.GradedFamily, b: fam.GradedFamily):
     """Integer containment test for same-base power-pattern pairs.
 
     a_s <= b_d iff e_a(s) >= e_b(d), valid when the right side is an
-    integral-closure family or both sides are plain power families of the
+    integrally closed family or both sides are plain power families of the
     same proper base (a Rees valuation of the base separates the powers;
     a closure on the left only cannot be decided by exponents alone).
+    Returns the two exponent rules (e_a, e_b), or None.
     """
-    sa, sb = a.power, b.power
-    if sa is None or sb is None:
+    if a.power is None or b.power is None or a.power[0] != b.power[0] or not a.power[0].is_proper():
         return None
-    base_a, fa, closed_a = sa
-    base_b, fb, closed_b = sb
-    if base_a != base_b or not base_a.is_proper():
-        return None
-    if closed_b or not closed_a:
-        return fa, fb
+    if b.integrally_closed or not a.integrally_closed:
+        return a.power[1], b.power[1]
     return None
 
 
@@ -142,8 +138,7 @@ def _beta(a, b, s, cutoff, v=None) -> SequenceValue:
         hit = next((d for d in range(1, cutoff + 1) if escapes(s, d)), None)
     if hit is not None:
         return SequenceValue("finite", hit)
-    ec = b.eventually_constant()
-    if ec is not None and ec[0] <= cutoff:
+    if b.constant_from is not None and b.constant_from <= cutoff:
         return SequenceValue("empty")
     return SequenceValue("exceeds", bound=cutoff)
 
@@ -323,6 +318,8 @@ def rho_n(a: fam.GradedFamily, b: fam.GradedFamily, n: int, s_max: int, cutoff: 
     """sup { s / beta_s : n <= s <= s_max, beta_s finite within cutoff }."""
     if n < 1:
         raise DomainError("rho_n needs n >= 1")
+    if s_max < n:
+        raise DomainError("rho_n needs s_max >= n")
     pairs = _escape_pairs(a, b, range(n, s_max + 1), cutoff)
     best = _best_escape(a, b, pairs)
     search = {"n": n, "s_max": s_max, "cutoff": cutoff}
@@ -347,6 +344,8 @@ def rho_lim_estimate(a: fam.GradedFamily, b: fam.GradedFamily, n_grid: Sequence[
     grid = sorted(set(n_grid))
     if not grid or grid[0] < 1:
         raise DomainError("rho_lim needs a grid of indices >= 1")
+    if tail < 0:
+        raise DomainError("rho_lim needs tail >= 0")
     s_max = grid[-1] + tail
     pairs = _escape_pairs(a, b, range(grid[0], s_max + 1), cutoff)
     values = [(n, max((finite(Fraction(s, r)) for s, r in pairs if s >= n), default=NEG_INFINITY))

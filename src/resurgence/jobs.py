@@ -374,6 +374,8 @@ def parse_config(text: str) -> JobConfig:
     if not isinstance(nvars, int) or isinstance(nvars, bool) or nvars < 1:
         errors.append("'vars' must be a positive integer")
         nvars = 1
+    elif _parse_int(nvars, "'vars'", errors) is _BAD:
+        nvars = 1
 
     ideals: dict[str, MonomialIdeal] = {}
     for name, gens in _section(raw, "ideals", errors).items():

@@ -229,15 +229,14 @@ class MonomialIdeal:
         strict corners of the staircase in lex order, cached on the ideal."""
         return self.cached("corners", lambda: tuple(staircase_corners(self.generators)))
 
-    def weighted_min(self, weights: Sequence[int]) -> Tuple[int, Monomial]:
-        """(min <w, g>, lex-first minimizing g) over the minimal generators g of
-        a nonzero ideal, for a nonnegative weight vector w of length nvars.
+    def weighted_min(self, weights: Sequence[int]) -> int:
+        """min <w, g> over the minimal generators g of a nonzero ideal, for a
+        nonnegative weight vector w of length nvars.
 
-        A closure view of base^n gives n times the base's pair, m^d gives
-        d * min(w) at d on the last of the lightest variables (the lex-first
-        monomial of degree d among the minimizers), and an unread symbolic
-        view the bounded walk `lightest_lattice_point`; none materializes.
-        Every answer is cached per weight tuple.
+        A closure view of base^n gives n times the base's minimum, m^d gives
+        d * min(w), and an unread symbolic view the bounded walk
+        `lightest_lattice_point`; none materializes.  Every answer is cached
+        per weight tuple.
         """
         weights = tuple(weights)
         if len(weights) != self.nvars:
@@ -248,15 +247,12 @@ class MonomialIdeal:
         def compute():
             view = self.view
             if view is not None and view.kind == "closure":
-                value, arg = view.base.weighted_min(weights)
-                return view.scale * value, tuple(view.scale * e for e in arg)
+                return view.scale * view.base.weighted_min(weights)
             if view is not None and view.kind == "degree":
-                d, low = view.rhs[0], min(weights)
-                last = max(k for k, w in enumerate(weights) if w == low)
-                return d * low, tuple(d if k == last else 0 for k in range(self.nvars))
+                return view.rhs[0] * min(weights)
             if self._gens is None:
                 return lightest_lattice_point(*view[:3], weights)
-            return min((sum(map(_times, weights, g)), g) for g in self._gens)
+            return min(sum(map(_times, weights, g)) for g in self._gens)
 
         return self.cached(("weighted_min", weights), compute)
 
@@ -368,7 +364,7 @@ class MonomialIdeal:
             return self.witness_not_in(other) is None
         if self.nvars == 2:
             return all(map(other.contains, self.corners()))
-        return self.is_zero() or all(self.weighted_min(w)[0] >= m for w, m in zip(view.rows, view.rhs))
+        return self.is_zero() or all(self.weighted_min(w) >= m for w, m in zip(view.rows, view.rhs))
 
     def witness_not_in(self, other: "MonomialIdeal") -> Optional[Monomial]:
         """The lex-first minimal generator of self outside other, or None if
@@ -534,17 +530,15 @@ def minimal_lattice_points(rows, rhs, box) -> Tuple[Monomial, ...]:
     return tuple(points)
 
 
-def lightest_lattice_point(rows, rhs, box, weights) -> Optional[Tuple[int, Monomial]]:
-    """(least <weights, p>, lex-first p attaining it) over the lattice points p
-    of {a >= 0 : W a >= m}, for weights >= 0 and the arguments of
-    `minimal_lattice_points`, whose walk it bounds; None if the box has none.
+def lightest_lattice_point(rows, rhs, box, weights) -> Optional[int]:
+    """The least <weights, p> over the lattice points p of {a >= 0 : W a >= m},
+    for weights >= 0 and the arguments of `minimal_lattice_points`, whose walk
+    it bounds; None if the box has none.
 
     A coordinate's loop stops once every row that weighs it is met.  A prefix
     is pruned once its cost plus max_r ceil(deficit_r * min_k weights_k /
     w_r[k]) over the unset k reaches the incumbent, which only a strictly
-    lighter leaf replaces.  Leaves come in lex order, so the answer is minimal
-    (a feasible p - e_k would be lex-smaller and no heavier).  MATERIALIZE_CAP
-    bounds the leaves.
+    lighter leaf replaces.  MATERIALIZE_CAP bounds the leaves.
     """
     n = len(box)
     if any(m > 0 and not any(w) for w, m in zip(rows, rhs)):
@@ -557,29 +551,27 @@ def lightest_lattice_point(rows, rhs, box, weights) -> Optional[Tuple[int, Monom
         for r, w in enumerate(rows):
             c = cheapest[j + 1][r]
             cheapest[j][r] = (weights[j], w[j]) if w[j] and (c is None or weights[j] * c[1] < c[0] * w[j]) else c
-    slack, point, best, leaves = [-m for m in rhs], [0] * n, None, 0
+    slack, best, leaves = [-m for m in rhs], None, 0
 
     def walk(j, cost):
         nonlocal best, leaves
         v = _least(closing[j], slack)
         if j == last:
             leaves = _count_leaf(leaves)
-            if best is None or cost + v * weights[last] < best[0]:
-                best = (cost + v * weights[last], tuple(point[:last]) + (v,))
+            if best is None or cost + v * weights[last] < best:
+                best = cost + v * weights[last]
             return
         _shift(cols[j], slack, v)
         while v <= box[j]:
-            point[j] = v
             here = cost + v * weights[j]
             if best is None or here + max([-((s * c[0]) // c[1]) for s, c in zip(slack, cheapest[j + 1]) if s < 0],
-                                          default=0) < best[0]:
+                                          default=0) < best:
                 walk(j + 1, here)
             if all(slack[r] >= 0 for r in cols[j][0]):
                 break
             v += 1
             _shift(cols[j], slack, 1)
         _shift(cols[j], slack, -v)
-        point[j] = 0
 
     walk(0, 0)
     return best

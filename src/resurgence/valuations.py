@@ -46,9 +46,8 @@ class MonomialValuation:
 
     def of_ideal(self, ideal: MonomialIdeal) -> int:
         """min over minimal generators (valid since the weights are >= 0),
-        read from `MonomialIdeal.weighted_min`, which also gives the lex-first
-        generator attaining it."""
-        return ideal.weighted_min(self.weights)[0]
+        read from `MonomialIdeal.weighted_min`."""
+        return ideal.weighted_min(self.weights)
 
 
 def degree_valuation(nvars: int) -> MonomialValuation:
@@ -92,8 +91,7 @@ def skew_waldschmidt(v: MonomialValuation, family: fam.GradedFamily, window: int
         raise DomainError("window must be positive")
     sem = family.power
     if sem is not None and sem[1].subadditive and not sem[0].is_zero():
-        base, fn, _closed = sem
-        exact = fn.slope * v.of_ideal(base)
+        exact = sem[1].slope * v.of_ideal(sem[0])
         return WaldschmidtResult(exact, exact, True, "closed-form")
     if family.symbolic_of is not None:
         return _symbolic_waldschmidt(v, family.symbolic_of)

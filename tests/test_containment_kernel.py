@@ -182,7 +182,7 @@ class TestRowMinimumRule:
         def recomputed():
             raise AssertionError("the row minimum was not cached")
 
-        assert left.cached(("weighted_min", (1, 1, 1)), recomputed) == (12, (9, 3, 0))
+        assert left.cached(("weighted_min", (1, 1, 1)), recomputed) == 12
 
     def test_beta_into_powers_of_m_matches_a_row_scan(self):
         # the least d with a generator of a_s outside m^d, by RegionView.contains
@@ -233,7 +233,7 @@ class TestBoundedWalk:
         ideal, weights = case
         view = ideal.view
         points = oracles.box_minimal_lattice_points(view.rows, view.rhs, view.box)
-        expected = min((sum(w * e for w, e in zip(weights, p)), p) for p in points)
+        expected = min(sum(w * e for w, e in zip(weights, p)) for p in points)
         assert ideal.weighted_min(weights) == expected
         assert not ideal.is_explicit
 
@@ -259,7 +259,7 @@ class TestBoundedWalk:
 
     def test_cap_bounds_the_walk(self, monkeypatch):
         # the least degree of the 10th symbolic power takes three leaves
-        assert symbolic_power(seven_cycle(), 10).weighted_min((1,) * 7) == (18, (2, 2, 2, 2, 2, 4, 4))
+        assert symbolic_power(seven_cycle(), 10).weighted_min((1,) * 7) == 18
         monkeypatch.setattr(monomials, "MATERIALIZE_CAP", 2)
         with pytest.raises(CapabilityError, match="MATERIALIZE_CAP"):
             symbolic_power(seven_cycle(), 10).weighted_min((1,) * 7)

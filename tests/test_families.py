@@ -239,17 +239,17 @@ class TestValidators:
 class TestStructureFlags:
     def test_power_semantics(self):
         I = ideal(2, (2, 0), (0, 3))
-        base, fn, closed = closure_powers(I).power
-        assert base == I and closed and fn(3) == 3
+        base, fn = closure_powers(I).power
+        assert base == I and closure_powers(I).integrally_closed and fn(3) == 3
 
     def test_eventually_constant(self):
         I = ideal(2, (1, 0), (0, 1))
-        assert constant(I).eventually_constant() == (1, I)
-        assert powers(I).eventually_constant() is None
+        assert constant(I).constant_from == 1 and constant(I).member(1) == I
+        assert powers(I).constant_from is None
         prefix_family = table(2, [I.power(2)], tail=fam.Base("I"),
                               env=fam.Environment({"I": I}))
-        d0, value = prefix_family.eventually_constant()
-        assert (d0, value) == (2, I)
+        d0 = prefix_family.constant_from
+        assert (d0, prefix_family.member(d0)) == (2, I)
 
     @pytest.mark.parametrize("tail", [
         fam.Ref("f"),
@@ -260,7 +260,7 @@ class TestStructureFlags:
         I = ideal(2, (1, 0), (0, 1))
         env = fam.Environment({"I": I, "x": ideal(2, (1, 0))}, {"f": powers(I)})
         family = table(2, [I], tail=tail, env=env)
-        assert family.eventually_constant() is None
+        assert family.constant_from is None
         assert family.member(3) != family.member(4)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -268,12 +268,12 @@ class TestStructureFlags:
         I = ideal(2, (1, 0), (0, 1))
         prefix = [I.power(4), I.power(3), I.power(2), I.power(2)]
         inner = table(2, prefix, tail=fam.Base("I"), env=fam.Environment({"I": I}))
-        d0, value = veronese(inner, k).eventually_constant()
-        assert d0 == -(-5 // k) and value == I
+        d0 = veronese(inner, k).constant_from
+        assert d0 == -(-5 // k) and veronese(inner, k).member(d0) == I
         assert all(veronese(inner, k).member(n) == I for n in range(d0, d0 + 4))
         assert k == 1 or veronese(inner, k).member(d0 - 1) != I
-        assert veronese(constant(I), k).eventually_constant() == (1, I)
-        assert veronese(powers(I), k).eventually_constant() is None
+        assert veronese(constant(I), k).constant_from == 1 and veronese(constant(I), k).member(1) == I
+        assert veronese(powers(I), k).constant_from is None
 
     def test_index_functions(self):
         assert [fam.ceil_sqrt()(n) for n in (1, 2, 4, 5, 9, 10)] == [1, 2, 2, 3, 3, 4]
@@ -282,6 +282,20 @@ class TestStructureFlags:
         assert fam.affine(2, 1)(5) == 11
         assert fam.ceil_mul(Fraction(5, 3)).pure_slope
         assert not fam.ceil_mul(Fraction(5, 3), 1).pure_slope
+
+    @pytest.mark.parametrize("a", [Fraction(3, 2), 1.5, Fraction(1, 3)])
+    def test_a_non_integral_affine_slope_is_refused(self, a):
+        # int(a) truncated the members (I^1, I^2, I^3 for a = 3/2) while the
+        # closed form read the exact slope and certified 3/2 instead of 1
+        with pytest.raises(DomainError, match="affine slope must be an integer.*ceil_mul"):
+            fam.affine(a)
+
+    @pytest.mark.parametrize("a", [Fraction(2), 2.0, 2])
+    def test_an_integral_affine_slope_of_any_type_is_kept(self, a):
+        I = ideal(2, (1, 0), (0, 1))
+        family = fam.power_pattern(I, fam.affine(a))
+        assert [family.member(n) for n in (1, 2)] == [I.power(2), I.power(4)]
+        assert skew_waldschmidt(degree_valuation(2), family).value == 2
 
 
 # -- facts of every family kind ------------------------------------------------
@@ -322,14 +336,15 @@ def fact_families():
 
 def family_facts(family):
     sem = family.power
-    ec = family.eventually_constant()
+    d0 = family.constant_from
     beq = family.base_equivalence()
     sw = skew_waldschmidt(degree_valuation(family.nvars), family)
     rule = family.value_rule((3, 2, 1)[: family.nvars])
     return {
-        "power": None if sem is None else (sem[0].generators, sem[1].kind, sem[1].a, sem[1].b, sem[2]),
+        "power": None if sem is None else (sem[0].generators, sem[1].kind, sem[1].a, sem[1].b,
+                                           family.integrally_closed),
         "flags": (family.filtration, family.graded, family.veronese_k, family.integrally_closed),
-        "constant": None if ec is None else (ec[0], ec[1].generators),
+        "constant": None if d0 is None else (d0, family.member(d0).generators),
         "bequiv": None if beq is None else (beq[0].generators, beq[1].k, beq[1].bound),
         "waldschmidt": (sw.upper, sw.lower, sw.certified, sw.method),
         "values": None if rule is None else tuple(rule(n) for n in range(1, 7)),

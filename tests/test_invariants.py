@@ -404,6 +404,13 @@ class TestRhoN:
         b = table(2, [I, I.power(2)], tail=fam.Base("I"), env=fam.Environment({"I": I}))
         assert rho_n(powers(I), b, 2, 20, 30).value == NEG_INFINITY
 
+    def test_a_window_below_n_is_refused(self):
+        # s_max < n checks no s and used to report -inf
+        a, b = sqrt_pair()
+        with pytest.raises(DomainError, match="^rho_n needs s_max >= n$"):
+            rho_n(a, b, 8, 3, 40)
+        assert rho_n(a, b, 3, 3, 40).value == finite(Fraction(3, 10))
+
 
 class TestRhoLim:
     def test_sqrt_trend_to_zero(self):
@@ -424,6 +431,16 @@ class TestRhoLim:
         rep = rho_lim_estimate(a, a, [3, 6, 9], cutoff=40, tail=6)
         assert rep.certified
         assert rep.value == finite(1)
+
+    @pytest.mark.parametrize("tail", [-1, -10])
+    def test_a_negative_tail_is_refused(self, tail):
+        # the last grid index n had no s >= n on the window; tail -10 on
+        # [3, 6] checked no index and reported -inf
+        a, b = sqrt_pair()
+        with pytest.raises(DomainError, match="^rho_lim needs tail >= 0$"):
+            rho_lim_estimate(a, b, [3, 6], cutoff=40, tail=tail)
+        values = rho_lim_estimate(a, b, [3, 6], cutoff=40, tail=0).details["grid_values"]
+        assert values == ((3, finite(Fraction(3, 10))), (6, finite(Fraction(6, 37))))
 
 
 class TestRhoHatRees:
@@ -772,6 +789,57 @@ class TestPublishedInequalities:
                 assert all(value <= exact.value for value in windows), (edges, windows)
             alpha_hat = skew_waldschmidt(v, a).value
             assert finite(Fraction(v.of_ideal(I)) / alpha_hat) <= rho_hat, edges
+
+
+@pytest.fixture(scope="module")
+def region_scans():
+    """(a, b, rho_exact report) for pairs a = powers(J), b = powers(I) of
+    3-variable ideals on which `rho_exact_certified` scans its finite region:
+    the closure gap k of I is positive and a witness s/r > rho_hat turns up
+    within the search budget.  ROADMAP item 3's pair comes first, then the
+    pairs that qualify among 60 seeded draws of x^i, y^j, z^k (2 <= i, j, k <= 4)
+    plus one or two generators with exponents 0-2."""
+    rng = random.Random(2)
+
+    def draw():
+        pure = [[rng.randint(2, 4) if i == j else 0 for i in range(3)] for j in range(3)]
+        extra = [[rng.randint(0, 2) for _ in range(3)] for _ in range(rng.randint(1, 2))]
+        return ideal(3, *pure, *(g for g in extra if any(g)))
+
+    pairs = [(ideal(3, (4, 0, 0), (0, 3, 0), (0, 0, 4), (1, 1, 1)),
+              ideal(3, (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)))]
+    pairs += [(draw(), draw()) for _ in range(60)]
+    scans = []
+    for I, J in pairs:
+        a, b = powers(J), powers(I)
+        rep = rho_exact_certified(a, b, search_budget=8, horizon=4)
+        if "region" in rep.details:
+            scans.append((a, b, rep))
+    assert len(scans) >= 10 and all(rep.details["gap"].k > 0 for _, _, rep in scans)
+    return scans
+
+
+class TestCertifiedRegion:
+    """Relations that the region scan of `rho_exact_certified` must keep on
+    pairs with a positive closure gap (ROADMAP item 11).  On these pairs an
+    s bound one too small, or one without the gap, breaks the first two;
+    reading one index past the s bound breaks the third; and an r bound one
+    too small loses the witness pair of ROADMAP item 3's pair, so the scan
+    raises."""
+
+    def test_rho_hat_is_at_most_rho(self, region_scans):
+        for _, _, rep in region_scans:
+            assert rep.certified and rep.details["rho_hat"] <= rep.value
+
+    def test_window_values_are_at_most_rho(self, region_scans):
+        for a, b, rep in region_scans:
+            assert rho_window(a, b, 6, 6).value <= rep.value
+
+    def test_witness_escapes(self, region_scans):
+        for a, b, rep in region_scans:
+            (s, r, m), = rep.witnesses
+            assert rep.value == finite(Fraction(s, r))
+            assert m is not None and a.member(s).contains(m) and not b.member(r).contains(m)
 
 
 class TestStructuralInvariants:

@@ -198,6 +198,15 @@ class TestRun:
             "DomainError: a standard Veronese index needs k >= 1, not 0"] * 2
         assert exit_status(report) == 1
 
+    def test_a_resurgence_window_without_an_index_is_a_domain_error(self):
+        # each reported -inf as ok: rho_n checked no s in 8..3, rho_lim no s >= 3 up to 6 - 10
+        job = dict(BASE_JOB, tasks=[{"op": "rho_n", "a": "a", "b": "a", "n": 8, "s_max": 3, "cutoff": 9},
+                                    {"op": "rho_lim", "a": "a", "b": "a", "grid": [3, 6], "tail": -10}])
+        report = run(parse_config(json.dumps(job)))
+        assert [task["error"] for task in report["tasks"]] == [
+            "DomainError: rho_n needs s_max >= n", "DomainError: rho_lim needs tail >= 0"]
+        assert exit_status(report) == 1
+
     def test_task_failure_recorded_not_fatal(self):
         job = dict(TRIANGLE_JOB)
         job["tasks"] = [
@@ -612,6 +621,11 @@ class TestConfigErrors:
     def test_vars_must_not_be_a_boolean(self, nvars):
         problems = _problems(vars=nvars, ideals={}, families={})
         assert problems == ["'vars' must be a positive integer"]
+
+    def test_vars_beyond_the_cap_is_refused(self):
+        # each unit ideal is a tuple of `vars` zeros; the cap refuses before any is built
+        problems = _problems(vars=10**12, ideals={}, families={})
+        assert problems == [f"'vars': 1000000000000 exceeds INTEGER_CAP = {jobs.INTEGER_CAP} in absolute value"]
 
     def test_integral_numbers_and_integer_strings_are_integers(self):
         config = parse_config(json.dumps(dict(
