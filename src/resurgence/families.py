@@ -106,10 +106,15 @@ class Expr:
 
     Leaves are named base ideals or shifted references to other families;
     nodes are sums, products, and powers with IndexFunction exponents.
+    `key(n)` is all that `evaluate` reads of n (exponents and shifted
+    indices), so equal keys give equal members; n itself is always sound.
     """
 
     def evaluate(self, n: int, env: "Environment") -> MonomialIdeal:
         raise NotImplementedError
+
+    def key(self, n: int):
+        return n
 
     def depends_on_index(self) -> bool:
         raise NotImplementedError
@@ -121,6 +126,9 @@ class Base(Expr):
 
     def evaluate(self, n, env):
         return env.ideal(self.name)
+
+    def key(self, n):
+        return ()
 
     def depends_on_index(self):
         return False
@@ -135,6 +143,9 @@ class Ref(Expr):
 
     def evaluate(self, n, env):
         return env.family(self.family).member(n + self.shift)
+
+    def key(self, n):
+        return n + self.shift
 
     def depends_on_index(self):
         return True
@@ -151,6 +162,9 @@ class Product(Expr):
             result = ideal if result is None else result.multiply(ideal)
         return result
 
+    def key(self, n):
+        return tuple(f.key(n) for f in self.factors)
+
     def depends_on_index(self):
         return any(f.depends_on_index() for f in self.factors)
 
@@ -166,6 +180,9 @@ class Sum(Expr):
             result = ideal if result is None else result.add(ideal)
         return result
 
+    def key(self, n):
+        return tuple(t.key(n) for t in self.terms)
+
     def depends_on_index(self):
         return any(t.depends_on_index() for t in self.terms)
 
@@ -177,6 +194,9 @@ class Power(Expr):
 
     def evaluate(self, n, env):
         return self.base.evaluate(n, env).power(self.exponent(n))
+
+    def key(self, n):
+        return self.base.key(n), self.exponent(n)
 
     def depends_on_index(self):
         return self.base.depends_on_index() or not (
@@ -363,34 +383,49 @@ def veronese(family: GradedFamily, k: int, name=None) -> GradedFamily:
         constant_from=None if d0 is None else -(-d0 // k), inner=family, step=k)
 
 
+def _built_once(expr: Expr, env: Environment) -> Callable[[int], MonomialIdeal]:
+    """n -> expr at n, built once per distinct expr.key(n): indices with equal
+    keys share one member object (members are never mutated)."""
+    built = {}
+
+    def member(n):
+        key = expr.key(n)
+        if key not in built:
+            built[key] = expr.evaluate(n, env)
+        return built[key]
+    return member
+
+
 def periodic(nvars: int, period: int, patterns: Mapping[int, Expr], env: Environment,
              name=None) -> GradedFamily:
-    # as many distinct keys as residues, each a residue: exactly 0..period-1
+    """Member n is patterns[n % period] at n, built once per residue and key."""
+    # as many patterns as residues, each under its residue: exactly 0..period-1
     if period < 1 or len(patterns) != period or not all(isinstance(r, int) and 0 <= r < period for r in patterns):
         raise DomainError("periodic family needs one pattern per residue class 0..period-1")
-    patterns = dict(patterns)
-    return GradedFamily("periodic", nvars, lambda n: patterns[n % period].evaluate(n, env), name)
+    members = {r: _built_once(expr, env) for r, expr in patterns.items()}
+    return GradedFamily("periodic", nvars, lambda n: members[n % period](n), name)
 
 
 def table(nvars: int, prefix: Sequence[MonomialIdeal], tail: Optional[Expr] = None,
           env: Optional[Environment] = None, name=None) -> GradedFamily:
-    """Listed members 1..len(prefix), then the tail expression (constant from
-    len(prefix) + 1 when the tail does not depend on n)."""
+    """Listed members 1..len(prefix), then the tail expression, built once per
+    key (constant from len(prefix) + 1 when the tail does not depend on n)."""
     prefix = tuple(prefix)
-    env = env or Environment()
+    tail_member = None if tail is None else _built_once(tail, env or Environment())
 
     def compute(n):
         if n <= len(prefix):
             return prefix[n - 1]
-        if tail is None:
+        if tail_member is None:
             raise FamilyRangeError(f"table family has no member at index {n} and no tail rule")
-        return tail.evaluate(n, env)
+        return tail_member(n)
     fixed = tail is not None and not tail.depends_on_index()
     return GradedFamily("table", nvars, compute, name, constant_from=len(prefix) + 1 if fixed else None)
 
 
 def expression(nvars: int, expr: Expr, env: Environment, name=None) -> GradedFamily:
-    return GradedFamily("expression", nvars, lambda n: expr.evaluate(n, env), name)
+    """Member n is expr at n, built once per distinct expr.key(n)."""
+    return GradedFamily("expression", nvars, _built_once(expr, env), name)
 
 
 def from_function(nvars: int, func: Callable[[int], MonomialIdeal], name=None) -> GradedFamily:

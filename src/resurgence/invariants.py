@@ -666,10 +666,19 @@ def _closure_gap(b, horizon, assertions):
 
 
 def _search_witness(a, b, rho_hat: Fraction, budget: int):
-    """First (s, r) in increasing s+r, then r, with s/r > rho_hat and a_s not in b_r."""
+    """First (s, r) in increasing s+r, then r, with s/r > rho_hat and a_s not in b_r.
+    For a filtration a, a_s in b_r puts every later a_(s') in b_r: those go unbuilt."""
     escapes, _ = _escape_test(a, b)
-    pairs = ((total - r, r) for total in range(2, budget + 1) for r in range(1, total))
-    return next(((s, r) for s, r in pairs if Fraction(s, r) > rho_hat and escapes(s, r)), None)
+    settled = set()  # the r with a tested a_s inside b_r, for a filtration a
+    for total in range(2, budget + 1):
+        for r in range(1, total):
+            s = total - r
+            if r not in settled and Fraction(s, r) > rho_hat:
+                if escapes(s, r):
+                    return s, r
+                if a.filtration:
+                    settled.add(r)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,8 @@ from resurgence import (
 import resurgence.families as fam
 from resurgence.closures import minimal_covers
 from resurgence.jobs import parse_config
-from resurgence.invariants import (REES_ROUTES, LinearlyFinerResult, SequenceValue, _first_index, _lambda_search,
-                                   _search_witness)
+from resurgence.invariants import (REES_ROUTES, LinearlyFinerResult, SequenceValue, _escape_test, _first_index,
+                                   _lambda_search, _search_witness)
 from resurgence.rationals import ceil_frac
 
 
@@ -840,6 +840,57 @@ class TestCertifiedRegion:
             (s, r, m), = rep.witnesses
             assert rep.value == finite(Fraction(s, r))
             assert m is not None and a.member(s).contains(m) and not b.member(r).contains(m)
+
+
+def unpruned_search(a, b, rho_hat, budget):
+    """Every pair (s, r) with s/r > rho_hat in increasing s + r, then r."""
+    escapes, _ = _escape_test(a, b)
+    pairs = ((total - r, r) for total in range(2, budget + 1) for r in range(1, total))
+    return next(((s, r) for s, r in pairs if Fraction(s, r) > rho_hat and escapes(s, r)), None)
+
+
+class TestSearchWitnessPruning:
+    """`_search_witness` skips the pairs (s', r) above a tested a_s inside b_r
+    when a is a filtration.  Pruning without that guard breaks the periodic
+    cases: there a_s inside b_r says nothing about a_(s+1)."""
+
+    def test_the_pruned_search_finds_the_first_escaping_pair(self):
+        rng = random.Random(29)
+
+        def draw(nvars):
+            gens = [[rng.randint(1, 3) if i == j else 0 for i in range(nvars)] for j in range(nvars)]
+            gens.append([rng.randint(0, 2) for _ in range(nvars)])
+            return MonomialIdeal.from_generators(nvars, gens)
+
+        found = set()
+        for _ in range(60):
+            nvars = rng.randint(2, 3)
+            I, J = draw(nvars), draw(nvars)
+            period = rng.randint(2, 3)
+            # periodic members alternate between powers of I (inside b_r for
+            # some r) and J, so a contained a_s can be followed by an escape
+            patterns = {r: fam.Power(fam.Base(rng.choice("IJ")), fam.affine(rng.randint(0, 1), 1))
+                        for r in range(period)}
+            a = rng.choice((
+                powers(J), ceiling(J, Fraction(rng.randint(1, 4), 2)), closure_powers(J),
+                fam.periodic(nvars, period, patterns, fam.Environment({"I": I, "J": J}))))
+            b = rng.choice((powers(I), ceiling(I, Fraction(rng.randint(1, 4), 3))))
+            rho_hat = Fraction(rng.randint(0, 6), rng.randint(1, 3))
+            got = _search_witness(a, b, rho_hat, 10)
+            assert got == unpruned_search(a, b, rho_hat, 10), (a, b, rho_hat)
+            found.add((a.kind, got is not None))
+        assert {("periodic", True), ("power_fn", True), ("power_fn", False)} <= found
+
+    def test_a_filtration_stops_building_members_above_a_contained_one(self):
+        # an unpruned search builds J^s up to s = 23 on this pair
+        I = ideal(3, (0, 0, 4), (0, 5, 0), (1, 0, 0))
+        J = ideal(3, (0, 0, 2), (0, 2, 1), (0, 4, 0), (1, 0, 1), (4, 0, 0))
+        built = []
+        a = powers(J)
+        compute = a.compute
+        a.compute = lambda n: built.append(n) or compute(n)
+        rep = rho_exact_certified(a, powers(I), search_budget=24, horizon=4)
+        assert (rep.value, rep.certified, max(built)) == (finite(2), False, 15)
 
 
 class TestStructuralInvariants:
