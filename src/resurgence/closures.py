@@ -43,18 +43,24 @@ def _positive_facets(ideal: MonomialIdeal) -> Tuple[Tuple[Tuple[int, ...], int],
 def integral_closure(ideal: MonomialIdeal, n: int = 1) -> MonomialIdeal:
     """Integral closure of ideal^n, as the region view of n * NP(ideal): the
     positive-offset facets with right-hand sides n * offset, generators
-    materialized on demand inside the box n * (coordinatewise maximum)."""
+    materialized on demand inside the box n * (coordinatewise maximum).
+    One view per (ideal, n), cached on `ideal`, so repeated calls return the
+    identical object and its region is walked at most once."""
     if ideal.is_zero():
         raise DomainError("the zero ideal has no integral closure here")
     if n < 1:
         raise DomainError("closure exponent must be positive")
     if ideal.is_unit():
         return MonomialIdeal.unit(ideal.nvars)
-    facets = _positive_facets(ideal)
-    rows = tuple(w for w, _ in facets)
-    rhs = tuple(n * c for _, c in facets)
-    box = tuple(n * max(column) for column in zip(*ideal.generators))
-    return MonomialIdeal(ideal.nvars, None, RegionView(rows, rhs, box, "closure", ideal, n))
+
+    def view():
+        facets = _positive_facets(ideal)
+        rows = tuple(w for w, _ in facets)
+        rhs = tuple(n * c for _, c in facets)
+        box = tuple(n * max(column) for column in zip(*ideal.generators))
+        return MonomialIdeal(ideal.nvars, None, RegionView(rows, rhs, box, "closure", ideal, n))
+
+    return ideal.cached(("closure", n), view)
 
 
 @dataclass(frozen=True)

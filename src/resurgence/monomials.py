@@ -22,16 +22,21 @@ decides containment, and m^s lies in it iff s exceeds the top degree of the
 monomials outside it, max over steps j of x_(j+1) + y_j - 2 (-1 for the unit
 ideal, inf unless the staircase meets both axes).  The same invariant makes
 two-variable minimization one sort plus a sweep that keeps each entry whose y
-strictly decreases.  In any number of variables (g)J is the translate g + J,
-already minimal and sorted, and (g)^n = (ng) (Miller & Sturmfels,
-Combinatorial Commutative Algebra, ch. 1-3).
+strictly decreases.  In more variables monomials of equal total degree never
+divide one another unless equal, so minimization tests each candidate only
+against the kept generators of strictly smaller degree.  Every comparison and
+sum of two exponent tuples is one C-level `map` of an `operator` function
+(`le`, `add`, `max`).  In any number of variables (g)J is the translate
+g + J, already minimal and sorted, and (g)^n = (ng) (Miller & Sturmfels,
+Combinatorial Commutative Algebra, ch. 1-3).  Each power I^n (n >= 2) is
+built once and cached on I.
 
 View rules.  Every view's rows W are >= 0, so a set G of monomials lies in
 its region iff min over g in G of <w_r, g> >= m_r for every row r, and iff
 the vertices of the Newton polyhedron conv(G) + R^n_{>=0} do (the region is
 convex and closed upwards).  `is_subset_of` owns both rules.  In two
 variables those vertices are the staircase's corners
-(`polyhedra.staircase_corners`), cached on the ideal.  In any other number
+(`polyhedra.convex_chain`), cached on the ideal.  In any other number
 of variables the row minima decide, each from `weighted_min`, which caches
 it on the left ideal per weight tuple without materializing a view (a
 symbolic one by the bounded walk `lightest_lattice_point`); an explicit m^d
@@ -42,11 +47,11 @@ left side for the lex-first witness only when the rule fails.
 from __future__ import annotations
 
 from math import comb, inf
-from operator import lt, mul as _times
+from operator import add, le, lt, mul as _times
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapabilityError, DimensionError, DomainError
-from .polyhedra import staircase_corners
+from .polyhedra import convex_chain
 
 Monomial = Tuple[int, ...]
 
@@ -73,15 +78,15 @@ def check_monomial(m: Sequence[int], nvars: int) -> Monomial:
 
 
 def divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def degree(m: Monomial) -> int:
@@ -113,7 +118,8 @@ def minimize_monomials(gens: Iterable[Monomial]) -> Tuple[Monomial, ...]:
     staircase, already in lex order.  In more variables, monomials of equal
     total degree never divide one another unless equal, so after a degree
     sort each candidate is only tested against kept generators of strictly
-    smaller degree.
+    smaller degree: `below`, a copy of the kept list taken whenever the
+    degree changes.
     """
     unique = set(gens)
     if unique and len(next(iter(unique))) == 2:
@@ -122,15 +128,13 @@ def minimize_monomials(gens: Iterable[Monomial]) -> Tuple[Monomial, ...]:
             if not staircase or g[1] < staircase[-1][1]:
                 staircase.append(g)
         return tuple(staircase)
-    unique = sorted(unique, key=lambda m: (degree(m), m))
     kept: list[Monomial] = []
-    degrees: list[int] = []
-    for g in unique:
-        dg = degree(g)
-        if any(d < dg and divides(r, g) for r, d in zip(kept, degrees)):
-            continue
-        kept.append(g)
-        degrees.append(dg)
+    last = None
+    for d, g in sorted((sum(m), m) for m in unique):
+        if d != last:
+            below, last = kept[:], d
+        if not any(all(map(le, r, g)) for r in below):
+            kept.append(g)
     return tuple(sorted(kept))
 
 
@@ -226,8 +230,10 @@ class MonomialIdeal:
 
     def corners(self) -> Tuple[Monomial, ...]:
         """Two variables: the vertices of conv(generators) + R^2_{>=0}, the
-        strict corners of the staircase in lex order, cached on the ideal."""
-        return self.cached("corners", lambda: tuple(staircase_corners(self.generators)))
+        strict corners of the staircase in lex order.  The generators already
+        are the minimal staircase, so only its `convex_chain` runs; cached on
+        the ideal, so repeated calls return the identical tuple."""
+        return self.cached("corners", lambda: tuple(convex_chain(self.generators)))
 
     def weighted_min(self, weights: Sequence[int]) -> int:
         """min <w, g> over the minimal generators g of a nonzero ideal, for a
@@ -269,7 +275,7 @@ class MonomialIdeal:
         d = self._complete_degree()
         if d is not None:
             return degree(m) >= d
-        return any(divides(g, m) for g in gens)
+        return any(all(map(le, g, m)) for g in gens)
 
     def _complete_degree(self) -> Optional[int]:
         """d when the ideal is generated by ALL monomials of total degree d (the
@@ -313,28 +319,25 @@ class MonomialIdeal:
 
     def power(self, n: int) -> "MonomialIdeal":
         """I^n (I^0 = unit): m^(dn) for I = m^d (a degree view in three or more
-        variables), (ng) for I = (g), else by repeated squaring, minimized."""
+        variables), (ng) for I = (g), else I^(n//2) * I^(n - n//2), minimized.
+        Each I^n with n >= 2 is built once and cached on I, so repeated calls
+        return the identical object."""
         if n < 0:
             raise DomainError("negative ideal power")
         if n == 0:
             return MonomialIdeal.unit(self.nvars)
         if n == 1 or self.is_zero() or self.is_unit():
             return self
-        d = self._complete_degree()
-        if d is not None:
-            return complete_power_ideal(self.nvars, d * n)
-        if len(self.generators) == 1:
-            return MonomialIdeal(self.nvars, (tuple(n * e for e in self.generators[0]),))
-        result = None
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                result = base if result is None else result.multiply(base)
-            k >>= 1
-            if k:
-                base = base.multiply(base)
-        return result
+
+        def build():
+            d = self._complete_degree()
+            if d is not None:
+                return complete_power_ideal(self.nvars, d * n)
+            if len(self.generators) == 1:
+                return MonomialIdeal(self.nvars, (tuple(n * e for e in self.generators[0]),))
+            return self.power(n // 2).multiply(self.power(n - n // 2))
+
+        return self.cached(("power", n), build)
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._require_same_ring(other)

@@ -205,17 +205,22 @@ def _double_description_hull(raw: list[Tuple[int, ...]]) -> RationalPolyhedron:
 def staircase_corners(points: Iterable[Sequence]) -> list:
     """Vertices of conv(points) + R^2_{>=0}, in lex order: the lower-left
     convex chain of the plane points.  The dominance-minimal points, swept in
-    lex order, form a staircase (x increases, y strictly decreases), and a
-    monotone chain over it keeps only the strict corners, so a point on an
-    edge between two corners is dropped."""
+    lex order, form a staircase (x increases, y strictly decreases), whose
+    `convex_chain` keeps only the strict corners."""
     minimal: list = []
     best_y = None
     for p in sorted(set(points)):  # x ascending, y ascending within equal x
         if best_y is None or p[1] < best_y:
             minimal.append(p)
             best_y = p[1]
+    return convex_chain(minimal)
+
+
+def convex_chain(staircase: Sequence) -> list:
+    """The strict corners of a lex-sorted plane staircase, in lex order, by a
+    monotone chain: a point on an edge between two corners is dropped."""
     chain: list = []
-    for p in minimal:
+    for p in staircase:
         while len(chain) >= 2:
             (x0, y0), (x1, y1) = chain[-2], chain[-1]
             # pop while the middle point is not a strict corner of the chain

@@ -782,6 +782,30 @@ def test_any_family_descriptors_parse_or_raise_a_config_error(families):
         assert set(config.families) == set(families)
 
 
+# Random `ideals` sections: names of any short text, the empty one too;
+# exponent vectors mostly of the config's length 2 but ragged now and then;
+# entries mostly small integers, else any JSON value, a negative or huge
+# integer or a digit string; and now and then a generator list or a whole
+# section of another JSON type.
+_EXPONENTS = _mostly(st.integers(0, 4), st.one_of(
+    _SCALARS, _JSON, st.integers(-10**40, 10**40),
+    st.sampled_from([-1, 10**6, 10**6 + 1, 10**300, 1e300, "7", " 2 ", "1_0", "-3", "2.0", "٣"])))
+_VECTORS = _mostly(st.lists(_EXPONENTS, min_size=2, max_size=2), st.lists(_EXPONENTS, max_size=4))
+_IDEALS = _mostly(st.dictionaries(st.text(max_size=3), _mostly(st.lists(_VECTORS, max_size=4)), max_size=3))
+
+
+@seed(2030)
+@settings(max_examples=400, deadline=None, database=None)
+@given(ideals=_IDEALS)
+def test_any_ideals_section_parses_or_raises_a_config_error(ideals):
+    try:
+        config = parse_config(json.dumps({"vars": 2, "ideals": ideals}))
+    except ConfigError as exc:
+        assert exc.problems
+    else:
+        assert set(config.ideals) == set(ideals or {})
+
+
 # Random tasks, one per op in each example: every word of the op's `reads`
 # under one of its keys, mostly given when the op needs it, with a value
 # mostly of the key's kind and now and then of another JSON type, on families
