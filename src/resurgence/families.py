@@ -49,7 +49,7 @@ class IndexFunction:
             value = 0 if n <= 0 else math.isqrt(n - 1) + 1
         elif self.kind == "ceil_log2p1":
             value = max(n, 0).bit_length()
-        else:  # pragma: no cover
+        else:
             raise DomainError(f"unknown index function {self.kind!r}")
         if value < 0:
             raise DomainError(f"index function produced a negative exponent at n={n}")

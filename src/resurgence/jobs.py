@@ -578,7 +578,7 @@ def _render_value(node) -> str:
     """Report cell rendering: rationals as 'p/q', infinities as given."""
     if isinstance(node, dict) and set(node) == {"num", "den"}:
         return node["num"] if node["den"] == "1" else f"{node['num']}/{node['den']}"
-    return "" if node is None else str(node)
+    return str(node)
 
 
 def emit(report: dict, out_format: str, stem: str = "report") -> dict[str, bytes]:

@@ -22,9 +22,10 @@ decides containment, and m^s lies in it iff s exceeds the top degree of the
 monomials outside it, max over steps j of x_(j+1) + y_j - 2 (-1 for the unit
 ideal, inf unless the staircase meets both axes).  The same invariant makes
 two-variable minimization one sort plus a sweep that keeps each entry whose y
-strictly decreases.  In more variables monomials of equal total degree never
-divide one another unless equal, so minimization tests each candidate only
-against the kept generators of strictly smaller degree.  Every comparison and
+strictly decreases (`polyhedra.staircase`, which also starts the plane Newton
+hull).  In more variables monomials of equal total degree never divide one
+another unless equal, so minimization tests each candidate only against the
+kept generators of strictly smaller degree.  Every comparison and
 sum of two exponent tuples is one C-level `map` of an `operator` function
 (`le`, `add`, `max`).  In any number of variables (g)J is the translate
 g + J, already minimal and sorted, and (g)^n = (ng) (Miller & Sturmfels,
@@ -51,7 +52,7 @@ from operator import add, le, lt, mul as _times
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapabilityError, DimensionError, DomainError
-from .polyhedra import convex_chain
+from .polyhedra import convex_chain, staircase
 
 Monomial = Tuple[int, ...]
 
@@ -75,10 +76,6 @@ def check_monomial(m: Sequence[int], nvars: int) -> Monomial:
     if min(m, default=0) < 0:
         raise DomainError(f"negative exponent in monomial {m}")
     return m
-
-
-def divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(le, a, b))
 
 
 def mul(a: Monomial, b: Monomial) -> Monomial:
@@ -112,22 +109,16 @@ def format_monomial(m: Monomial, names: Optional[Sequence[str]] = None) -> str:
 def minimize_monomials(gens: Iterable[Monomial]) -> Tuple[Monomial, ...]:
     """Divisibility-minimal subset, sorted lexicographically. Idempotent.
 
-    In two variables, after a lex sort a monomial is divisible by another iff
-    some earlier entry has y no larger than its own, so one sweep keeps
-    exactly the entries whose y strictly decreases; the kept entries are the
-    staircase, already in lex order.  In more variables, monomials of equal
-    total degree never divide one another unless equal, so after a degree
-    sort each candidate is only tested against kept generators of strictly
-    smaller degree: `below`, a copy of the kept list taken whenever the
-    degree changes.
+    In two variables divisibility is dominance, so the minimal set is the
+    sweep `polyhedra.staircase`, already in lex order.  In more variables,
+    monomials of equal total degree never divide one another unless equal,
+    so after a degree sort each candidate is only tested against kept
+    generators of strictly smaller degree: `below`, a copy of the kept list
+    taken whenever the degree changes.
     """
     unique = set(gens)
     if unique and len(next(iter(unique))) == 2:
-        staircase: list[Monomial] = []
-        for g in sorted(unique):
-            if not staircase or g[1] < staircase[-1][1]:
-                staircase.append(g)
-        return tuple(staircase)
+        return tuple(staircase(unique))
     kept: list[Monomial] = []
     last = None
     for d, g in sorted((sum(m), m) for m in unique):
@@ -341,8 +332,6 @@ class MonomialIdeal:
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._require_same_ring(other)
-        if self.is_zero() or other.is_zero():
-            return MonomialIdeal.zero(self.nvars)
         gens = [lcm(a, b) for a in self.generators for b in other.generators]
         return MonomialIdeal(self.nvars, minimize_monomials(gens))
 

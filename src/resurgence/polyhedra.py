@@ -148,10 +148,11 @@ def hull_with_recession(points: Iterable[Sequence[int]]) -> RationalPolyhedron:
     """Irredundant H-representation of the Newton polyhedron
     conv(points) + R^n_{>=0} of integer points, with its vertices.
 
-    The plane case reads the boundary off `staircase_corners`.  Every other
-    dimension works in the homogenization cone C = cone{(p, 1)} + cone{(e_i, 0)},
-    which is full-dimensional, so its dual cone is pointed: no affine-hull
-    equations arise.  A facet <a, y> >= b corresponds to an extreme ray
+    The plane case reads the boundary off `staircase_corners`: the convex
+    chain of the `staircase` sweep that also minimizes plane monomials.  Every
+    other dimension works in the homogenization cone C = cone{(p, 1)} +
+    cone{(e_i, 0)}, which is full-dimensional, so its dual cone is pointed:
+    no affine-hull equations arise.  A facet <a, y> >= b corresponds to an extreme ray
     (a, -b) of the dual cone that is tight on some (p, 1); the one extreme
     ray tight on no point, (0, ..., 0, 1), is the face at infinity "1 >= 0"
     and gives no halfspace.
@@ -202,18 +203,24 @@ def _double_description_hull(raw: list[Tuple[int, ...]]) -> RationalPolyhedron:
                               tuple(orthant))
 
 
-def staircase_corners(points: Iterable[Sequence]) -> list:
-    """Vertices of conv(points) + R^2_{>=0}, in lex order: the lower-left
-    convex chain of the plane points.  The dominance-minimal points, swept in
-    lex order, form a staircase (x increases, y strictly decreases), whose
-    `convex_chain` keeps only the strict corners."""
+def staircase(points: Iterable[Sequence]) -> list:
+    """The dominance-minimal plane points in lex order.  After a lex sort a
+    point is dominated (or repeated) iff some earlier point has y no larger
+    than its own, so one sweep keeps exactly the points whose y strictly
+    decreases: a staircase (x increases, y strictly decreases)."""
     minimal: list = []
     best_y = None
-    for p in sorted(set(points)):  # x ascending, y ascending within equal x
+    for p in sorted(points):  # x ascending, y ascending within equal x
         if best_y is None or p[1] < best_y:
             minimal.append(p)
             best_y = p[1]
-    return convex_chain(minimal)
+    return minimal
+
+
+def staircase_corners(points: Iterable[Sequence]) -> list:
+    """Vertices of conv(points) + R^2_{>=0}, in lex order: the lower-left
+    convex chain of the plane points, `convex_chain` of their `staircase`."""
+    return convex_chain(staircase(points))
 
 
 def convex_chain(staircase: Sequence) -> list:
@@ -278,10 +285,6 @@ class LPResult:
     optimum: Optional[Fraction] = None
     argmin: Optional[Tuple[Fraction, ...]] = None
     dual: Optional[Tuple[Fraction, ...]] = None
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == "optimal"
 
 
 def lp_minimize(lp: LinearProgram) -> LPResult:

@@ -57,11 +57,15 @@ def degree_valuation(nvars: int) -> MonomialValuation:
 
 @dataclass(frozen=True)
 class WaldschmidtResult:
-    """Skew Waldschmidt constant v^(family) = lim v(a_n)/n = inf v(a_n)/n.
+    """Skew Waldschmidt constant v^(family) = lim v(a_n)/n.
 
-    certified means lower == upper == the exact constant.  The 'window'
-    method only bounds the infimum from above by a finite prefix; no lower
-    bound is invented, so `lower` is None there.
+    For a graded family (a_p a_q <= a_(p+q)) the sequence v(a_n) is
+    subadditive, so by Fekete's lemma the limit exists and equals
+    inf v(a_n)/n; for any other family neither need hold.  certified means
+    lower == upper == the exact constant.  The 'window' method's `upper` is
+    min over n <= window of v(a_n)/n, an upper bound of inf v(a_n)/n, and so
+    of the constant only for a graded family; no lower bound is invented, so
+    `lower` is None there.
     """
 
     upper: Fraction

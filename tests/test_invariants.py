@@ -46,6 +46,7 @@ from resurgence import (
     veronese_scaling_check,
 )
 import resurgence.families as fam
+import resurgence.invariants as inv
 from resurgence.closures import minimal_covers
 from resurgence.jobs import parse_config
 from resurgence.invariants import (REES_ROUTES, LinearlyFinerResult, SequenceValue, _escape_test, _first_index,
@@ -332,6 +333,13 @@ class TestDualSequences:
         left, right = dual_sequences(alpha, beta_seq, alpha_nondecreasing=True)
         assert left[1] == ("undetermined",)
         assert right[1] == ("undetermined",)  # the last window point qualifies
+
+    def test_no_qualifying_index(self):
+        # every alpha_d exceeds the target: the supremum is over an empty set,
+        # which only a nondecreasing alpha closes off
+        alpha, beta_seq = {d: d + 5 for d in range(1, 5)}, {1: 3}
+        assert dual_sequences(alpha, beta_seq, alpha_nondecreasing=True)[1] == {1: ("empty",)}
+        assert dual_sequences(alpha, beta_seq)[1] == {1: ("undetermined",)}
 
 
 class TestRhoWindow:
@@ -694,6 +702,17 @@ class TestRhoExact:
         with pytest.raises(HypothesisError):
             rho_exact_certified(a, b)
 
+    def test_region_rows_with_no_index_s_are_skipped(self):
+        # rho_hat = 6/13 and gap k = 1: the row r = 1 of the region has
+        # s <= ceil(2 * 6/13) - 1 = 0, so no s to search; the witness (1, 2) is
+        # in the row r = 2, and rho = 1/2 (a window of 40 x 80 agrees)
+        a, b = powers(ideal(2, (3, 2))), powers(ideal(2, (0, 3), (2, 0)))
+        rep = rho_exact_certified(a, b)
+        assert (rep.details["rho_hat"], rep.details["gap"].k) == (finite(Fraction(6, 13)), 1)
+        assert rep.value == finite(Fraction(1, 2)) and rep.certified
+        assert rep.witnesses == ((1, 2, (3, 2)),)
+        assert rho_window(a, b, 40, 80).value == rep.value
+
     def test_rationality_structural(self):
         I = ideal(2, (2, 0), (0, 3))
         rep = rho_exact_certified(powers(maximal(2)), powers(I))
@@ -721,6 +740,23 @@ class TestVeroneseScaling:
         res = veronese_scaling_check(powers(maximal(2)), powers(I), 3, 10)
         assert res.holds
         assert res.exact_lhs == res.exact_rhs_scaled
+
+    def test_unequal_exact_sides_fail_the_check(self, monkeypatch):
+        # both sides apply the Rees formula to b_k, so only a fault in it can
+        # split them: a rho_hat_rees that halves the powers(b_k) side must be seen
+        exact = inv.rho_hat_rees
+
+        def halved_on_powers(a, b, **kwargs):
+            report = exact(a, b, **kwargs)
+            if b.name == "powers(b_3)":
+                report.value = finite(report.value.value / 2)
+            return report
+        monkeypatch.setattr(inv, "rho_hat_rees", halved_on_powers)
+        I = ideal(2, (2, 0), (0, 3))
+        res = veronese_scaling_check(powers(maximal(2)), powers(I), 3, 10)
+        assert not res.holds
+        assert res.exact_lhs == finite(res.exact_rhs_scaled.value / 2)
+        assert res.notes == ("asymptotic scaling equality fails",)
 
 
 class TestLinearlyFiner:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from resurgence import ConfigError, jobs
+from resurgence import ConfigError, MonomialIdeal, jobs, powers
 from resurgence.cli import main
 from resurgence.jobs import emit, exit_status, parse_config, run
 
@@ -308,6 +308,20 @@ class TestEmit:
             b"2,symbolic_power,error,DomainError: symbolic exponent must be positive,\n"
         )}
 
+    def test_csv_summary_of_an_infinite_value(self):
+        # a constant family has Waldschmidt constant 0, so rho_hat = +inf
+        job = {"vars": 2, "ideals": {"m": [[1, 0], [0, 1]]},
+               "families": {"a": {"kind": "power_pattern", "ideal": "m", "exponent": {"fn": "affine", "a": 0, "b": 1}},
+                            "b": {"kind": "powers", "ideal": "m"}},
+               "tasks": [{"op": "rho_hat_rees", "a": "a", "b": "b"}]}
+        files = emit(run(parse_config(json.dumps(job))), "csv", "inf")
+        assert files == {"inf.csv": b"index,op,status,value,certified\n0,rho_hat_rees,ok,inf,True\n"}
+
+    def test_an_object_with_no_json_shape_is_encoded_as_its_str(self):
+        m = MonomialIdeal.from_generators(1, [(1,)])
+        assert jobs.encode({"named": powers(m, name="p"), "unnamed": powers(m)}) == {
+            "named": "GradedFamily(p)", "unnamed": "GradedFamily(power_fn)"}
+
     def test_byte_stability(self):
         config = parse_config(json.dumps(SQRT_JOB))
         first = emit(run(config), "csv", "s")
@@ -524,6 +538,16 @@ class TestConfigErrors:
     def test_tasks_must_be_a_list(self, value):
         # falsy values too: only an absent or null 'tasks' means no tasks
         assert _problems(tasks=value) == ["'tasks' must be a list"]
+
+    @pytest.mark.parametrize("text, problem", [
+        ('{"vars": 1,', "config is not valid JSON: "),  # the decoder's own wording follows
+        ('[{"vars": 1}]', "config root must be a JSON object"),
+    ])
+    def test_a_config_must_be_a_json_object(self, text, problem):
+        with pytest.raises(ConfigError) as raised:
+            parse_config(text)
+        [got] = raised.value.problems
+        assert got.startswith(problem)
 
     @pytest.mark.parametrize("section", ["ideals", "families", "output", "defaults"])
     def test_sections_must_be_objects(self, section):

@@ -166,3 +166,22 @@ def test_the_staircase_is_built_once_per_plateau():
     for k in range(1, 7):
         assert b.member(2 * k - 1) is b.member(2 * k)
     assert built == [1, 3, 5, 7, 9, 11]
+
+
+def test_a_node_without_a_key_of_its_own_is_keyed_by_n():
+    """`Expr.key` defaults to n: a subclass that reads n in `evaluate` alone
+    is evaluated once per index, so no member is shared by mistake."""
+    m = MonomialIdeal.from_generators(2, [(1, 0), (0, 1)])
+    built = []
+
+    class EvenPowers(fam.Expr):
+        def evaluate(self, n, env):
+            built.append(n)
+            return env.ideal("m").power(2 * (n // 2))
+
+        def depends_on_index(self):
+            return True
+
+    b = fam.expression(2, EvenPowers(), fam.Environment({"m": m}))
+    assert [b.member(n) for n in range(1, 5)] == [m.power(0), m.power(2), m.power(2), m.power(4)]
+    assert built == [1, 2, 3, 4]

@@ -127,6 +127,12 @@ class TestIntersect:
         I = ideal(2, (2, 1), (1, 3))
         assert I.intersect(MonomialIdeal.unit(2)) == I
 
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_zero_absorbs(self, nvars):
+        # no generator pairs, so no lcm: the empty generator set
+        I, zero = complete_power_ideal(nvars, 2), MonomialIdeal.zero(nvars)
+        assert I.intersect(zero).is_zero() and zero.intersect(I).is_zero() and zero.intersect(zero).is_zero()
+
 
 class TestMembership:
     def test_divisibility(self):
@@ -233,6 +239,11 @@ class TestViews:
         # a closure and a symbolic power that are the same ideal
         tri = ideal(3, (1, 1, 0), (1, 0, 1), (0, 1, 1))
         assert integral_closure(tri, 1) == symbolic_power(tri, 1) == tri
+
+    def test_an_ideal_is_never_equal_to_another_type_or_ring(self):
+        I = ideal(2, (1, 0), (0, 1))
+        assert I.__eq__((1, 0)) is NotImplemented and I != (1, 0)
+        assert I != complete_power_ideal(3, 1) and MonomialIdeal.unit(2) != MonomialIdeal.unit(3)
 
     def test_staircase_index_matches_scan(self):
         rng = random.Random(6)
