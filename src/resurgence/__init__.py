@@ -68,6 +68,7 @@ from .invariants import (
     SequenceValue,
     VeroneseScalingResult,
     beta,
+    beta_sequence,
     beta_v,
     dual_sequences,
     lambda_,

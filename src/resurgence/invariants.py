@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from . import families as fam
 from .closures import bequiv_constant, EquivalenceConstant, rees_valuations
@@ -54,19 +54,19 @@ class SequenceValue:
         return "empty"
 
 
-def _first_index(holds: Callable[[int], bool], cutoff: int) -> Optional[int]:
-    """Least d in 1..cutoff with holds(d), given an upward-closed set of such d;
+def _first_index(holds: Callable[[int], bool], cutoff: int, start: int = 1) -> Optional[int]:
+    """Least d in start..cutoff with holds(d), given an upward-closed set of such d;
     None if there is none.
 
-    Gallops through 1, 2, 4, ... (capped at the cutoff) and then bisects the
-    last gap, so members are only evaluated near the answer and no index is
-    probed twice.
+    Gallops through start, start + 1, start + 3, start + 7, ... (capped at the
+    cutoff; 1, 2, 4, ... from start = 1) and then bisects the last gap, so
+    members are only evaluated near the answer and no index is probed twice.
     """
-    lo, d = 0, 1
-    while not holds(d):
+    lo, d = start - 1, start
+    while d > cutoff or not holds(d):
         if d >= cutoff:
             return None
-        lo, d = d, min(2 * d, cutoff)
+        lo, d = d, min(2 * d - start + 1, cutoff)
     while d - lo > 1:
         mid = (lo + d) // 2
         if holds(mid):
@@ -110,32 +110,39 @@ def _escape_test(a: fam.GradedFamily, b: fam.GradedFamily, v: Optional[MonomialV
     return (lambda i, j: fa(i) < fb(j)), True
 
 
-def beta(a: fam.GradedFamily, b: fam.GradedFamily, s: int, cutoff: int) -> SequenceValue:
+def beta(a: fam.GradedFamily, b: fam.GradedFamily, s: int, cutoff: int, *,
+         start: int = 1) -> SequenceValue:
     """Least d <= cutoff with a_s not contained in b_d.
 
     Galloping search when b is a filtration by construction (the escape set is
     upward closed); linear scan otherwise.  'empty' is only reported when the
     family provably never escapes (constant tail reached inside the window).
+    `start` is the caller's proof that no d < start escapes: the search
+    begins there and the answer is the one a search from 1 would give, as
+    long as the proof holds (see beta_sequence).  start < 1 is a DomainError.
     """
-    return _beta(a, b, s, cutoff)
+    return _beta(a, b, s, cutoff, start)
 
 
 def beta_v(v: MonomialValuation, a: fam.GradedFamily, b: fam.GradedFamily,
-           s: int, cutoff: int) -> SequenceValue:
-    """Least d <= cutoff with v(a_s) < v(b_d)."""
-    return _beta(a, b, s, cutoff, v)
+           s: int, cutoff: int, *, start: int = 1) -> SequenceValue:
+    """Least d <= cutoff with v(a_s) < v(b_d); `start` as for beta, here the
+    caller's proof that v(a_s) >= v(b_d) for every d < start."""
+    return _beta(a, b, s, cutoff, start, v)
 
 
-def _beta(a, b, s, cutoff, v=None) -> SequenceValue:
+def _beta(a, b, s, cutoff, start, v=None) -> SequenceValue:
     if s < 1 or cutoff < 1:
         raise DomainError("beta needs s >= 1 and cutoff >= 1")
+    if start < 1:
+        raise DomainError(f"beta needs start >= 1, not {start}")
     escapes, by_exponents = _escape_test(a, b, v)
     if v is None and not by_exponents and a.member(s).is_zero():
         return SequenceValue("empty")  # a zero member has no valuation value: beta_v raises
     if b.filtration:
-        hit = _first_index(lambda d: escapes(s, d), cutoff)
+        hit = _first_index(lambda d: escapes(s, d), cutoff, start)
     else:
-        hit = next((d for d in range(1, cutoff + 1) if escapes(s, d)), None)
+        hit = next((d for d in range(start, cutoff + 1) if escapes(s, d)), None)
     if hit is not None:
         return SequenceValue("finite", hit)
     if b.constant_from is not None and b.constant_from <= cutoff:
@@ -180,10 +187,35 @@ def _lambda_search(fails, a, cutoff) -> SequenceValue:
     return SequenceValue("finite", best, certified=False)
 
 
+def beta_sequence(a: fam.GradedFamily, b: fam.GradedFamily, s_values: Sequence[int], cutoff: int,
+                  v: Optional[MonomialValuation] = None,
+                  floors: Optional[Mapping[int, int]] = None) -> Iterator[Tuple[int, SequenceValue]]:
+    """(s, beta_s) for the increasing indices s_values, beta^v_s given v.
+
+    Each row is one call of the module's `beta` (or `beta_v`), started at a
+    proved lower bound of its value.  For a filtration a and s < s', every
+    d < beta_s has a_s' <= a_s <= b_d, so beta_s' >= beta_s (and
+    beta^v_s' >= beta^v_s, since v(a_s') >= v(a_s)): a row resumes from the
+    last finite value.  floors[s], when given, is a proved lower bound of
+    row s, such as the finite beta_s(a, b) under the closure or valuation
+    sequence of the same pair (see rho_hat_beta_limit).
+    """
+    start, floors = 1, floors or {}
+    for s in s_values:
+        row_start = max(start, floors.get(s, 1))
+        if v is None:
+            sv = beta(a, b, s, cutoff, start=row_start)
+        else:
+            sv = beta_v(v, a, b, s, cutoff, start=row_start)
+        if a.filtration and sv.is_finite:
+            start = sv.value
+        yield s, sv
+
+
 def noncontainment_table(a: fam.GradedFamily, b: fam.GradedFamily, s_max: int,
                          cutoff: int) -> Tuple[Tuple[int, SequenceValue], ...]:
     """(s, beta_s) for s <= s_max; the finite rows form the noncontainment set."""
-    return tuple((s, beta(a, b, s, cutoff)) for s in range(1, s_max + 1))
+    return tuple(beta_sequence(a, b, range(1, s_max + 1), cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +315,7 @@ def rho_window(a: fam.GradedFamily, b: fam.GradedFamily, s_max: int, r_max: int)
 def _escape_pairs(a, b, s_range, cutoff):
     """The pairs (s, beta_s) for s in s_range with beta_s finite within the
     cutoff."""
-    values = ((s, beta(a, b, s, cutoff)) for s in s_range)
-    return [(s, sv.value) for s, sv in values if sv.is_finite]
+    return [(s, sv.value) for s, sv in beta_sequence(a, b, s_range, cutoff) if sv.is_finite]
 
 
 def _best_escape(a, b, pairs):
@@ -517,11 +548,12 @@ def rho_hat_beta_limit(a: fam.GradedFamily, b: fam.GradedFamily, n_max: int, cut
         grid = sorted({max(1, n_max // 4), max(1, n_max // 2), max(1, (3 * n_max) // 4), n_max})
     else:
         grid = sorted(set(grid) | {n_max})
-    seq_plain, seq_closure, seq_val = [], [], []
-    for n in grid:
-        seq_plain.append((n, beta(a, b, n, cutoff)))
-        seq_closure.append((n, beta(a, bbar, n, cutoff)))
-        seq_val.append((n, beta_v(v0, a, b, n, cutoff)))
+    # b_d <= closure(b_d), and a_n <= b_d gives v0(a_n) >= v0(b_d): the plain
+    # beta_n floors the other two sequences
+    seq_plain = list(beta_sequence(a, b, grid, cutoff))
+    floors = {n: sv.value for n, sv in seq_plain if sv.is_finite}
+    seq_closure = list(beta_sequence(a, bbar, grid, cutoff, floors=floors))
+    seq_val = list(beta_sequence(a, b, grid, cutoff, v0, floors))
     last = seq_plain[-1][1]
     if not last.is_finite:
         raise CapabilityError(f"beta_{n_max} is not finite within cutoff {cutoff}")

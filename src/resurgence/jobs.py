@@ -504,14 +504,20 @@ def _table(func, *arguments):
     return {"table": [(i, func(*head, i, cutoff)) for i in range(lo, hi + 1)]}
 
 
+def _beta_table(v, a, b, lo, hi, cutoff):
+    """{"table": [(s, beta_s)]} for lo <= s <= hi (beta^v_s given a valuation v), one resumed
+    sequence of inv.beta_sequence."""
+    return {"table": list(inv.beta_sequence(a, b, range(lo, hi + 1), cutoff, v))}
+
+
 # Every op: the task keys it reads, in the parameter order of the library
 # function its handler calls.  Handlers look library functions up on their
 # module at call time, so a wrapper installed there (a tracer, a mock) sees every call.
 OPS = {
-    "beta_table": Op("a b s_from=1 s_to cutoff", lambda *a: _table(inv.beta, *a)),
+    "beta_table": Op("a b s_from=1 s_to cutoff", lambda *a: _beta_table(None, *a)),
     "lambda_table": Op("a b n_from=1 n_to cutoff", lambda *a: _table(inv.lambda_, *a)),
     "beta_v_table": Op("weights a b n_from=s_from=1 n_to=s_to cutoff",
-                       lambda w, *a: _table(inv.beta_v, val.MonomialValuation(w), *a)),
+                       lambda w, *a: _beta_table(val.MonomialValuation(w), *a)),
     "lambda_v_table": Op("weights a b n_from=s_from=1 n_to=s_to cutoff",
                          lambda w, *a: _table(inv.lambda_v, val.MonomialValuation(w), *a)),
     "rho_window": Op("a b s_max=window r_max=window", lambda *a: inv.rho_window(*a)),
@@ -608,8 +614,8 @@ def emit(report: dict, out_format: str, stem: str = "report") -> dict[str, bytes
                 files[f"{stem}_task{task['index']:02d}_{task['op']}.csv"] = \
                     ("\n".join(rows) + "\n").encode("utf-8")
                 value = f"table[{len(result['table'])}]"
-            elif "value" in result:
-                value = _render_value(result["value"])
+            elif "value" in result or "upper" in result:  # a skew Waldschmidt result reads `upper`
+                value = _render_value(result["value" if "value" in result else "upper"])
                 certified = str(result.get("certified", ""))
             elif "holds" in result:
                 value = str(result["holds"])

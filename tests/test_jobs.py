@@ -308,6 +308,21 @@ class TestEmit:
             b"2,symbolic_power,error,DomainError: symbolic exponent must be positive,\n"
         )}
 
+    def test_csv_summary_of_a_waldschmidt_task(self):
+        # the value is `upper` as p/q: exact for the triangle's symbolic powers,
+        # a window bound for the staircase b_n = x^ceil(n/2) + y^2 m^(ceil(n/2)-1)
+        job = dict(TRIANGLE_JOB, tasks=[{"op": "waldschmidt", "family": "a", "weights": [1, 1, 1]}])
+        files = emit(run(parse_config(json.dumps(job))), "csv", "w")
+        assert files == {"w.csv": b"index,op,status,value,certified\n0,waldschmidt,ok,3/2,True\n"}
+        half = {"fn": "ceil_mul", "ratio": "1/2"}
+        job = {"vars": 2, "ideals": {"x": [[1, 0]], "y2": [[0, 2]], "m": [[1, 0], [0, 1]]},
+               "families": {"b": {"kind": "expression", "expr": {"sum": [
+                   {"power": {"ideal": "x"}, "exponent": half},
+                   {"product": [{"ideal": "y2"}, {"power": {"ideal": "m"}, "exponent": dict(half, offset=-1)}]}]}}},
+               "tasks": [{"op": "waldschmidt", "family": "b", "weights": [1, 1], "window": 6}]}
+        files = emit(run(parse_config(json.dumps(job))), "csv", "w")
+        assert files == {"w.csv": b"index,op,status,value,certified\n0,waldschmidt,ok,1/2,False\n"}
+
     def test_csv_summary_of_an_infinite_value(self):
         # a constant family has Waldschmidt constant 0, so rho_hat = +inf
         job = {"vars": 2, "ideals": {"m": [[1, 0], [0, 1]]},
